@@ -33,7 +33,7 @@ print(f"NPV benchmark                      : {npv:.4f}")
 print()
 print("  rho    threshold   value at V0")
 for res in results:
-    print(f"{res.rho:+6.3f}   {res.threshold_spot_t0:8.4f}   {res.option_value_v0:10.6f}")
+    print(f"{res.config.market.rho:+6.3f}   {res.threshold_spot_t0:8.4f}   {res.option_value_v0:10.6f}")
 
 feasible = [r.threshold_spot_t0 for r in results if not r.error]
 print()

@@ -31,12 +31,14 @@ from .indifference import (
 from .lattice import (
     GridSpec,
     OptionSpec,
+    Solution,
     ThresholdCurve,
     ValueGrid,
     backward_induce,
     build_grid,
     choose_half_height,
     extract_thresholds,
+    solve,
     value_curve,
 )
 from .reference import (
@@ -78,6 +80,7 @@ __all__ = [
     "PerpetualParams",
     "RunConfig",
     "RunResult",
+    "Solution",
     "SweepSpec",
     "ThresholdCurve",
     "UtilityParams",
@@ -105,6 +108,7 @@ __all__ = [
     "run_preset",
     "run_single",
     "run_sweep",
+    "solve",
     "value_curve",
     "verify_moments",
     "write_sweep_csv",

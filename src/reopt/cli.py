@@ -15,17 +15,25 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible calibration,
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 from dataclasses import replace
 
-from .calibration import CalibrationInfeasible, calibrate
+from .calibration import (
+    CalibrationInfeasible,
+    LatticeCalibration,
+    MarketParams,
+    calibrate,
+    verify_moments,
+)
 from .experiments import (
     ConfigError,
     RunConfig,
+    build_preset,
+    check_field,
     config_hash,
-    moment_report_text,
     parse_config,
-    preset_hash,
     preset_names,
     run_preset,
     run_single,
@@ -73,9 +81,7 @@ def _load_config(args) -> tuple[RunConfig, object]:
         raise _IOFailure(f"cannot read config: {exc}") from exc
     cfg, sweep = parse_config(text)
     if args.dt is not None:
-        if args.dt <= 0.0:
-            raise ConfigError("--dt must be positive")
-        cfg = replace(cfg, dt=args.dt)
+        cfg = replace(cfg, dt=check_field("dt", args.dt, "grid.dt"))
         if sweep is not None:
             sweep = replace(sweep, base=cfg)
     return cfg, sweep
@@ -137,9 +143,38 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg, _ = _load_config(args)
-    calibrate(cfg.market, cfg.dt, cfg.p_tol)
-    print(moment_report_text(cfg))
+    cal = calibrate(cfg.market, cfg.dt, cfg.p_tol)
+    print(moment_report_text(cal, cfg.market))
     return EXIT_OK
+
+
+def preset_hash(name: str, dt: float | None = None) -> str:
+    """Hash over the config hashes of a preset's sweeps."""
+    specs = build_preset(name, dt)
+    blob = json.dumps(
+        [config_hash(s.base, s) for s in specs], sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def moment_report_text(cal: LatticeCalibration, market: MarketParams) -> str:
+    """Human-readable calibration + moment check for one configuration."""
+    rep = verify_moments(cal, market)
+    lines = [
+        f"dt        = {cal.dt:.10g}",
+        f"u, d      = {cal.u:.10g}, {cal.d:.10g}",
+        f"h, l      = {cal.h:.10g}, {cal.l:.10g}",
+        f"q         = {cal.q:.10g}",
+        f"p         = ({cal.p1:.10g}, {cal.p2:.10g}, {cal.p3:.10g}, {cal.p4:.10g})",
+        f"sum p - 1 = {cal.p1 + cal.p2 + cal.p3 + cal.p4 - 1.0:.3e}",
+        f"E[S1/S0]  = {rep.mean_traded:.12g}  (target {rep.target_mean_traded:.12g}, "
+        f"error {rep.mean_traded_error:.3e})",
+        f"E[V1/V0]  = {rep.mean_project:.12g}  (target {rep.target_mean_project:.12g}, "
+        f"error {rep.mean_project_error:.3e})",
+        f"Cov       = {rep.covariance:.12g}  (target {rep.target_covariance:.12g}, "
+        f"error {rep.covariance_error:.3e})",
+    ]
+    return "\n".join(lines)
 
 
 def _write(writer, payload, path, root) -> None:

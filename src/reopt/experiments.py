@@ -35,20 +35,10 @@ import numpy as np
 from .calibration import (
     CalibrationInfeasible,
     MarketParams,
-    calibrate,
     capm_equilibrium_rate,
     mu2_from_shortfall,
-    verify_moments,
 )
-from .lattice import (
-    OptionSpec,
-    ThresholdCurve,
-    backward_induce,
-    build_grid,
-    choose_half_height,
-    extract_thresholds,
-    value_curve,
-)
+from .lattice import OptionSpec, ThresholdCurve, build_grid, solve, value_curve
 
 __all__ = [
     "ConfigError",
@@ -56,6 +46,7 @@ __all__ = [
     "SweepSpec",
     "RunResult",
     "parse_config",
+    "check_field",
     "config_hash",
     "run_single",
     "run_sweep",
@@ -107,6 +98,38 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
 
 
+_REQUIRED = object()
+
+# Every config field as (section, key, default, domain).  The table drives
+# parsing, the missing- and unknown-field checks and RunConfig.as_dict;
+# check_field enforces the domains for the parser, sweeps and the CLI.
+# Keys are unique across sections.
+_FIELDS = (
+    ("market", "mu1", 0.115, "real"),
+    ("market", "sigma1", 0.25, "positive"),
+    ("market", "s0", 1.0, "positive"),
+    ("market", "v0", 1.0, "positive"),
+    ("market", "r", 0.04, "real"),
+    ("project", "rho", _REQUIRED, "correlation"),
+    ("project", "sigma2", 0.2, "positive"),
+    ("project", "mu2", None, "real"),
+    ("project", "delta", 0.04, "real"),
+    ("option", "cost", 1.0, "positive"),
+    ("option", "cost_growth", 0.0, "real"),
+    ("option", "maturity", 10.0, "positive"),
+    ("option", "gamma", _REQUIRED, "positive"),
+    ("grid", "dt", BASE_DT, "positive"),
+    ("grid", "m_override", None, "count"),
+    ("grid", "p_tol", 0.0, "nonnegative"),
+)
+_DOMAIN = {key: domain for _, key, _, domain in _FIELDS}
+_SECTION_KEYS = {
+    section: tuple(key for s, key, _, _ in _FIELDS if s == section)
+    for section in ("market", "project", "option", "grid")
+}
+_SECTION_KEYS["sweep"] = ("name", "values", "range", "outputs", "per_step_curve")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved parameters for one valuation."""
@@ -120,18 +143,12 @@ class RunConfig:
     p_tol: float = 0.0
 
     def as_dict(self) -> dict[str, Any]:
-        m, o = self.market, self.option
-        return {
-            "market": {"mu1": m.mu1, "sigma1": m.sigma1, "s0": m.s0, "v0": m.v0, "r": m.r},
-            "project": {"mu2": m.mu2, "sigma2": m.sigma2, "rho": m.rho, "delta": self.delta},
-            "option": {
-                "cost": o.cost,
-                "cost_growth": o.cost_growth,
-                "maturity": o.maturity,
-                "gamma": o.gamma,
-            },
-            "grid": {"dt": self.dt, "m_override": self.m_override, "p_tol": self.p_tol},
-        }
+        holders = {"market": self.market, "project": self.market, "option": self.option}
+        doc: dict[str, Any] = {}
+        for section, key, _, _ in _FIELDS:
+            holder = self if key == "delta" else holders.get(section, self)
+            doc.setdefault(section, {})[key] = getattr(holder, key)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -151,20 +168,17 @@ class SweepSpec:
             if out not in _OUTPUTS:
                 raise ConfigError(f"sweep output {out!r} not in {_OUTPUTS}")
         for v in self.values:
-            _check_domain(self.name, v, f"sweep.values[{self.name}]")
+            check_field(self.name, v, f"sweep.values[{self.name}]")
 
 
 @dataclass
 class RunResult:
-    """Outcome of one valuation, carrying the full resolved parameter set."""
+    """Outcome of one valuation: the resolved configuration it ran, and
+    the step ``dt``, half height ``m`` and step count ``n`` of its grid."""
 
     swept_name: str
     swept_value: float
-    rho: float
-    gamma: float
-    sigma2: float
-    delta: float
-    maturity: float
+    config: RunConfig
     dt: float
     m: int
     n: int
@@ -198,21 +212,42 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _check_domain(name: str, value: float, path: str) -> None:
-    if name == "rho" and not -1.0 <= value <= 1.0:
-        raise ConfigError(f"{path}: rho must lie in [-1, 1], got {value}")
-    if name in ("gamma", "sigma2", "maturity", "sigma1", "cost", "dt", "s0", "v0") and value <= 0.0:
-        raise ConfigError(f"{path}: {name} must be positive, got {value}")
+def check_field(key: str, value, path: str) -> float | int:
+    """Check one value of config field ``key`` against the field's domain
+    and return it, as a float or, for a count, an int; ``path`` names the
+    value in the error."""
+    domain = _DOMAIN[key]
+    if domain == "count":
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ConfigError(f"{path} must be a positive integer")
+        return value
+    v = _number(value, path)
+    if domain == "correlation" and not -1.0 <= v <= 1.0:
+        raise ConfigError(f"{path}: {key} must lie in [-1, 1], got {v}")
+    if domain == "positive" and v <= 0.0:
+        raise ConfigError(f"{path}: {key} must be positive, got {v}")
+    if domain == "nonnegative" and v < 0.0:
+        raise ConfigError(f"{path} must be nonnegative")
+    return v
+
+
+def _section(value, path: str, keys: tuple[str, ...]) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown field {path}.{key}")
+    return value
 
 
 def parse_config(text: str) -> tuple[RunConfig, SweepSpec | None]:
     """Resolve a JSON configuration into a RunConfig and optional sweep.
 
     Defaults mirror the base parameter study, so a minimal document needs
-    only ``project.rho`` and ``option.gamma``.  Exactly one of
-    ``project.mu2`` and ``project.delta`` may be given (both only if
-    consistent); the missing one is derived through the equilibrium
-    relation and echoed in the result rows.
+    only ``project.rho`` and ``option.gamma``; unknown sections and fields
+    are rejected.  Exactly one of ``project.mu2`` and ``project.delta`` may
+    be given (both only if consistent); the missing one is derived through
+    the equilibrium relation and echoed in the result rows.
     """
     try:
         raw = json.loads(text)
@@ -220,92 +255,51 @@ def parse_config(text: str) -> tuple[RunConfig, SweepSpec | None]:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
+    for name, value in raw.items():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown top-level section {name!r}")
+        _section(value, name, _SECTION_KEYS[name])
 
-    missing = []
-    project = raw.get("project", {})
-    option_sec = raw.get("option", {})
-    if "rho" not in project:
-        missing.append("project.rho")
-    if "gamma" not in option_sec:
-        missing.append("option.gamma")
+    missing = [
+        f"{section}.{key}"
+        for section, key, default, _ in _FIELDS
+        if default is _REQUIRED and key not in raw.get(section, {})
+    ]
     if missing:
         raise ConfigError("missing required fields: " + ", ".join(missing))
+    val = {}
+    for section, key, default, _ in _FIELDS:
+        given = raw.get(section, {})
+        val[key] = check_field(key, given[key], f"{section}.{key}") if key in given else default
 
-    known = {"market", "project", "option", "grid", "sweep"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown top-level section {key!r}")
-
-    market_sec = raw.get("market", {})
-    mu1 = _number(_get(market_sec, "mu1", "market.mu1", 0.115), "market.mu1")
-    sigma1 = _number(_get(market_sec, "sigma1", "market.sigma1", 0.25), "market.sigma1")
-    s0 = _number(_get(market_sec, "s0", "market.s0", 1.0), "market.s0")
-    v0 = _number(_get(market_sec, "v0", "market.v0", 1.0), "market.v0")
-    r = _number(_get(market_sec, "r", "market.r", 0.04), "market.r")
-    _check_domain("sigma1", sigma1, "market.sigma1")
-    _check_domain("s0", s0, "market.s0")
-    _check_domain("v0", v0, "market.v0")
-
-    rho = _number(project["rho"], "project.rho")
-    _check_domain("rho", rho, "project.rho")
-    sigma2 = _number(_get(project, "sigma2", "project.sigma2", 0.2), "project.sigma2")
-    _check_domain("sigma2", sigma2, "project.sigma2")
-
-    has_mu2 = "mu2" in project
-    has_delta = "delta" in project
+    project = raw.get("project", {})
+    delta, mu2 = val["delta"], val["mu2"]
     shell = MarketParams(
-        mu1=mu1, sigma1=sigma1, mu2=0.0, sigma2=sigma2, rho=rho, r=r, s0=s0, v0=v0
+        mu1=val["mu1"], sigma1=val["sigma1"], mu2=0.0, sigma2=val["sigma2"], rho=val["rho"],
+        r=val["r"], s0=val["s0"], v0=val["v0"],
     )
-    if has_mu2 and has_delta:
-        mu2 = _number(project["mu2"], "project.mu2")
-        delta = _number(project["delta"], "project.delta")
+    if "mu2" not in project:
+        mu2 = mu2_from_shortfall(shell, delta)
+    elif "delta" not in project:
+        delta = capm_equilibrium_rate(shell) - mu2
+    else:
         implied = mu2_from_shortfall(shell, delta)
         if abs(implied - mu2) > 1e-12:
             raise ConfigError(
                 f"project.mu2={mu2} and project.delta={delta} are inconsistent "
                 f"(delta implies mu2={implied})"
             )
-        delta_fixed = True
-    elif has_mu2:
-        mu2 = _number(project["mu2"], "project.mu2")
-        delta = capm_equilibrium_rate(shell) - mu2
-        delta_fixed = False
-    else:
-        delta = _number(_get(project, "delta", "project.delta", 0.04), "project.delta")
-        mu2 = mu2_from_shortfall(shell, delta)
-        delta_fixed = True
-    market = replace(shell, mu2=mu2)
-
-    cost = _number(_get(option_sec, "cost", "option.cost", 1.0), "option.cost")
-    cost_growth = _number(
-        _get(option_sec, "cost_growth", "option.cost_growth", 0.0), "option.cost_growth"
-    )
-    maturity = _number(_get(option_sec, "maturity", "option.maturity", 10.0), "option.maturity")
-    gamma = _number(option_sec["gamma"], "option.gamma")
-    _check_domain("cost", cost, "option.cost")
-    _check_domain("maturity", maturity, "option.maturity")
-    _check_domain("gamma", gamma, "option.gamma")
-    option = OptionSpec(cost=cost, maturity=maturity, gamma=gamma, cost_growth=cost_growth)
-
-    grid_sec = raw.get("grid", {})
-    dt = _number(_get(grid_sec, "dt", "grid.dt", BASE_DT), "grid.dt")
-    _check_domain("dt", dt, "grid.dt")
-    m_override = _get(grid_sec, "m_override", "grid.m_override")
-    if m_override is not None:
-        if not isinstance(m_override, int) or isinstance(m_override, bool) or m_override < 1:
-            raise ConfigError("grid.m_override must be a positive integer")
-    p_tol = _number(_get(grid_sec, "p_tol", "grid.p_tol", 0.0), "grid.p_tol")
-    if p_tol < 0.0:
-        raise ConfigError("grid.p_tol must be nonnegative")
-
     base = RunConfig(
-        market=market,
-        option=option,
-        dt=dt,
+        market=replace(shell, mu2=mu2),
+        option=OptionSpec(
+            cost=val["cost"], maturity=val["maturity"], gamma=val["gamma"],
+            cost_growth=val["cost_growth"],
+        ),
+        dt=val["dt"],
         delta=delta,
-        delta_fixed=delta_fixed,
-        m_override=m_override,
-        p_tol=p_tol,
+        delta_fixed="delta" in project or "mu2" not in project,
+        m_override=val["m_override"],
+        p_tol=val["p_tol"],
     )
 
     sweep = None
@@ -317,7 +311,7 @@ def parse_config(text: str) -> tuple[RunConfig, SweepSpec | None]:
                 _number(v, f"sweep.values[{i}]") for i, v in enumerate(sweep_sec["values"])
             )
         elif "range" in sweep_sec:
-            rng = sweep_sec["range"]
+            rng = _section(sweep_sec["range"], "sweep.range", ("start", "stop", "count"))
             start = _number(_get(rng, "start", "sweep.range.start", required=True), "sweep.range.start")
             stop = _number(_get(rng, "stop", "sweep.range.stop", required=True), "sweep.range.stop")
             count = _get(rng, "count", "sweep.range.count", required=True)
@@ -386,37 +380,22 @@ def run_single(
     swept_name: str = "",
     swept_value: float = math.nan,
 ) -> RunResult:
-    """Build, induce and summarize one lattice; errors become result rows."""
-    market, option = cfg.market, cfg.option
-    n_steps = max(1, int(round(option.maturity / cfg.dt)))
-    m = cfg.m_override if cfg.m_override is not None else choose_half_height(
-        market, option, option.maturity / n_steps
-    )
-    result = RunResult(
-        swept_name=swept_name,
-        swept_value=swept_value,
-        rho=market.rho,
-        gamma=option.gamma,
-        sigma2=market.sigma2,
-        delta=cfg.delta,
-        maturity=option.maturity,
-        dt=option.maturity / n_steps,
-        m=m,
-        n=n_steps,
-    )
+    """Build, solve and summarize one lattice; errors become result rows."""
     start = time.perf_counter()
+    grid = build_grid(cfg.market, cfg.option, cfg.dt, cfg.m_override)
+    result = RunResult(
+        swept_name, swept_value, cfg, dt=grid.dt, m=grid.half_height, n=grid.n_steps
+    )
     try:
-        grid = build_grid(market, option, n_steps, m, cfg.p_tol)
-        cal = calibrate(market, grid.dt, cfg.p_tol)
-        vg = backward_induce(grid, cal, option)
-        curve = extract_thresholds(vg, grid, option)
+        sol = solve(cfg.market, cfg.option, grid, cfg.p_tol)
     except (CalibrationInfeasible, ValueError) as exc:
         result.wall_ms = (time.perf_counter() - start) * 1e3
         result.error = f"{type(exc).__name__}: {exc}"
         result.anomaly_flags = f"error:{type(exc).__name__}"
         return result
     result.wall_ms = (time.perf_counter() - start) * 1e3
-    result.threshold_spot_t0 = curve.spot_t0
+    vg = sol.values
+    result.threshold_spot_t0 = sol.curve.spot_t0
     result.option_value_v0 = float(vg.values_t0[grid.half_height])
     flags = []
     if int(vg.anomalous.sum()):
@@ -425,12 +404,12 @@ def run_single(
         flags.append(f"no_exercise_columns={int(vg.no_exercise.sum())}")
     result.anomaly_flags = ";".join(flags)
     if "threshold_curve" in outputs:
-        result.threshold_curve = curve
+        result.threshold_curve = sol.curve
     if "value_curve" in outputs:
         result.value_points = np.column_stack(
             (
                 value_curve(vg, grid, 0),
-                np.maximum(grid.row_values - option.cost, 0.0),
+                np.maximum(grid.row_values - cfg.option.cost, 0.0),
             )
         )
     return result
@@ -540,14 +519,6 @@ def run_preset(name: str, workers: int = 1, dt: float | None = None) -> list[Run
     return results
 
 
-def preset_hash(name: str, dt: float | None = None) -> str:
-    specs = build_preset(name, dt)
-    blob = json.dumps(
-        [config_hash(s.base, s) for s in specs], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # CSV persistence
 # ---------------------------------------------------------------------------
@@ -584,11 +555,11 @@ def write_sweep_csv(results: list[RunResult], path, cfg_hash: str) -> None:
         [
             res.swept_name,
             res.swept_value,
-            res.rho,
-            res.gamma,
-            res.sigma2,
-            res.delta,
-            res.maturity,
+            res.config.market.rho,
+            res.config.option.gamma,
+            res.config.market.sigma2,
+            res.config.delta,
+            res.config.option.maturity,
             res.dt,
             res.m,
             res.n,
@@ -631,24 +602,3 @@ def write_threshold_curve_csv(curve: ThresholdCurve, path, cfg_hash: str) -> Non
 def write_value_curve_csv(points: np.ndarray, path, cfg_hash: str) -> None:
     """Points are rows of (V_spot, option_value, exercise_value)."""
     _write_rows(path, f"# config_sha256={cfg_hash}", VALUE_CURVE_COLUMNS, points)
-
-
-def moment_report_text(cfg: RunConfig) -> str:
-    """Human-readable calibration + moment check for one configuration."""
-    cal = calibrate(cfg.market, cfg.dt, cfg.p_tol)
-    rep = verify_moments(cal, cfg.market)
-    lines = [
-        f"dt        = {cal.dt:.10g}",
-        f"u, d      = {cal.u:.10g}, {cal.d:.10g}",
-        f"h, l      = {cal.h:.10g}, {cal.l:.10g}",
-        f"q         = {cal.q:.10g}",
-        f"p         = ({cal.p1:.10g}, {cal.p2:.10g}, {cal.p3:.10g}, {cal.p4:.10g})",
-        f"sum p - 1 = {cal.p1 + cal.p2 + cal.p3 + cal.p4 - 1.0:.3e}",
-        f"E[S1/S0]  = {rep.mean_traded:.12g}  (target {rep.target_mean_traded:.12g}, "
-        f"error {rep.mean_traded_error:.3e})",
-        f"E[V1/V0]  = {rep.mean_project:.12g}  (target {rep.target_mean_project:.12g}, "
-        f"error {rep.mean_project_error:.3e})",
-        f"Cov       = {rep.covariance:.12g}  (target {rep.target_covariance:.12g}, "
-        f"error {rep.covariance_error:.3e})",
-    ]
-    return "\n".join(lines)

@@ -21,7 +21,7 @@ only in reporting helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
     "build_grid",
     "backward_induce",
     "extract_thresholds",
+    "Solution",
+    "solve",
     "value_curve",
 ]
 
@@ -86,56 +88,49 @@ class GridSpec:
         return float(self.row_values[self.half_height - 1] / self.v0)
 
 
-def choose_half_height(
-    market: MarketParams,
-    option: OptionSpec,
-    dt: float,
-    full_coverage: bool = False,
-) -> int:
+def choose_half_height(market: MarketParams, option: OptionSpec, dt: float) -> int:
     """Pick M so the ladder spans four standard deviations of log V.
 
     M = ceil[ (|mu2 - r - sigma2^2/2| T + 4 sigma2 sqrt(T)) / (sigma2 sqrt(dt)) ],
     i.e. the drift plus four diffusion standard deviations of the log
-    project value over the horizon, measured in grid steps.  With
-    ``full_coverage`` the result is additionally raised to the step count
-    N so every path of the recombining walk stays on the grid; the
-    default leaves the statistical bound in charge.
+    project value over the horizon, measured in grid steps.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     drift = abs(market.mu2 - market.r - market.sigma2**2 / 2.0) * option.maturity
     spread = 4.0 * market.sigma2 * math.sqrt(option.maturity)
     m = math.ceil((drift + spread) / (market.sigma2 * math.sqrt(dt)))
-    if full_coverage:
-        m = max(m, int(round(option.maturity / dt)))
     return max(m, 1)
 
 
 def build_grid(
     market: MarketParams,
     option: OptionSpec,
-    n_steps: int,
-    half_height: int,
-    p_tol: float = 0.0,
+    dt: float,
+    half_height: int | None = None,
 ) -> GridSpec:
-    """Construct the row ladder for an N-step grid of the given half height.
+    """Size and lay out the grid for a requested time step.
 
-    Validates that the implied step dt = maturity / n_steps admits a
-    feasible calibration (errors propagate from :func:`calibrate`).
+    N = max(1, round(maturity / dt)) steps of the exact size maturity / N;
+    the half height M comes from :func:`choose_half_height` at that step
+    unless ``half_height`` pins it.  Calibration feasibility is checked
+    later, by :func:`solve`, so an infeasible grid still reports its size.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
+    n_steps = max(1, round(option.maturity / dt))
+    step = option.maturity / n_steps
+    if half_height is None:
+        half_height = choose_half_height(market, option, step)
     if half_height < 1:
         raise ValueError("half_height must be at least 1")
-    dt = option.maturity / n_steps
-    calibrate(market, dt, p_tol)
-    h = math.exp(market.sigma2 * math.sqrt(dt))
+    h = math.exp(market.sigma2 * math.sqrt(step))
     exponents = np.arange(half_height, -half_height - 1, -1, dtype=float)
     rows = market.v0 * h**exponents
     return GridSpec(
         n_steps=n_steps,
         half_height=half_height,
-        dt=dt,
+        dt=step,
         v0=market.v0,
         row_values=rows,
     )
@@ -145,11 +140,11 @@ def build_grid(
 class ValueGrid:
     """Result of the backward induction.
 
-    ``values`` and ``exercise_mask`` hold the full (2M+1, N+1) arrays when
-    the induction was run with ``keep_grid=True``; otherwise only the
-    time-0 column survives (the induction needs just two adjacent columns,
-    and sweeps multiply memory).  Per-column exercise summaries are always
-    recorded so thresholds can be extracted in either mode:
+    ``values_t0`` is the time-0 column.  ``values`` is the full (2M+1, N+1)
+    grid when the induction ran with ``keep_grid=True`` and None otherwise
+    (the induction needs just two adjacent columns, and sweeps multiply
+    memory).  Per-column exercise summaries are always recorded so
+    thresholds can be extracted in either mode:
 
     ``exercise_depth[n]``  number of consecutive exercised rows from the top;
     ``anomalous[n]``       an exercised node exists below that run, i.e. the
@@ -157,36 +152,30 @@ class ValueGrid:
                            never repaired);
     ``no_exercise[n]``     nothing exercises beyond the forced top boundary.
 
-    The exercise mask marks nodes where the exercise value attains the
-    maximum (ties count as exercise) and is strictly positive; the latter
-    keeps the worthless bottom boundary, where 0 ties with 0, out of the
-    exercise region.
+    A node exercises where the exercise value attains the maximum (ties
+    count as exercise) and is strictly positive; the latter keeps the
+    worthless bottom boundary, where 0 ties with 0, out of the exercise
+    region.
     """
 
-    values: np.ndarray
-    exercise_mask: np.ndarray
+    values: np.ndarray | None
+    values_t0: np.ndarray
     exercise_depth: np.ndarray
     anomalous: np.ndarray
     no_exercise: np.ndarray
     r: float
     dt: float
     n_steps: int
-    keep_grid: bool
-    strike_schedule: np.ndarray = field(repr=False, default=None)
 
     def column(self, n: int) -> np.ndarray:
         """Discounted option values at time index n."""
         if not 0 <= n <= self.n_steps:
             raise IndexError(f"time index {n} outside 0..{self.n_steps}")
-        if self.keep_grid:
-            return self.values[:, n]
-        if n != 0:
+        if n == 0:
+            return self.values_t0
+        if self.values is None:
             raise ValueError("only the time-0 column was retained; rerun with keep_grid=True")
-        return self.values
-
-    @property
-    def values_t0(self) -> np.ndarray:
-        return self.column(0)
+        return self.values[:, n]
 
 
 def _mask_summary(mask: np.ndarray, forced_top: bool) -> tuple[int, bool, bool]:
@@ -238,9 +227,7 @@ def backward_induce(
     depth = np.zeros(n_steps + 1, dtype=int)
     anomalous = np.zeros(n_steps + 1, dtype=bool)
     no_exercise = np.zeros(n_steps + 1, dtype=bool)
-    if keep_grid:
-        all_values = np.empty((rows, n_steps + 1))
-        all_mask = np.zeros((rows, n_steps + 1), dtype=bool)
+    all_values = np.empty((rows, n_steps + 1)) if keep_grid else None
 
     payoff = v - strike[n_steps]
     col = np.maximum(payoff, 0.0)
@@ -248,7 +235,6 @@ def backward_induce(
     depth[n_steps], anomalous[n_steps], no_exercise[n_steps] = _mask_summary(mask, False)
     if keep_grid:
         all_values[:, n_steps] = col
-        all_mask[:, n_steps] = mask
 
     for n in range(n_steps - 1, -1, -1):
         cont = cont_of(col[:-2], col[2:])
@@ -264,19 +250,16 @@ def backward_induce(
         col = new
         if keep_grid:
             all_values[:, n] = col
-            all_mask[:, n] = mask
 
     return ValueGrid(
-        values=all_values if keep_grid else col,
-        exercise_mask=all_mask if keep_grid else mask,
+        values=all_values,
+        values_t0=col,
         exercise_depth=depth,
         anomalous=anomalous,
         no_exercise=no_exercise,
         r=cal.r,
         dt=grid.dt,
         n_steps=n_steps,
-        keep_grid=keep_grid,
-        strike_schedule=strike,
     )
 
 
@@ -338,6 +321,34 @@ def extract_thresholds(
         anomalous=vg.anomalous.copy(),
         no_exercise=vg.no_exercise.copy(),
     )
+
+
+@dataclass(frozen=True)
+class Solution:
+    """One valuation: the grid, its calibration, the induced values and
+    the threshold curve read off them."""
+
+    grid: GridSpec
+    cal: LatticeCalibration
+    values: ValueGrid
+    curve: ThresholdCurve
+
+
+def solve(
+    market: MarketParams,
+    option: OptionSpec,
+    grid: GridSpec,
+    p_tol: float = 0.0,
+    continuation: str = "utility",
+) -> Solution:
+    """Calibrate at the grid's step, roll the grid back and extract the
+    thresholds.  ``p_tol`` is the calibration slack of :func:`calibrate`
+    (infeasibility raises :class:`CalibrationInfeasible`); ``continuation``
+    selects the operator as in :func:`backward_induce`.
+    """
+    cal = calibrate(market, grid.dt, p_tol)
+    values = backward_induce(grid, cal, option, continuation=continuation)
+    return Solution(grid, cal, values, extract_thresholds(values, grid, option))
 
 
 def value_curve(vg: ValueGrid, grid: GridSpec, at_time_index: int) -> np.ndarray:

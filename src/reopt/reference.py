@@ -17,15 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .calibration import MarketParams, calibrate
-from .lattice import (
-    OptionSpec,
-    ThresholdCurve,
-    backward_induce,
-    build_grid,
-    choose_half_height,
-    extract_thresholds,
-)
+from .calibration import MarketParams
+from .lattice import OptionSpec, ThresholdCurve, build_grid, solve
 
 __all__ = [
     "DivergentThreshold",
@@ -96,11 +89,7 @@ def npv_threshold(cost: float) -> float:
 
 
 def risk_neutral_idiosyncratic_limit(
-    market: MarketParams,
-    option: OptionSpec,
-    dt: float,
-    m_override: int | None = None,
-    p_tol: float = 0.0,
+    market: MarketParams, option: OptionSpec, dt: float
 ) -> ThresholdCurve:
     """Exercise thresholds in the vanishing-risk-aversion limit.
 
@@ -110,9 +99,5 @@ def risk_neutral_idiosyncratic_limit(
     equilibrium-shortfall drift convention these thresholds approach the
     perpetual complete-market value at long maturity.
     """
-    n_steps = max(1, int(round(option.maturity / dt)))
-    m = m_override if m_override is not None else choose_half_height(market, option, dt)
-    grid = build_grid(market, option, n_steps, m, p_tol)
-    cal = calibrate(market, grid.dt, p_tol)
-    vg = backward_induce(grid, cal, option, continuation="linear")
-    return extract_thresholds(vg, grid, option)
+    grid = build_grid(market, option, dt)
+    return solve(market, option, grid, continuation="linear").curve

@@ -258,7 +258,7 @@ def test_criterion_08_small_lattice_brute_force_equivalence():
                 gamma=float(10.0 ** rng.uniform(-1.0, 1.0)),
                 cost_growth=float(rng.uniform(-0.02, 0.06)),
             )
-            grid = build_grid(market, option, n_steps, m)
+            grid = build_grid(market, option, option.maturity / n_steps, m)
             cal = calibrate(market, grid.dt)
             vg = backward_induce(grid, cal, option, keep_grid=True)
             ref = mpmath_reference_grid(market, option, n_steps, m)

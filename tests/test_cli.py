@@ -93,10 +93,23 @@ def test_missing_required_fields_is_config_error(config_file, capsys):
     assert "project.rho" in capsys.readouterr().err
 
 
-def test_malformed_json_is_config_error(tmp_path):
+def test_malformed_json_is_config_error(tmp_path, config_file, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
     assert main(["price", "--config", str(path)]) == 2
+    doc = {"project": 5, "option": {"gamma": 1.0}}
+    assert main(["price", "--config", config_file(doc)]) == 2
+    assert "project must be a JSON object" in capsys.readouterr().err
+    doc = dict(BASE_DOC, option={"gamma": 1.0, "maturty": 2.0})
+    assert main(["price", "--config", config_file(doc)]) == 2
+    assert "option.maturty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["price", "threshold", "validate"])
+@pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
+def test_bad_dt_override_is_config_error(config_file, capsys, command, dt):
+    assert main([command, "--config", config_file(BASE_DOC), "--dt", dt]) == 2
+    assert "grid.dt" in capsys.readouterr().err
 
 
 def test_domain_violation_is_config_error(config_file, capsys):

@@ -2,9 +2,11 @@
 
 import json
 import math
+import sys
 
 import pytest
 
+from reopt import calibration
 from reopt.experiments import (
     ConfigError,
     SweepSpec,
@@ -69,6 +71,16 @@ def test_invalid_json_and_unknown_sections():
         parse_config("{not json")
     with pytest.raises(ConfigError, match="unknown top-level"):
         parse_config(json.dumps({"project": {"rho": 0.5}, "option": {"gamma": 1.0}, "extra": {}}))
+    with pytest.raises(ConfigError, match="project must be a JSON object"):
+        parse_config(json.dumps({"project": 5, "option": {"gamma": 1.0}}))
+    with pytest.raises(ConfigError, match="market must be a JSON object"):
+        parse_config(json.dumps({"project": {"rho": 0.5}, "option": {"gamma": 1.0}, "market": []}))
+    with pytest.raises(ConfigError, match="unknown field option.maturty"):
+        parse_config(cfg_text(option={"maturty": 2.0}))
+    with pytest.raises(ConfigError, match="unknown field sweep.value"):
+        parse_config(cfg_text(sweep={"name": "rho", "value": [0.1]}))
+    with pytest.raises(ConfigError, match="sweep.range must be a JSON object"):
+        parse_config(cfg_text(sweep={"name": "rho", "range": [0.0, 1.0, 3]}))
 
 
 def test_mu2_and_delta_exclusive_unless_consistent():
@@ -118,7 +130,7 @@ def test_rho_sweep_keeps_shortfall_fixed():
     }))
     results = run_sweep(sweep)
     assert [r.swept_value for r in results] == [-0.5, 0.0, 0.5]
-    assert all(r.delta == 0.04 for r in results)
+    assert all(r.config.delta == 0.04 for r in results)
     assert all(not r.error for r in results)
     # thresholds at opposite correlations differ from the zero-correlation one
     assert results[0].threshold_spot_t0 >= results[1].threshold_spot_t0
@@ -132,8 +144,8 @@ def test_sweep_with_directly_specified_drift_lets_shortfall_float():
         "sweep": {"name": "rho", "values": [0.0, 0.5]},
     }))
     results = run_sweep(sweep)
-    assert results[0].delta == pytest.approx(0.04, abs=1e-15)
-    assert results[1].delta == pytest.approx(0.07, abs=1e-15)
+    assert results[0].config.delta == pytest.approx(0.04, abs=1e-15)
+    assert results[1].config.delta == pytest.approx(0.07, abs=1e-15)
 
 
 def test_per_point_failures_become_error_rows():
@@ -188,6 +200,22 @@ def test_workers_do_not_change_results():
         assert a.threshold_spot_t0 == b.threshold_spot_t0
         assert a.option_value_v0 == b.option_value_v0
         assert a.swept_value == b.swept_value
+
+
+def test_run_single_calibrates_once(monkeypatch):
+    original = calibration.calibrate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reopt" and getattr(module, "calibrate", None) is original:
+            monkeypatch.setattr(module, "calibrate", counting)
+    cfg, _ = parse_config(cfg_text(grid={"dt": 0.05}))
+    assert not run_single(cfg).error
+    assert len(calls) == 1
 
 
 def test_config_hash_depends_on_parameters():
@@ -283,7 +311,7 @@ def test_fig4_preset_carries_value_curves():
     assert [r.swept_value for r in results] == [0.0, 0.99]
     for res in results:
         assert not res.error
-        assert res.gamma == 10.0
+        assert res.config.option.gamma == 10.0
         assert res.value_points is not None
         assert res.value_points.shape[1] == 3
 

@@ -16,6 +16,7 @@ from reopt import (
     choose_half_height,
     extract_thresholds,
     g_value,
+    solve,
     value_curve,
 )
 from reopt.calibration import CalibrationInfeasible
@@ -24,10 +25,7 @@ from conftest import base_market, degenerate_complete_calibration, grid_from_lad
 
 
 def induce(market, option, dt, m=None, **kw):
-    n_steps = int(round(option.maturity / dt))
-    if m is None:
-        m = choose_half_height(market, option, option.maturity / n_steps)
-    grid = build_grid(market, option, n_steps, m)
+    grid = build_grid(market, option, dt, m)
     cal = calibrate(market, grid.dt)
     return grid, cal, backward_induce(grid, cal, option, **kw)
 
@@ -103,17 +101,10 @@ def test_half_height_diffusion_term_scales_with_sigma2():
     assert 4.0 * 0.4 * math.sqrt(10.0) == pytest.approx(2 * 4.0 * 0.2 * math.sqrt(10.0))
 
 
-def test_half_height_full_coverage_floor():
-    market = base_market(rho=0.0)
-    option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
-    m = choose_half_height(market, option, 1.0 / 900.0, full_coverage=True)
-    assert m >= 9000
-
-
 def test_grid_ladder_minimal():
     market = base_market(rho=0.0)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
-    grid = build_grid(market, option, n_steps=1, half_height=1)
+    grid = build_grid(market, option, dt=1.0, half_height=1)
     h = math.exp(0.2 * 1.0)
     assert grid.row_values == pytest.approx([h, 1.0, 1.0 / h], abs=1e-15)
     assert grid.row_values[1] == 1.0
@@ -122,7 +113,7 @@ def test_grid_ladder_minimal():
 def test_grid_ladder_geometry():
     market = base_market(rho=0.3)
     option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
-    grid = build_grid(market, option, n_steps=9000, half_height=40)
+    grid = build_grid(market, option, dt=10.0 / 9000, half_height=40)
     h = math.exp(0.2 * math.sqrt(grid.dt))
     assert grid.row_values[0] == pytest.approx(h**40, rel=1e-13)
     assert grid.row_values[grid.half_height] == 1.0
@@ -136,8 +127,9 @@ def test_grid_ladder_geometry():
 def test_grid_propagates_infeasibility():
     market = base_market(rho=0.99)
     option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
+    grid = build_grid(market, option, dt=0.01, half_height=100)
     with pytest.raises(CalibrationInfeasible):
-        build_grid(market, option, n_steps=1000, half_height=100)
+        solve(market, option, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +157,7 @@ def test_small_lattice_matches_extended_precision_recursion(rho, gamma):
     market = base_market(rho=rho)
     option = OptionSpec(cost=1.0, maturity=0.5, gamma=gamma)
     n_steps, m = 3, 4
-    grid = build_grid(market, option, n_steps, m)
+    grid = build_grid(market, option, option.maturity / n_steps, m)
     cal = calibrate(market, grid.dt)
     vg = backward_induce(grid, cal, option, keep_grid=True)
     ref = mpmath_reference_grid(market, option, n_steps, m)
@@ -209,7 +201,7 @@ def test_high_risk_aversion_collapses_to_npv():
 def test_rejects_grid_with_negative_top_boundary():
     market = base_market(rho=0.5)
     option = OptionSpec(cost=50.0, maturity=1.0, gamma=1.0)
-    grid = build_grid(market, option, n_steps=10, half_height=3)
+    grid = build_grid(market, option, dt=0.1, half_height=3)
     cal = calibrate(market, grid.dt)
     with pytest.raises(ValueError, match="top boundary"):
         backward_induce(grid, cal, option)
@@ -218,7 +210,7 @@ def test_rejects_grid_with_negative_top_boundary():
 def test_continuation_operator_name_is_checked():
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
-    grid = build_grid(market, option, 10, 5)
+    grid = build_grid(market, option, 0.1, 5)
     cal = calibrate(market, grid.dt)
     with pytest.raises(ValueError, match="continuation"):
         backward_induce(grid, cal, option, continuation="euler")

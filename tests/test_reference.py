@@ -10,15 +10,12 @@ from reopt import (
     DivergentThreshold,
     OptionSpec,
     PerpetualParams,
-    backward_induce,
     build_grid,
-    calibrate,
-    choose_half_height,
-    extract_thresholds,
     npv_threshold,
     perpetual_beta,
     perpetual_threshold,
     risk_neutral_idiosyncratic_limit,
+    solve,
 )
 
 from conftest import base_market
@@ -109,12 +106,7 @@ def test_limit_consistent_with_small_gamma_lattice():
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=10.0, gamma=1e-4)
     limit_curve = risk_neutral_idiosyncratic_limit(market, option, dt)
-    n_steps = int(round(option.maturity / dt))
-    m = choose_half_height(market, option, option.maturity / n_steps)
-    grid = build_grid(market, option, n_steps, m)
-    cal = calibrate(market, grid.dt)
-    vg = backward_induce(grid, cal, option)
-    gamma_curve = extract_thresholds(vg, grid, option)
+    gamma_curve = solve(market, option, build_grid(market, option, dt)).curve
     assert limit_curve.spot_t0 == pytest.approx(gamma_curve.spot_t0, abs=1e-3)
 
 
@@ -133,11 +125,7 @@ def test_npv_is_a_lower_bound_for_lattice_thresholds():
     for rho, gamma in ((0.0, 0.5), (0.5, 5.0), (0.9, 1.0)):
         market = base_market(rho=rho)
         option = OptionSpec(cost=1.0, maturity=10.0, gamma=gamma)
-        n_steps = int(round(option.maturity / dt))
-        grid = build_grid(
-            market, option, n_steps, choose_half_height(market, option, dt)
-        )
-        cal = calibrate(market, grid.dt)
-        curve = extract_thresholds(backward_induce(grid, cal, option), grid, option)
+        grid = build_grid(market, option, dt)
+        curve = solve(market, option, grid).curve
         cell = curve.spot_t0 * (grid.step_ratio - 1.0)
         assert curve.spot_t0 > npv_threshold(option.cost) - cell
