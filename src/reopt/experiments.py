@@ -1,11 +1,12 @@
 """Parameter-study harness: configs, sweeps, figure presets, CSV output.
 
 A single JSON document resolves to a full parameter set (market, project,
-option, grid).  Exactly one of the project drift ``mu2`` or the
-rate-of-return shortfall ``delta`` is given; the other is derived through
-the equilibrium relation.  Sweeps vary one parameter at a time; when the
-project was specified through ``delta``, sweeps over ``rho`` or ``delta``
-re-derive ``mu2`` at every point so that the shortfall stays fixed.
+option, grid).  The project drift ``mu2`` or the rate-of-return shortfall
+``delta`` is given (both only if consistent); the other is derived through
+the equilibrium relation.  Sweeps vary one parameter at a time and resolve
+every point the same way: when the project was specified through
+``delta``, or when ``delta`` itself is swept, ``mu2`` is re-derived at
+every point so that the shortfall stays fixed.
 
 Named presets rebuild the standard parameter studies (threshold versus
 correlation, risk aversion, volatility, shortfall and maturity, plus the
@@ -119,7 +120,6 @@ _FIELDS = (
     ("option", "maturity", 10.0, "positive"),
     ("option", "gamma", _REQUIRED, "positive"),
     ("grid", "dt", BASE_DT, "positive"),
-    ("grid", "m_override", None, "count"),
     ("grid", "p_tol", 0.0, "nonnegative"),
 )
 _DOMAIN = {key: domain for _, key, _, domain in _FIELDS}
@@ -127,7 +127,8 @@ _SECTION_KEYS = {
     section: tuple(key for s, key, _, _ in _FIELDS if s == section)
     for section in ("market", "project", "option", "grid")
 }
-_SECTION_KEYS["sweep"] = ("name", "values", "range", "outputs", "per_step_curve")
+_SECTION_KEYS["sweep"] = ("name", "values", "range", "outputs")
+_RANGE_KEYS = ("start", "stop", "count")
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,6 @@ class RunConfig:
     dt: float
     delta: float
     delta_fixed: bool = True
-    m_override: int | None = None
     p_tol: float = 0.0
 
     def as_dict(self) -> dict[str, Any]:
@@ -153,22 +153,32 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter study around a resolved base configuration."""
+    """One-parameter study around a resolved base configuration.
+
+    The only check of swept values and outputs, whether they come from a
+    config file or from code; both are stored as tuples.
+    """
 
     name: str
     values: tuple[float, ...]
     base: RunConfig
     outputs: tuple[str, ...] = ("threshold_at_t0",)
-    emit_per_step_curve: bool = False
 
     def __post_init__(self):
         if self.name not in _SWEEPABLE:
             raise ConfigError(f"sweep.name must be one of {_SWEEPABLE}, got {self.name!r}")
+        if not isinstance(self.values, (list, tuple)) or not self.values:
+            raise ConfigError(f"sweep.values must be a non-empty list, got {self.values!r}")
+        if not isinstance(self.outputs, (list, tuple)):
+            raise ConfigError(f"sweep.outputs must be a list, got {self.outputs!r}")
         for out in self.outputs:
             if out not in _OUTPUTS:
-                raise ConfigError(f"sweep output {out!r} not in {_OUTPUTS}")
-        for v in self.values:
-            check_field(self.name, v, f"sweep.values[{self.name}]")
+                raise ConfigError(f"sweep.outputs: {out!r} not in {_OUTPUTS}")
+        values = tuple(
+            check_field(self.name, v, f"sweep.values[{i}]") for i, v in enumerate(self.values)
+        )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "outputs", tuple(self.outputs))
 
 
 @dataclass
@@ -196,14 +206,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _get(section: dict, key: str, path: str, default=None, required=False):
-    if key in section:
-        return section[key]
-    if required:
-        raise ConfigError(f"missing required field {path}")
-    return default
-
-
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
@@ -212,15 +214,10 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def check_field(key: str, value, path: str) -> float | int:
+def check_field(key: str, value, path: str) -> float:
     """Check one value of config field ``key`` against the field's domain
-    and return it, as a float or, for a count, an int; ``path`` names the
-    value in the error."""
+    and return it as a float; ``path`` names the value in the error."""
     domain = _DOMAIN[key]
-    if domain == "count":
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(f"{path} must be a positive integer")
-        return value
     v = _number(value, path)
     if domain == "correlation" and not -1.0 <= v <= 1.0:
         raise ConfigError(f"{path}: {key} must lie in [-1, 1], got {v}")
@@ -240,14 +237,56 @@ def _section(value, path: str, keys: tuple[str, ...]) -> dict:
     return value
 
 
+def _require(missing: list[str]) -> None:
+    if missing:
+        raise ConfigError("missing required fields: " + ", ".join(missing))
+
+
+def _resolve(val: dict[str, Any], delta_fixed: bool) -> RunConfig:
+    """Build the RunConfig for one flat set of field values (keyed as in
+    the field table).
+
+    With ``delta_fixed`` the shortfall ``delta`` is held and ``mu2`` is
+    derived from it, unless ``val`` gives a ``mu2``, which must then agree
+    with it; otherwise ``mu2`` is held and ``delta`` is derived.
+    """
+    shell = MarketParams(
+        mu1=val["mu1"], sigma1=val["sigma1"], mu2=0.0, sigma2=val["sigma2"], rho=val["rho"],
+        r=val["r"], s0=val["s0"], v0=val["v0"],
+    )
+    mu2, delta = val["mu2"], val["delta"]
+    if not delta_fixed:
+        delta = capm_equilibrium_rate(shell) - mu2
+    else:
+        implied = mu2_from_shortfall(shell, delta)
+        if mu2 is None:
+            mu2 = implied
+        elif abs(implied - mu2) > 1e-12:
+            raise ConfigError(
+                f"project.mu2={mu2} and project.delta={delta} are inconsistent "
+                f"(delta implies mu2={implied})"
+            )
+    return RunConfig(
+        market=replace(shell, mu2=mu2),
+        option=OptionSpec(
+            cost=val["cost"], maturity=val["maturity"], gamma=val["gamma"],
+            cost_growth=val["cost_growth"],
+        ),
+        dt=val["dt"],
+        delta=delta,
+        delta_fixed=delta_fixed,
+        p_tol=val["p_tol"],
+    )
+
+
 def parse_config(text: str) -> tuple[RunConfig, SweepSpec | None]:
     """Resolve a JSON configuration into a RunConfig and optional sweep.
 
     Defaults mirror the base parameter study, so a minimal document needs
     only ``project.rho`` and ``option.gamma``; unknown sections and fields
-    are rejected.  Exactly one of ``project.mu2`` and ``project.delta`` may
-    be given (both only if consistent); the missing one is derived through
-    the equilibrium relation and echoed in the result rows.
+    are rejected.  ``project.mu2`` or ``project.delta`` may be given, or
+    both if consistent; a missing one is derived through the equilibrium
+    relation and echoed in the result rows.
     """
     try:
         raw = json.loads(text)
@@ -260,72 +299,35 @@ def parse_config(text: str) -> tuple[RunConfig, SweepSpec | None]:
             raise ConfigError(f"unknown top-level section {name!r}")
         _section(value, name, _SECTION_KEYS[name])
 
-    missing = [
+    _require([
         f"{section}.{key}"
         for section, key, default, _ in _FIELDS
         if default is _REQUIRED and key not in raw.get(section, {})
-    ]
-    if missing:
-        raise ConfigError("missing required fields: " + ", ".join(missing))
+    ])
     val = {}
     for section, key, default, _ in _FIELDS:
         given = raw.get(section, {})
         val[key] = check_field(key, given[key], f"{section}.{key}") if key in given else default
-
     project = raw.get("project", {})
-    delta, mu2 = val["delta"], val["mu2"]
-    shell = MarketParams(
-        mu1=val["mu1"], sigma1=val["sigma1"], mu2=0.0, sigma2=val["sigma2"], rho=val["rho"],
-        r=val["r"], s0=val["s0"], v0=val["v0"],
-    )
-    if "mu2" not in project:
-        mu2 = mu2_from_shortfall(shell, delta)
-    elif "delta" not in project:
-        delta = capm_equilibrium_rate(shell) - mu2
-    else:
-        implied = mu2_from_shortfall(shell, delta)
-        if abs(implied - mu2) > 1e-12:
-            raise ConfigError(
-                f"project.mu2={mu2} and project.delta={delta} are inconsistent "
-                f"(delta implies mu2={implied})"
-            )
-    base = RunConfig(
-        market=replace(shell, mu2=mu2),
-        option=OptionSpec(
-            cost=val["cost"], maturity=val["maturity"], gamma=val["gamma"],
-            cost_growth=val["cost_growth"],
-        ),
-        dt=val["dt"],
-        delta=delta,
-        delta_fixed="delta" in project or "mu2" not in project,
-        m_override=val["m_override"],
-        p_tol=val["p_tol"],
-    )
+    base = _resolve(val, delta_fixed="delta" in project or "mu2" not in project)
 
-    sweep = None
-    if "sweep" in raw:
-        sweep_sec = raw["sweep"]
-        name = _get(sweep_sec, "name", "sweep.name", required=True)
-        if "values" in sweep_sec:
-            values = tuple(
-                _number(v, f"sweep.values[{i}]") for i, v in enumerate(sweep_sec["values"])
-            )
-        elif "range" in sweep_sec:
-            rng = _section(sweep_sec["range"], "sweep.range", ("start", "stop", "count"))
-            start = _number(_get(rng, "start", "sweep.range.start", required=True), "sweep.range.start")
-            stop = _number(_get(rng, "stop", "sweep.range.stop", required=True), "sweep.range.stop")
-            count = _get(rng, "count", "sweep.range.count", required=True)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise ConfigError("sweep.range.count must be a positive integer")
-            values = tuple(np.linspace(start, stop, count).tolist())
-        else:
-            raise ConfigError("sweep needs either values or range")
-        outputs = tuple(_get(sweep_sec, "outputs", "sweep.outputs", ("threshold_at_t0",)))
-        emit = bool(_get(sweep_sec, "per_step_curve", "sweep.per_step_curve", False))
-        sweep = SweepSpec(name=name, values=values, base=base, outputs=outputs,
-                          emit_per_step_curve=emit)
-
-    return base, sweep
+    if "sweep" not in raw:
+        return base, None
+    sec = raw["sweep"]
+    if "name" not in sec:
+        _require(["sweep.name"])
+    if ("values" in sec) == ("range" in sec):
+        raise ConfigError("sweep needs exactly one of values or range (sweep.values, sweep.range)")
+    values = sec.get("values")
+    if "range" in sec:
+        rng = _section(sec["range"], "sweep.range", _RANGE_KEYS)
+        _require([f"sweep.range.{key}" for key in _RANGE_KEYS if key not in rng])
+        count = rng["count"]
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise ConfigError("sweep.range.count must be a positive integer")
+        start = _number(rng["start"], "sweep.range.start")
+        values = np.linspace(start, _number(rng["stop"], "sweep.range.stop"), count).tolist()
+    return base, SweepSpec(sec["name"], values, base, sec.get("outputs", ("threshold_at_t0",)))
 
 
 def config_hash(cfg: RunConfig, sweep: SweepSpec | None = None) -> str:
@@ -336,7 +338,6 @@ def config_hash(cfg: RunConfig, sweep: SweepSpec | None = None) -> str:
             "name": sweep.name,
             "values": list(sweep.values),
             "outputs": list(sweep.outputs),
-            "per_step_curve": sweep.emit_per_step_curve,
         }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -350,28 +351,16 @@ def config_hash(cfg: RunConfig, sweep: SweepSpec | None = None) -> str:
 def _point_config(spec: SweepSpec, value: float) -> RunConfig:
     """Resolve the configuration at one swept value.
 
-    With a shortfall-specified project, changing rho, delta or sigma2
-    moves the equilibrium rate, so mu2 is re-derived to keep delta fixed;
-    a drift-specified project instead holds mu2 and lets delta float.
+    A shortfall-specified project, or any ``delta`` sweep, holds delta
+    and re-derives mu2 at every point; a drift-specified project holds
+    mu2 and lets delta float.
     """
-    cfg = spec.base
-    market, option, delta = cfg.market, cfg.option, cfg.delta
-    if spec.name == "gamma":
-        option = replace(option, gamma=value)
-    elif spec.name == "maturity":
-        option = replace(option, maturity=value)
-    else:
-        if spec.name == "rho":
-            market = replace(market, rho=value)
-        elif spec.name == "sigma2":
-            market = replace(market, sigma2=value)
-        elif spec.name == "delta":
-            delta = value
-        if cfg.delta_fixed:
-            market = replace(market, mu2=mu2_from_shortfall(market, delta))
-        else:
-            delta = capm_equilibrium_rate(market) - market.mu2
-    return replace(cfg, market=market, option=option, delta=delta)
+    val = {key: v for section in spec.base.as_dict().values() for key, v in section.items()}
+    val[spec.name] = value
+    delta_fixed = spec.base.delta_fixed or spec.name == "delta"
+    if delta_fixed:
+        val["mu2"] = None
+    return _resolve(val, delta_fixed)
 
 
 def run_single(
@@ -382,7 +371,7 @@ def run_single(
 ) -> RunResult:
     """Build, solve and summarize one lattice; errors become result rows."""
     start = time.perf_counter()
-    grid = build_grid(cfg.market, cfg.option, cfg.dt, cfg.m_override)
+    grid = build_grid(cfg.market, cfg.option, cfg.dt)
     result = RunResult(
         swept_name, swept_value, cfg, dt=grid.dt, m=grid.half_height, n=grid.n_steps
     )
@@ -415,30 +404,24 @@ def run_single(
     return result
 
 
-def _sweep_point(args: tuple[SweepSpec, float, tuple[str, ...]]) -> RunResult:
-    spec, value, outputs = args
-    return run_single(_point_config(spec, value), outputs, spec.name, value)
+def _sweep_point(args: tuple[SweepSpec, float]) -> RunResult:
+    spec, value = args
+    return run_single(_point_config(spec, value), spec.outputs, spec.name, value)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunResult]:
     """Run every swept value; per-point failures become error rows.
 
     Points are independent, so with ``workers > 1`` they execute on a
-    process pool.  Results come back ordered by swept value regardless
-    of scheduling, and the numbers are identical for any worker count.
-
-    ``emit_per_step_curve`` on a maturity sweep additionally attaches the
-    per-time-step threshold curve of the longest-maturity lattice, the
-    single-lattice counterpart of the per-T readings.
+    process pool of at most one worker per point.  Results come back
+    ordered by swept value regardless of scheduling, and the numbers are
+    identical for any worker count.
     """
-    jobs = []
-    curve_at = max(spec.values) if (spec.emit_per_step_curve and spec.values) else None
-    for v in sorted(spec.values):
-        outputs = spec.outputs
-        if spec.name == "maturity" and v == curve_at and "threshold_curve" not in outputs:
-            outputs = outputs + ("threshold_curve",)
-        jobs.append((spec, v, outputs))
-    if workers > 1 and len(jobs) > 1:
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    jobs = [(spec, v) for v in sorted(spec.values)]
+    workers = min(workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, jobs))
     return [_sweep_point(job) for job in jobs]
@@ -449,15 +432,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunResult]:
 # ---------------------------------------------------------------------------
 
 
-def _base_config(rho: float, gamma: float, dt: float, **overrides) -> RunConfig:
-    doc: dict[str, Any] = {
-        "project": {"rho": rho},
-        "option": {"gamma": gamma},
-        "grid": {"dt": dt},
-    }
-    for path, value in overrides.items():
-        section, key = path.split(".")
-        doc.setdefault(section, {})[key] = value
+def _base_config(rho: float, gamma: float, dt: float) -> RunConfig:
+    doc = {"project": {"rho": rho}, "option": {"gamma": gamma}, "grid": {"dt": dt}}
     cfg, _ = parse_config(json.dumps(doc))
     return cfg
 

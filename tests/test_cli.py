@@ -112,6 +112,35 @@ def test_bad_dt_override_is_config_error(config_file, capsys, command, dt):
     assert "grid.dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep, field", [
+    ({"name": "gamma", "values": 5}, "sweep.values"),
+    ({"name": "gamma", "values": []}, "sweep.values"),
+    ({"name": "gamma", "values": [1.0], "outputs": 5}, "sweep.outputs"),
+    ({"name": "gamma", "values": [1.0], "outputs": "value_curve"}, "sweep.outputs"),
+    ({"name": "gamma", "values": [1.0], "range": {"start": 1.0, "stop": 2.0, "count": 2}}, "sweep.range"),
+    ({"name": "gamma", "range": {"stop": 2.0, "count": 2}}, "missing required fields: sweep.range.start"),
+    ({"name": "gamma", "range": {"start": 1.0, "count": 2}}, "missing required fields: sweep.range.stop"),
+    ({"name": "gamma", "range": {"start": 1.0, "stop": 2.0}}, "missing required fields: sweep.range.count"),
+    ({"name": "gamma", "range": {"start": 1.0, "stop": 2.0, "count": 0}}, "sweep.range.count"),
+    ({"values": [1.0]}, "missing required fields: sweep.name"),
+])
+def test_malformed_sweep_section_is_config_error(config_file, tmp_path, capsys, sweep, field):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", config_file(dict(BASE_DOC, sweep=sweep)), "--out", str(out)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_nonpositive_workers_is_config_error(config_file, capsys, workers):
+    doc = dict(BASE_DOC, sweep={"name": "gamma", "values": [1.0]})
+    assert main(["sweep", "--config", config_file(doc), "--workers", workers]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert main(["sweep", "--preset", "fig4", "--dt", "0.05", "--workers", workers]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
 def test_domain_violation_is_config_error(config_file, capsys):
     doc = {"project": {"rho": 1.5}, "option": {"gamma": 1.0}}
     assert main(["price", "--config", config_file(doc)]) == 2

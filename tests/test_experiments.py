@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from reopt import calibration
+from reopt import calibration, experiments
 from reopt.experiments import (
     ConfigError,
     SweepSpec,
@@ -167,13 +167,48 @@ def test_maturity_sweep_rebuilds_lattice_per_point():
         "project": {"rho": 0.5},
         "option": {"gamma": 1.0},
         "grid": {"dt": 0.05},
-        "sweep": {"name": "maturity", "values": [1.0, 2.0, 4.0], "per_step_curve": True},
+        "sweep": {"name": "maturity", "values": [1.0, 2.0, 4.0], "outputs": ["threshold_curve"]},
     }))
     results = run_sweep(sweep)
     assert [r.n for r in results] == [20, 40, 80]
-    assert results[-1].threshold_curve is not None
-    assert results[0].threshold_curve is None
-    assert len(results[-1].threshold_curve.n) == 81
+    assert [len(r.threshold_curve.n) for r in results] == [21, 41, 81]
+
+
+def test_delta_sweep_holds_each_shortfall_on_drift_specified_project():
+    _, sweep = parse_config(json.dumps({
+        "project": {"rho": 0.5, "mu2": 0.03},
+        "option": {"gamma": 1.0},
+        "grid": {"dt": 0.05},
+        "sweep": {"name": "delta", "values": [0.02, 0.04, 0.08]},
+    }))
+    results = run_sweep(sweep)
+    assert all(r.config.delta == r.swept_value for r in results)
+    values = [r.option_value_v0 for r in results]
+    assert values[0] > values[1] > values[2]
+
+
+def test_sweep_pool_is_bounded_by_point_count(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 0.5]}))
+    assert [r.swept_value for r in run_sweep(sweep, workers=64)] == [0.5, 1.0]
+    assert pools == [2]
+    run_sweep(SweepSpec("gamma", (1.0,), sweep.base), workers=64)
+    assert pools == [2]
 
 
 def test_gamma_sweep_threshold_decreasing():
