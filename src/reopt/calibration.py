@@ -162,11 +162,11 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
         lie strictly inside (0, 1) and boundary-touching solutions are
         rejected (never clamped, which would silently change the matched
         moments).  A small positive value admits the exact moment-matched
-        solution even when one entry undershoots 0 or overshoots 1 by at
-        most ``p_tol``; the vector is then a signed measure and the
-        moments remain exact.  Intended for configurations sitting just
-        outside the feasibility boundary, e.g. |rho| near 1 with a time
-        step slightly too coarse.
+        solution even when one entry strays outside [0, 1] by less than
+        ``min(p_tol, 1e-3)`` (the container's limit); the vector is then a
+        signed measure and the moments remain exact.  Intended for
+        configurations sitting just outside the feasibility boundary, e.g.
+        |rho| near 1 with a time step slightly too coarse.
 
     Raises
     ------
@@ -202,9 +202,10 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
     p3 = b - p1
     p4 = 1.0 - a - b + p1
 
-    lo, hi = -p_tol, 1.0 + p_tol
+    slack = min(p_tol, _CONTAINER_P_SLACK)
+    lo, hi = -slack, 1.0 + slack
     for name, p in (("p1", p1), ("p2", p2), ("p3", p3), ("p4", p4)):
-        inside = (lo < p < hi) if p_tol > 0.0 else (0.0 < p < 1.0)
+        inside = (lo < p < hi) if slack > 0.0 else (0.0 < p < 1.0)
         if not inside:
             raise CalibrationInfeasible(
                 f"{name}={p:.6g} outside (0, 1); dt too large or |rho| too "

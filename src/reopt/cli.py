@@ -20,6 +20,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .calibration import (
     CalibrationInfeasible,
     LatticeCalibration,
@@ -30,6 +32,7 @@ from .calibration import (
 from .experiments import (
     ConfigError,
     RunConfig,
+    RunResult,
     build_preset,
     check_field,
     config_hash,
@@ -56,18 +59,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, preset: bool = False) -> None:
+    def command(name: str, summary: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help="output CSV path")
         p.add_argument("--dt", type=float, help="override the grid time step")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
-        if preset:
-            p.add_argument("--preset", choices=preset_names(), help="named figure preset")
+        return p
 
-    common(sub.add_parser("price", help="value a single configuration"))
-    common(sub.add_parser("threshold", help="emit the full threshold curve"))
-    common(sub.add_parser("sweep", help="run a parameter sweep"), preset=True)
-    common(sub.add_parser("validate", help="check calibration and moments"))
+    command("price", "value a single configuration", _cmd_price)
+    threshold = command("threshold", "emit the full threshold curve", _cmd_threshold)
+    sweep = command("sweep", "run a parameter sweep", _cmd_sweep)
+    command("validate", "check calibration and moments", _cmd_validate)
+    for p in (threshold, sweep):
+        p.add_argument("--out", help="output CSV path")
+    sweep.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+    sweep.add_argument("--preset", choices=preset_names(), help="named figure preset")
     return parser
 
 
@@ -91,11 +97,19 @@ class _IOFailure(Exception):
     pass
 
 
-def _cmd_price(args) -> int:
+def _run_config(args, outputs=("threshold_at_t0",)) -> tuple[RunConfig, RunResult]:
+    """Value the loaded configuration once.  A failed valuation raises
+    CalibrationInfeasible with the recorded error, less the label of that
+    type, which the exit message already gives."""
     cfg, _ = _load_config(args)
-    res = run_single(cfg)
+    res = run_single(cfg, outputs)
     if res.error:
-        raise CalibrationInfeasible(res.error)
+        raise CalibrationInfeasible(res.error.removeprefix("CalibrationInfeasible: "))
+    return cfg, res
+
+
+def _cmd_price(args) -> int:
+    _, res = _run_config(args)
     print(f"option_value_v0   = {res.option_value_v0:.12g}")
     print(f"threshold_spot_t0 = {res.threshold_spot_t0:.12g}")
     print(f"grid              = {2 * res.m + 1} x {res.n + 1} (M={res.m}, N={res.n})")
@@ -105,14 +119,19 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    cfg, _ = _load_config(args)
-    res = run_single(cfg, outputs=("threshold_at_t0", "threshold_curve"))
-    if res.error:
-        raise CalibrationInfeasible(res.error)
+    cfg, res = _run_config(args, ("threshold_at_t0", "threshold_curve"))
     out = args.out or "threshold_curve.csv"
     _write(write_threshold_curve_csv, res.threshold_curve, out, config_hash(cfg))
     print(f"wrote {out}")
     return EXIT_OK
+
+
+def _side_path(out: str, kind: str, res: RunResult) -> str:
+    """``<out stem>_<kind>_<name>=<value>.csv``, the value in its shortest
+    round-trip form so that distinct sweep points never share a file."""
+    stem = out[:-4] if out.endswith(".csv") else out
+    value = np.format_float_positional(res.swept_value, trim="-")
+    return f"{stem}_{kind}_{res.swept_name}={value}.csv"
 
 
 def _cmd_sweep(args) -> int:
@@ -128,13 +147,12 @@ def _cmd_sweep(args) -> int:
         root = config_hash(cfg, sweep)
         out = args.out or "sweep.csv"
     _write(write_sweep_csv, results, out, root)
-    stem = out[:-4] if out.endswith(".csv") else out
     for res in results:
         if res.value_points is not None:
-            side = f"{stem}_value_{res.swept_name}={res.swept_value:g}.csv"
+            side = _side_path(out, "value", res)
             _write(write_value_curve_csv, res.value_points, side, root)
         if res.threshold_curve is not None:
-            side = f"{stem}_curve_{res.swept_name}={res.swept_value:g}.csv"
+            side = _side_path(out, "curve", res)
             _write(write_threshold_curve_csv, res.threshold_curve, side, root)
     errors = sum(1 for r in results if r.error)
     print(f"wrote {out} ({len(results)} rows, {errors} infeasible)")
@@ -186,14 +204,8 @@ def _write(writer, payload, path, root) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "price": _cmd_price,
-        "threshold": _cmd_threshold,
-        "sweep": _cmd_sweep,
-        "validate": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

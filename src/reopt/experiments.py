@@ -150,6 +150,10 @@ class RunConfig:
             doc.setdefault(section, {})[key] = getattr(holder, key)
         return doc
 
+    def field_values(self) -> dict[str, Any]:
+        """Every config field by key (keys are unique across sections)."""
+        return {key: v for section in self.as_dict().values() for key, v in section.items()}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -355,7 +359,7 @@ def _point_config(spec: SweepSpec, value: float) -> RunConfig:
     and re-derives mu2 at every point; a drift-specified project holds
     mu2 and lets delta float.
     """
-    val = {key: v for section in spec.base.as_dict().values() for key, v in section.items()}
+    val = spec.base.field_values()
     val[spec.name] = value
     delta_fixed = spec.base.delta_fixed or spec.name == "delta"
     if delta_fixed:
@@ -378,20 +382,16 @@ def run_single(
     try:
         sol = solve(cfg.market, cfg.option, grid, cfg.p_tol)
     except (CalibrationInfeasible, ValueError) as exc:
-        result.wall_ms = (time.perf_counter() - start) * 1e3
         result.error = f"{type(exc).__name__}: {exc}"
         result.anomaly_flags = f"error:{type(exc).__name__}"
         return result
-    result.wall_ms = (time.perf_counter() - start) * 1e3
+    finally:
+        result.wall_ms = (time.perf_counter() - start) * 1e3
     vg = sol.values
     result.threshold_spot_t0 = sol.curve.spot_t0
     result.option_value_v0 = float(vg.values_t0[grid.half_height])
-    flags = []
-    if int(vg.anomalous.sum()):
-        flags.append(f"anomalous_columns={int(vg.anomalous.sum())}")
-    if int(vg.no_exercise.sum()):
-        flags.append(f"no_exercise_columns={int(vg.no_exercise.sum())}")
-    result.anomaly_flags = ";".join(flags)
+    columns = (("anomalous_columns", vg.anomalous), ("no_exercise_columns", vg.no_exercise))
+    result.anomaly_flags = ";".join(f"{flag}={int(c.sum())}" for flag, c in columns if c.any())
     if "threshold_curve" in outputs:
         result.threshold_curve = sol.curve
     if "value_curve" in outputs:
@@ -432,60 +432,47 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunResult]:
 # ---------------------------------------------------------------------------
 
 
-def _base_config(rho: float, gamma: float, dt: float) -> RunConfig:
-    doc = {"project": {"rho": rho}, "option": {"gamma": gamma}, "grid": {"dt": dt}}
-    cfg, _ = parse_config(json.dumps(doc))
-    return cfg
+# Each preset as (swept field, swept values, (rho, gamma) of each base
+# config, outputs beyond the time-0 threshold); every base config is the
+# default parameter set at those two values.
+_PRESETS = {
+    # threshold vs correlation at gamma = 1
+    "fig1-left": ("rho", tuple(np.linspace(-0.99, 0.99, 21).tolist()), ((0.0, 1.0),), ()),
+    # threshold vs risk aversion at rho in {0, 0.5, 0.9}
+    "fig1-right": (
+        "gamma", (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0), ((0.0, 1.0), (0.5, 1.0), (0.9, 1.0)), ()
+    ),
+    # threshold vs project volatility
+    "fig2-left": ("sigma2", (0.1, 0.15, 0.2, 0.25, 0.3), ((0.5, 1.0),), ()),
+    # threshold vs shortfall rate
+    "fig2-right": ("delta", (0.02, 0.04, 0.06, 0.08), ((0.5, 1.0),), ()),
+    # threshold vs maturity at three (rho, gamma) pairs
+    "fig3": (
+        "maturity", (1.0, 2.0, 5.0, 10.0, 20.0, 40.0), ((0.9, 0.01), (0.5, 1.0), (0.0, 10.0)), ()
+    ),
+    # time-0 value curves and thresholds at rho in {0, 0.99}, gamma = 10
+    # (the risk aversion that reproduces the published pair 1.1972 / 1.7507)
+    "fig4": ("rho", (0.0, 0.99), ((0.0, 10.0),), ("value_curve",)),
+}
 
 
 def build_preset(name: str, dt: float | None = None) -> list[SweepSpec]:
-    """Materialize one of the named figure presets as sweep specs.
-
-    fig1-left   threshold vs correlation at gamma = 1
-    fig1-right  threshold vs risk aversion at rho in {0, 0.5, 0.9}
-    fig2-left   threshold vs project volatility
-    fig2-right  threshold vs shortfall rate
-    fig3        threshold vs maturity at (gamma, rho) pairs
-    fig4        time-0 value curves and thresholds at rho in {0, 0.99},
-                gamma = 10 (the risk aversion that reproduces the
-                published threshold pair 1.1972 / 1.7507)
-
-    ``dt`` overrides the default step 1/900, e.g. for quick runs.
-    """
-    step = BASE_DT if dt is None else dt
-    if name == "fig1-left":
-        rhos = tuple(np.linspace(-0.99, 0.99, 21).tolist())
-        return [SweepSpec("rho", rhos, _base_config(0.0, 1.0, step))]
-    if name == "fig1-right":
-        gammas = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
-        return [
-            SweepSpec("gamma", gammas, _base_config(rho, 1.0, step))
-            for rho in (0.0, 0.5, 0.9)
-        ]
-    if name == "fig2-left":
-        return [SweepSpec("sigma2", (0.1, 0.15, 0.2, 0.25, 0.3), _base_config(0.5, 1.0, step))]
-    if name == "fig2-right":
-        return [SweepSpec("delta", (0.02, 0.04, 0.06, 0.08), _base_config(0.5, 1.0, step))]
-    if name == "fig3":
-        maturities = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
-        return [
-            SweepSpec("maturity", maturities, _base_config(rho, gamma, step))
-            for gamma, rho in ((0.01, 0.9), (1.0, 0.5), (10.0, 0.0))
-        ]
-    if name == "fig4":
-        return [
-            SweepSpec(
-                "rho",
-                (0.0, 0.99),
-                _base_config(0.0, 10.0, step),
-                outputs=("threshold_at_t0", "value_curve"),
-            )
-        ]
-    raise ConfigError(f"unknown preset {name!r}")
+    """Materialize the named figure preset (see ``_PRESETS``) as sweep
+    specs; ``dt`` overrides the default step 1/900, e.g. for quick runs."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    swept, values, bases, extra = _PRESETS[name]
+    grid = {"dt": BASE_DT if dt is None else dt}
+    specs = []
+    for rho, gamma in bases:
+        doc = {"project": {"rho": rho}, "option": {"gamma": gamma}, "grid": grid}
+        base, _ = parse_config(json.dumps(doc))
+        specs.append(SweepSpec(swept, values, base, ("threshold_at_t0", *extra)))
+    return specs
 
 
 def preset_names() -> tuple[str, ...]:
-    return ("fig1-left", "fig1-right", "fig2-left", "fig2-right", "fig3", "fig4")
+    return tuple(_PRESETS)
 
 
 def run_preset(name: str, workers: int = 1, dt: float | None = None) -> list[RunResult]:
@@ -513,9 +500,9 @@ def _fmt(value) -> str:
     return f"{v:.17g}"
 
 
-def _write_rows(path, comment: str, header: list[str], rows) -> None:
+def _write_rows(path, cfg_hash: str, header: list[str], rows) -> None:
     buf = io.StringIO()
-    buf.write(comment + "\n")
+    buf.write(f"# config_sha256={cfg_hash}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -527,26 +514,13 @@ def _write_rows(path, comment: str, header: list[str], rows) -> None:
 def write_sweep_csv(results: list[RunResult], path, cfg_hash: str) -> None:
     """Write sweep results; numbers carry 17 significant digits so a
     re-parse recovers them bit-exactly."""
-    rows = (
-        [
-            res.swept_name,
-            res.swept_value,
-            res.config.market.rho,
-            res.config.option.gamma,
-            res.config.market.sigma2,
-            res.config.delta,
-            res.config.option.maturity,
-            res.dt,
-            res.m,
-            res.n,
-            res.threshold_spot_t0,
-            res.option_value_v0,
-            res.anomaly_flags,
-            res.wall_ms,
-        ]
-        for res in results
-    )
-    _write_rows(path, f"# config_sha256={cfg_hash}", SWEEP_COLUMNS, rows)
+    def row(res: RunResult) -> list:
+        # a result field wins over the config field of the same name: the
+        # dt column is the grid's step, not the requested one
+        values = {**res.config.field_values(), **vars(res), "M": res.m, "N": res.n}
+        return [values[column] for column in SWEEP_COLUMNS]
+
+    _write_rows(path, cfg_hash, SWEEP_COLUMNS, map(row, results))
 
 
 def read_sweep_csv(path) -> tuple[str, list[dict[str, str]]]:
@@ -561,20 +535,10 @@ def read_sweep_csv(path) -> tuple[str, list[dict[str, str]]]:
 
 
 def write_threshold_curve_csv(curve: ThresholdCurve, path, cfg_hash: str) -> None:
-    rows = (
-        [
-            int(curve.n[i]),
-            curve.t[i],
-            curve.time_to_maturity[i],
-            curve.threshold_discounted[i],
-            curve.threshold_spot[i],
-            curve.resolution_halfwidth[i],
-        ]
-        for i in range(len(curve.n))
-    )
-    _write_rows(path, f"# config_sha256={cfg_hash}", THRESHOLD_CURVE_COLUMNS, rows)
+    rows = zip(*(getattr(curve, column) for column in THRESHOLD_CURVE_COLUMNS))
+    _write_rows(path, cfg_hash, THRESHOLD_CURVE_COLUMNS, rows)
 
 
 def write_value_curve_csv(points: np.ndarray, path, cfg_hash: str) -> None:
     """Points are rows of (V_spot, option_value, exercise_value)."""
-    _write_rows(path, f"# config_sha256={cfg_hash}", VALUE_CURVE_COLUMNS, points)
+    _write_rows(path, cfg_hash, VALUE_CURVE_COLUMNS, points)

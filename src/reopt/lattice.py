@@ -284,13 +284,10 @@ class ThresholdCurve:
     anomalous: np.ndarray
     no_exercise: np.ndarray
 
-    def at(self, n: int) -> float:
-        """Spot threshold at time index n (NaN when absent)."""
-        return float(self.threshold_spot[n])
-
     @property
     def spot_t0(self) -> float:
-        return self.at(0)
+        """Spot threshold at time 0 (NaN when absent)."""
+        return float(self.threshold_spot[0])
 
 
 def extract_thresholds(

@@ -1,0 +1,51 @@
+"""What the benchmark harness in bench/ relies on from the package.
+
+The tracer wraps functions by their module attribute, and the workloads
+swap ``reopt.cli.run_single`` and count ``reopt.experiments.parse_config``
+calls, so these names must exist and be looked up at call time.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import reopt.cli
+import reopt.experiments
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _record(monkeypatch, calls, module, name):
+    inner = getattr(module, name)
+
+    def recorder(*args, **kwargs):
+        calls.append(f"{module.__name__}.{name}")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorder)
+
+
+def test_every_traced_function_is_a_module_attribute():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, fn in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"reopt.{mod}"), fn, None)), (mod, fn)
+
+
+def test_price_calls_cli_run_single(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"project": {"rho": 0.5}, "option": {"gamma": 1.0}, "grid": {"dt": 0.05}}')
+    calls = []
+    _record(monkeypatch, calls, reopt.cli, "run_single")
+    assert reopt.cli.main(["price", "--config", str(cfg)]) == reopt.cli.EXIT_OK
+    assert calls == ["reopt.cli.run_single"]
+
+
+def test_preset_sweep_calls_run_preset_and_parse_config(tmp_path, monkeypatch):
+    calls = []
+    _record(monkeypatch, calls, reopt.cli, "run_preset")
+    _record(monkeypatch, calls, reopt.experiments, "parse_config")
+    argv = ["sweep", "--preset", "fig4", "--dt", "0.05", "--out", str(tmp_path / "fig4.csv")]
+    assert reopt.cli.main(argv) == reopt.cli.EXIT_OK
+    assert "reopt.cli.run_preset" in calls
+    assert "reopt.experiments.parse_config" in calls

@@ -172,3 +172,44 @@ def test_unknown_preset_rejected_by_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--preset", "fig7"])
     assert exc.value.code == 2
+
+
+def test_sweep_side_files_are_unique_per_point(config_file, tmp_path):
+    # the two values agree to six significant digits
+    doc = {
+        "project": {"rho": 0.5},
+        "option": {"gamma": 1.0, "maturity": 1.0},
+        "grid": {"dt": 0.1},
+        "sweep": {"name": "gamma", "values": [1.0000001, 1.0000002], "outputs": ["threshold_curve"]},
+    }
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", config_file(doc), "--out", str(out)]) == 0
+    curves = sorted(p.name for p in tmp_path.glob("s_curve_*.csv"))
+    assert curves == ["s_curve_gamma=1.0000001.csv", "s_curve_gamma=1.0000002.csv"]
+
+
+@pytest.mark.parametrize("command", ["price", "validate"])
+def test_p_tol_beyond_container_slack_is_infeasible(config_file, capsys, command):
+    # p3 = -0.0041 lies within p_tol but beyond the 1e-3 a calibration holds
+    doc = {
+        "project": {"rho": 0.999},
+        "option": {"gamma": 1.0, "maturity": 1.0},
+        "grid": {"dt": 0.01, "p_tol": 0.05},
+    }
+    assert main([command, "--config", config_file(doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("p3") == 1
+    assert "CalibrationInfeasible" not in err and "ValueError" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--workers", "2"],
+    ["price", "--out", "x.csv"],
+    ["validate", "--out", "x.csv"],
+    ["validate", "--workers", "2"],
+    ["threshold", "--workers", "2"],
+])
+def test_unread_flags_are_rejected(config_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", config_file(BASE_DOC)])
+    assert exc.value.code == 2
