@@ -27,7 +27,7 @@ the variances are matched to first order in dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,13 +88,14 @@ class MarketParams:
 class LatticeCalibration:
     """One-period lattice parameters.
 
-    ``q = (1 - d) / (u - d)`` is the risk-neutral up-probability of the
-    traded asset.  ``r`` is carried along so downstream consumers can
-    convert between discounted and spot quantities without re-threading
-    the market description.
+    ``d = 1/u``, ``l = 1/h`` and ``q = (1 - d) / (u - d)``, the
+    risk-neutral up-probability of the traded asset, are derived from the
+    multipliers and stored once, at construction.  ``r`` is carried along
+    so downstream consumers can convert between discounted and spot
+    quantities without re-threading the market description.
 
-    The container enforces structural invariants (multiplier ordering,
-    reciprocal pairs, branch masses, probability sum) but deliberately
+    The container enforces structural invariants (multipliers above one,
+    branch masses, probability sum) but deliberately
     admits probability entries on the boundary of [0, 1] and tiny signed
     excursions: degenerate complete-market lattices (p2 = p3 = 0) and
     marginally infeasible calibrations accepted via ``calibrate(p_tol=...)``
@@ -103,26 +104,22 @@ class LatticeCalibration:
     """
 
     u: float
-    d: float
     h: float
-    l: float
     p1: float
     p2: float
     p3: float
     p4: float
-    q: float
     dt: float
     r: float
+    d: float = field(init=False)
+    l: float = field(init=False)
+    q: float = field(init=False)
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
-        if not (0.0 < self.d < 1.0 < self.u):
-            raise ValueError("require 0 < d < 1 < u")
-        if not (0.0 < self.l < 1.0 < self.h):
-            raise ValueError("require 0 < l < 1 < h")
-        if abs(self.u * self.d - 1.0) > 1e-12 or abs(self.h * self.l - 1.0) > 1e-12:
-            raise ValueError("u*d and h*l must equal 1")
+        if not (1.0 < self.u < math.inf and 1.0 < self.h < math.inf):
+            raise ValueError("u and h must be finite and greater than 1")
         ps = (self.p1, self.p2, self.p3, self.p4)
         if any(not math.isfinite(p) for p in ps):
             raise ValueError("probabilities must be finite")
@@ -132,12 +129,12 @@ class LatticeCalibration:
             raise ValueError("probabilities must sum to 1")
         if self.p1 + self.p2 <= 0.0 or self.p3 + self.p4 <= 0.0:
             raise ValueError("each traded-asset branch needs positive mass")
-        if abs(self.q - (1.0 - self.d) / (self.u - self.d)) > 1e-12:
-            raise ValueError("q must equal (1 - d)/(u - d)")
-        if not (0.0 < self.q < 1.0):
-            raise ValueError("q must lie in (0, 1)")
         if not math.isfinite(self.r):
             raise ValueError("r must be finite")
+        d = 1.0 / self.u
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "l", 1.0 / self.h)
+        object.__setattr__(self, "q", (1.0 - d) / (self.u - d))
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -205,17 +202,13 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
     slack = min(p_tol, _CONTAINER_P_SLACK)
     lo, hi = -slack, 1.0 + slack
     for name, p in (("p1", p1), ("p2", p2), ("p3", p3), ("p4", p4)):
-        inside = (lo < p < hi) if slack > 0.0 else (0.0 < p < 1.0)
-        if not inside:
+        if not lo < p < hi:
             raise CalibrationInfeasible(
                 f"{name}={p:.6g} outside (0, 1); dt too large or |rho| too "
                 f"extreme for the given drifts"
             )
 
-    q = (1.0 - d) / (u - d)
-    return LatticeCalibration(
-        u=u, d=d, h=h, l=l, p1=p1, p2=p2, p3=p3, p4=p4, q=q, dt=dt, r=market.r
-    )
+    return LatticeCalibration(u=u, h=h, p1=p1, p2=p2, p3=p3, p4=p4, dt=dt, r=market.r)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ Subcommands:
                 time-0 spot exercise threshold
     threshold   full per-time-step threshold curve as CSV
     sweep       a named figure preset or the sweep from the config file
-    validate    calibration feasibility and moment report only
+    validate    calibration feasibility and moment report at the grid's step
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible calibration,
 4 I/O error.
@@ -45,6 +45,7 @@ from .experiments import (
     write_threshold_curve_csv,
     write_value_curve_csv,
 )
+from .lattice import build_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,7 +162,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg, _ = _load_config(args)
-    cal = calibrate(cfg.market, cfg.dt, cfg.p_tol)
+    grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    cal = calibrate(cfg.market, grid.dt, cfg.p_tol)
     print(moment_report_text(cal, cfg.market))
     return EXIT_OK
 

@@ -387,20 +387,15 @@ def run_single(
         return result
     finally:
         result.wall_ms = (time.perf_counter() - start) * 1e3
-    vg = sol.values
-    result.threshold_spot_t0 = sol.curve.spot_t0
-    result.option_value_v0 = float(vg.values_t0[grid.half_height])
-    columns = (("anomalous_columns", vg.anomalous), ("no_exercise_columns", vg.no_exercise))
+    curve = sol.curve
+    result.threshold_spot_t0 = curve.spot_t0
+    result.option_value_v0 = float(sol.values.values_t0[grid.half_height])
+    columns = (("anomalous_columns", curve.anomalous), ("no_exercise_columns", curve.no_exercise))
     result.anomaly_flags = ";".join(f"{flag}={int(c.sum())}" for flag, c in columns if c.any())
     if "threshold_curve" in outputs:
-        result.threshold_curve = sol.curve
+        result.threshold_curve = curve
     if "value_curve" in outputs:
-        result.value_points = np.column_stack(
-            (
-                value_curve(vg, grid, 0),
-                np.maximum(grid.row_values - cfg.option.cost, 0.0),
-            )
-        )
+        result.value_points = value_curve(sol.values, grid, cfg.option)
     return result
 
 

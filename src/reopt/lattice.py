@@ -70,12 +70,11 @@ class OptionSpec:
 class GridSpec:
     """Geometry of the valuation grid: N time steps of size dt and a
     ladder of 2M+1 project-value rows, strictly decreasing, with the
-    middle row equal to v0 exactly."""
+    middle row ``row_values[M]`` equal to the market's v0 exactly."""
 
     n_steps: int
     half_height: int
     dt: float
-    v0: float
     row_values: np.ndarray
 
     @property
@@ -85,21 +84,28 @@ class GridSpec:
     @property
     def step_ratio(self) -> float:
         """Multiplicative spacing h between adjacent rows."""
-        return float(self.row_values[self.half_height - 1] / self.v0)
+        m = self.half_height
+        return float(self.row_values[m - 1] / self.row_values[m])
 
 
 def choose_half_height(market: MarketParams, option: OptionSpec, dt: float) -> int:
-    """Pick M so the ladder spans four standard deviations of log V.
+    """Pick M so the ladder spans four standard deviations of log V above
+    the largest discounted strike.
 
-    M = ceil[ (|mu2 - r - sigma2^2/2| T + 4 sigma2 sqrt(T)) / (sigma2 sqrt(dt)) ],
+    M = ceil[ (|mu2 - r - sigma2^2/2| T + 4 sigma2 sqrt(T)
+               + max(0, log(K_max / V0))) / (sigma2 sqrt(dt)) ],
     i.e. the drift plus four diffusion standard deviations of the log
-    project value over the horizon, measured in grid steps.
+    project value over the horizon, plus the distance from V0 up to
+    K_max = cost exp(max(0, alpha - r) T), measured in grid steps.  The
+    last term is zero whenever cost <= V0 and alpha <= r.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     drift = abs(market.mu2 - market.r - market.sigma2**2 / 2.0) * option.maturity
     spread = 4.0 * market.sigma2 * math.sqrt(option.maturity)
-    m = math.ceil((drift + spread) / (market.sigma2 * math.sqrt(dt)))
+    growth = max(0.0, option.cost_growth - market.r) * option.maturity
+    strike = max(0.0, math.log(option.cost / market.v0) + growth)
+    m = math.ceil((drift + spread + strike) / (market.sigma2 * math.sqrt(dt)))
     return max(m, 1)
 
 
@@ -127,13 +133,7 @@ def build_grid(
     h = math.exp(market.sigma2 * math.sqrt(step))
     exponents = np.arange(half_height, -half_height - 1, -1, dtype=float)
     rows = market.v0 * h**exponents
-    return GridSpec(
-        n_steps=n_steps,
-        half_height=half_height,
-        dt=step,
-        v0=market.v0,
-        row_values=rows,
-    )
+    return GridSpec(n_steps=n_steps, half_height=half_height, dt=step, row_values=rows)
 
 
 @dataclass
@@ -149,8 +149,7 @@ class ValueGrid:
     ``exercise_depth[n]``  number of consecutive exercised rows from the top;
     ``anomalous[n]``       an exercised node exists below that run, i.e. the
                            exercise region is not an up-set in V (flagged,
-                           never repaired);
-    ``no_exercise[n]``     nothing exercises beyond the forced top boundary.
+                           never repaired).
 
     A node exercises where the exercise value attains the maximum (ties
     count as exercise) and is strictly positive; the latter keeps the
@@ -162,28 +161,12 @@ class ValueGrid:
     values_t0: np.ndarray
     exercise_depth: np.ndarray
     anomalous: np.ndarray
-    no_exercise: np.ndarray
-    r: float
-    dt: float
-    n_steps: int
-
-    def column(self, n: int) -> np.ndarray:
-        """Discounted option values at time index n."""
-        if not 0 <= n <= self.n_steps:
-            raise IndexError(f"time index {n} outside 0..{self.n_steps}")
-        if n == 0:
-            return self.values_t0
-        if self.values is None:
-            raise ValueError("only the time-0 column was retained; rerun with keep_grid=True")
-        return self.values[:, n]
 
 
-def _mask_summary(mask: np.ndarray, forced_top: bool) -> tuple[int, bool, bool]:
+def _mask_summary(mask: np.ndarray) -> tuple[int, bool]:
     false_idx = np.flatnonzero(~mask)
     depth = int(false_idx[0]) if false_idx.size else len(mask)
-    anomalous = bool(mask[depth:].any())
-    floor = 1 if forced_top else 0
-    return depth, anomalous, depth <= floor
+    return depth, bool(mask[depth:].any())
 
 
 def backward_induce(
@@ -226,13 +209,12 @@ def backward_induce(
 
     depth = np.zeros(n_steps + 1, dtype=int)
     anomalous = np.zeros(n_steps + 1, dtype=bool)
-    no_exercise = np.zeros(n_steps + 1, dtype=bool)
     all_values = np.empty((rows, n_steps + 1)) if keep_grid else None
 
     payoff = v - strike[n_steps]
     col = np.maximum(payoff, 0.0)
     mask = payoff > 0.0
-    depth[n_steps], anomalous[n_steps], no_exercise[n_steps] = _mask_summary(mask, False)
+    depth[n_steps], anomalous[n_steps] = _mask_summary(mask)
     if keep_grid:
         all_values[:, n_steps] = col
 
@@ -246,20 +228,13 @@ def backward_induce(
         mask = np.zeros(rows, dtype=bool)
         mask[0] = True
         mask[1:-1] = (ex[1:-1] >= cont) & (ex[1:-1] > 0.0)
-        depth[n], anomalous[n], no_exercise[n] = _mask_summary(mask, True)
+        depth[n], anomalous[n] = _mask_summary(mask)
         col = new
         if keep_grid:
             all_values[:, n] = col
 
     return ValueGrid(
-        values=all_values,
-        values_t0=col,
-        exercise_depth=depth,
-        anomalous=anomalous,
-        no_exercise=no_exercise,
-        r=cal.r,
-        dt=grid.dt,
-        n_steps=n_steps,
+        values=all_values, values_t0=col, exercise_depth=depth, anomalous=anomalous
     )
 
 
@@ -291,23 +266,26 @@ class ThresholdCurve:
 
 
 def extract_thresholds(
-    vg: ValueGrid, grid: GridSpec, option: OptionSpec
+    vg: ValueGrid, grid: GridSpec, cal: LatticeCalibration, option: OptionSpec
 ) -> ThresholdCurve:
     """Read the per-column exercise thresholds off an induced grid.
 
     The threshold at time n is the smallest row value whose node
     exercises with every higher row exercising too.  Exercise regions
     that are not up-sets are flagged as anomalous rather than silently
-    repaired.
+    repaired.  A column has no exercise region when nothing exercises
+    beyond the top row, which is always exercised before maturity.
     """
-    n_idx = np.arange(vg.n_steps + 1)
-    t = n_idx * vg.dt
+    n_idx = np.arange(grid.n_steps + 1)
+    t = n_idx * grid.dt
     h = grid.step_ratio
-    disc = np.full(vg.n_steps + 1, np.nan)
-    usable = ~vg.no_exercise
+    no_exercise = vg.exercise_depth <= 1
+    no_exercise[-1] = vg.exercise_depth[-1] == 0
+    disc = np.full(grid.n_steps + 1, np.nan)
+    usable = ~no_exercise
     rows = np.clip(vg.exercise_depth - 1, 0, grid.n_rows - 1)
     disc[usable] = grid.row_values[rows[usable]]
-    spot = disc * np.exp(vg.r * t)
+    spot = disc * np.exp(cal.r * t)
     return ThresholdCurve(
         n=n_idx,
         t=t,
@@ -316,7 +294,7 @@ def extract_thresholds(
         threshold_spot=spot,
         resolution_halfwidth=disc * (h - 1.0),
         anomalous=vg.anomalous.copy(),
-        no_exercise=vg.no_exercise.copy(),
+        no_exercise=no_exercise,
     )
 
 
@@ -345,15 +323,12 @@ def solve(
     """
     cal = calibrate(market, grid.dt, p_tol)
     values = backward_induce(grid, cal, option, continuation=continuation)
-    return Solution(grid, cal, values, extract_thresholds(values, grid, option))
+    return Solution(grid, cal, values, extract_thresholds(values, grid, cal, option))
 
 
-def value_curve(vg: ValueGrid, grid: GridSpec, at_time_index: int) -> np.ndarray:
-    """Option value against project value at one time index, in spot terms.
-
-    Returns an array of (spot project value, spot option value) pairs,
-    one per grid row, suitable for plotting or CSV export.
-    """
-    col = vg.column(at_time_index)
-    factor = math.exp(vg.r * at_time_index * vg.dt)
-    return np.column_stack((factor * grid.row_values, factor * col))
+def value_curve(vg: ValueGrid, grid: GridSpec, option: OptionSpec) -> np.ndarray:
+    """The time-0 value curve: one (project value, option value, exercise
+    value) row per grid row, where the exercise value is (V - cost)^+.
+    At time 0 discounted and spot values coincide."""
+    exercise = np.maximum(grid.row_values - option.cost, 0.0)
+    return np.column_stack((grid.row_values, vg.values_t0, exercise))

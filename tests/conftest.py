@@ -32,13 +32,11 @@ def degenerate_complete_calibration(
     r: float = 0.04,
 ) -> LatticeCalibration:
     """Perfectly correlated lattice with the cross states removed (p2 = p3 = 0)."""
-    u = math.exp(sigma1 * math.sqrt(dt))
-    h = math.exp(sigma2 * math.sqrt(dt))
-    d, l = 1.0 / u, 1.0 / h
     return LatticeCalibration(
-        u=u, d=d, h=h, l=l,
+        u=math.exp(sigma1 * math.sqrt(dt)),
+        h=math.exp(sigma2 * math.sqrt(dt)),
         p1=p1, p2=0.0, p3=0.0, p4=1.0 - p1,
-        q=(1.0 - d) / (u - d), dt=dt, r=r,
+        dt=dt, r=r,
     )
 
 
@@ -50,7 +48,6 @@ def grid_from_ladder(v0: float, sigma2: float, dt: float, half_height: int, n_st
         n_steps=n_steps,
         half_height=half_height,
         dt=dt,
-        v0=v0,
         row_values=v0 * h**exponents,
     )
 

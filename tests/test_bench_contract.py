@@ -2,7 +2,9 @@
 
 The tracer wraps functions by their module attribute, and the workloads
 swap ``reopt.cli.run_single`` and count ``reopt.experiments.parse_config``
-calls, so these names must exist and be looked up at call time.
+calls, so these names must exist and be looked up at call time.  The
+tracer also counts induction nodes from the grid passed as the first
+positional argument of ``backward_induce``.
 """
 
 import importlib.util
@@ -10,15 +12,19 @@ from pathlib import Path
 
 import reopt.cli
 import reopt.experiments
+import reopt.lattice
+from reopt import GridSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _record(monkeypatch, calls, module, name):
+def _record(monkeypatch, calls, module, name, first_args=None):
     inner = getattr(module, name)
 
     def recorder(*args, **kwargs):
         calls.append(f"{module.__name__}.{name}")
+        if first_args is not None:
+            first_args.append(args[0] if args else None)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recorder)
@@ -49,3 +55,22 @@ def test_preset_sweep_calls_run_preset_and_parse_config(tmp_path, monkeypatch):
     assert reopt.cli.main(argv) == reopt.cli.EXIT_OK
     assert "reopt.cli.run_preset" in calls
     assert "reopt.experiments.parse_config" in calls
+
+
+def test_price_induces_on_a_positional_grid_and_extracts(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"project": {"rho": 0.5}, "option": {"gamma": 1.0}, "grid": {"dt": 0.05}}')
+    calls, grids = [], []
+    _record(monkeypatch, calls, reopt.lattice, "backward_induce", grids)
+    _record(monkeypatch, calls, reopt.lattice, "extract_thresholds")
+    assert reopt.cli.main(["price", "--config", str(cfg)]) == reopt.cli.EXIT_OK
+    assert calls == ["reopt.lattice.backward_induce", "reopt.lattice.extract_thresholds"]
+    assert len(grids) == 1 and isinstance(grids[0], GridSpec)
+
+
+def test_preset_sweep_calls_value_curve(tmp_path, monkeypatch):
+    calls = []
+    _record(monkeypatch, calls, reopt.experiments, "value_curve")
+    argv = ["sweep", "--preset", "fig4", "--dt", "0.05", "--out", str(tmp_path / "fig4.csv")]
+    assert reopt.cli.main(argv) == reopt.cli.EXIT_OK
+    assert "reopt.experiments.value_curve" in calls

@@ -213,3 +213,22 @@ def test_unread_flags_are_rejected(config_file, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--config", config_file(BASE_DOC)])
     assert exc.value.code == 2
+
+
+def test_validate_calibrates_at_the_grid_step(config_file, capsys):
+    # dt 0.00319 is feasible, but the grid runs at 1/313, where p3 < 0
+    doc = {
+        "project": {"rho": 0.99},
+        "option": {"gamma": 1.0, "maturity": 1.0},
+        "grid": {"dt": 0.00319},
+    }
+    for command in ("validate", "price"):
+        assert main([command, "--config", config_file(doc)]) == 3
+        assert "p3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [{"cost_growth": 0.5}, {"cost": 20.0}])
+def test_ladder_clears_a_strike_above_v0(config_file, capsys, option):
+    doc = {"project": {"rho": 0.5}, "option": {"gamma": 1.0, **option}, "grid": {"dt": 0.05}}
+    assert main(["price", "--config", config_file(doc)]) == 0
+    assert "threshold_spot_t0 = nan" not in capsys.readouterr().out

@@ -101,6 +101,31 @@ def test_half_height_diffusion_term_scales_with_sigma2():
     assert 4.0 * 0.4 * math.sqrt(10.0) == pytest.approx(2 * 4.0 * 0.2 * math.sqrt(10.0))
 
 
+def test_half_height_clears_the_largest_discounted_strike():
+    market = base_market(rho=0.5)
+    dt = 0.05
+    for option in (
+        OptionSpec(cost=1.0, maturity=10.0, gamma=1.0),
+        OptionSpec(cost=20.0, maturity=10.0, gamma=1.0),
+        OptionSpec(cost=1.0, maturity=10.0, gamma=1.0, cost_growth=0.5),
+    ):
+        k_max = option.cost * math.exp(max(0.0, option.cost_growth - market.r) * option.maturity)
+        m = choose_half_height(market, option, dt)
+        assert market.v0 * math.exp(market.sigma2 * math.sqrt(dt)) ** m > k_max
+
+
+def test_ladder_above_v0_matches_doubled_ladder():
+    # cost 15 > V0: the threshold lies far up the ladder
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=15.0, maturity=10.0, gamma=1.0)
+    grid = build_grid(market, option, 0.05)
+    wide = build_grid(market, option, 0.05, 2 * grid.half_height)
+    sol, ref = solve(market, option, grid), solve(market, option, wide)
+    assert math.isfinite(sol.curve.spot_t0)
+    assert sol.curve.spot_t0 == ref.curve.spot_t0
+    assert sol.values.values_t0[grid.half_height] == ref.values.values_t0[wide.half_height]
+
+
 def test_grid_ladder_minimal():
     market = base_market(rho=0.0)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
@@ -225,7 +250,7 @@ def test_terminal_threshold_is_first_row_above_strike():
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0)
     grid, cal, vg = induce(market, option, dt=0.02)
-    curve = extract_thresholds(vg, grid, option)
+    curve = extract_thresholds(vg, grid, cal, option)
     k_term = option.cost * math.exp(-market.r * option.maturity)
     above = grid.row_values[grid.row_values > k_term]
     assert curve.threshold_discounted[-1] == above[-1]
@@ -245,18 +270,18 @@ def test_exercise_region_is_up_set_on_base_runs():
     for rho, gamma in ((0.0, 1.0), (0.9, 0.1), (0.5, 10.0)):
         market = base_market(rho=rho)
         option = OptionSpec(cost=1.0, maturity=10.0, gamma=gamma)
-        _, _, vg = induce(market, option, dt=0.02)
+        grid, cal, vg = induce(market, option, dt=0.02)
         assert not vg.anomalous.any()
-        assert not vg.no_exercise.any()
+        assert not extract_thresholds(vg, grid, cal, option).no_exercise.any()
 
 
 def test_grid_refinement_moves_threshold_less_than_one_coarse_cell():
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
-    grid_c, _, vg_c = induce(market, option, dt=0.01)
-    grid_f, _, vg_f = induce(market, option, dt=0.005)
-    thr_c = extract_thresholds(vg_c, grid_c, option).spot_t0
-    thr_f = extract_thresholds(vg_f, grid_f, option).spot_t0
+    grid_c, cal_c, vg_c = induce(market, option, dt=0.01)
+    grid_f, cal_f, vg_f = induce(market, option, dt=0.005)
+    thr_c = extract_thresholds(vg_c, grid_c, cal_c, option).spot_t0
+    thr_f = extract_thresholds(vg_f, grid_f, cal_f, option).spot_t0
     coarse_cell = thr_c * (grid_c.step_ratio - 1.0)
     assert abs(thr_f - thr_c) < coarse_cell
 
@@ -265,29 +290,15 @@ def test_value_curve_boundaries_and_pasting_slope():
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
     grid, cal, vg = induce(market, option, dt=1.0 / 300.0)
-    points = value_curve(vg, grid, 0)
+    points = value_curve(vg, grid, option)
+    assert points.shape == (grid.n_rows, 3)
     v_spot, c_spot = points[:, 0], points[:, 1]
     assert c_spot[0] == pytest.approx(v_spot[0] - option.cost, abs=1e-12)
     assert c_spot[-1] == 0.0
-    thr = extract_thresholds(vg, grid, option).spot_t0
+    thr = extract_thresholds(vg, grid, cal, option).spot_t0
     i = int(np.argmin(np.abs(v_spot - thr)))
     slope = (c_spot[i - 1] - c_spot[i + 1]) / (v_spot[i - 1] - v_spot[i + 1])
     assert 0.85 <= slope <= 1.1
-
-
-def test_value_curve_requires_retained_column():
-    market = base_market(rho=0.5)
-    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
-    grid, cal, vg = induce(market, option, dt=0.1)
-    assert value_curve(vg, grid, 0).shape == (grid.n_rows, 2)
-    with pytest.raises(ValueError):
-        value_curve(vg, grid, 3)
-    with pytest.raises(IndexError):
-        value_curve(vg, grid, 99)
-    _, _, vg_full = induce(market, option, dt=0.1, keep_grid=True)
-    mid = value_curve(vg_full, grid, 5)
-    factor = math.exp(market.r * 5 * grid.dt)
-    assert mid[:, 0] == pytest.approx(factor * grid.row_values)
 
 
 def test_option_spec_validation():
