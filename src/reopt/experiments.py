@@ -15,8 +15,8 @@ mu1 = 0.115, sigma1 = 0.25, S0 = V0 = 1, sigma2 = 0.2, delta = 0.04,
 dt = 1/900.
 
 Sweep points are independent pure computations; they can run on a worker
-pool and the output is deterministic regardless of the worker count
-(results are reassembled in submission order).
+pool, largest lattice first, and the output is deterministic regardless of
+the worker count (results are reassembled in swept-value order).
 """
 
 from __future__ import annotations
@@ -399,27 +399,34 @@ def run_single(
     return result
 
 
-def _sweep_point(args: tuple[SweepSpec, float]) -> RunResult:
-    spec, value = args
-    return run_single(_point_config(spec, value), spec.outputs, spec.name, value)
+def _sweep_point(job: tuple[RunConfig, tuple[str, ...], str, float]) -> RunResult:
+    return run_single(*job)
+
+
+def _lattice_nodes(cfg: RunConfig) -> int:
+    grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    return grid.n_rows * (grid.n_steps + 1)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunResult]:
     """Run every swept value; per-point failures become error rows.
 
     Points are independent, so with ``workers > 1`` they execute on a
-    process pool of at most one worker per point.  Results come back
+    process pool of at most one worker per point, submitted largest
+    lattice first so that no long point starts last.  Results come back
     ordered by swept value regardless of scheduling, and the numbers are
     identical for any worker count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    jobs = [(spec, v) for v in sorted(spec.values)]
+    jobs = [(_point_config(spec, v), spec.outputs, spec.name, v) for v in sorted(spec.values)]
     workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, jobs))
-    return [_sweep_point(job) for job in jobs]
+    if workers == 1:
+        return [_sweep_point(job) for job in jobs]
+    largest_first = sorted(jobs, key=lambda job: -_lattice_nodes(job[0]))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(_sweep_point, largest_first))
+    return sorted(results, key=lambda res: res.swept_value)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,15 @@ numeric oracle that recovers the same price straight from the defining
 utility-maximization problems, and the gamma -> 0 / gamma -> infinity
 limits of g.
 
-All exponentials are evaluated through shifted log-sum-exp so that
-|gamma * payoff| of several hundred causes no overflow; the naive form
-is never used here.
+All exponentials are shifted so that |gamma * payoff| of several hundred
+causes no overflow; the naive form is never used here.  In general each
+branch is a log-sum-exp anchored at its larger exponent.  Lattice columns
+never decrease in V, so x_h >= x_l at every node; with positive weights
+the anchor of both branches is then -gamma x_l, and each node needs the
+one exponential exp(-gamma (x_h - x_l)) <= 1 and two logarithms.  Array
+inputs take that path; a column with any node x_h < x_l, a zero or signed
+weight, or scalar inputs take the general path.  Both paths perform the
+same operations in the same order, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -100,17 +106,61 @@ def _branch_contribution(w_hi: float, w_lo: float, a_hi, a_lo):
     return out
 
 
+def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gamma: float):
+    """g on arrays with every exponent a_up <= a_dn and all weights positive,
+    or None if some node has a_up > a_dn.
+
+    The log-sum-exp anchor of both branches is then a_dn, so each node
+    needs one exponential e = exp(a_up - a_dn) and two logarithms.  The
+    operations are those of :func:`_branch_contribution` with m = a_dn
+    (where exp(a_dn - m) is exactly 1), in the same order, so the result
+    is bit-identical to the general path.  Works in place on arrays it
+    allocates; the inputs are never written.
+    """
+    a_dn = np.multiply(x_dn, -gamma)
+    e = np.multiply(x_up, -gamma)
+    e -= a_dn
+    if not e.max() <= 0.0:  # also rejects NaN
+        return None
+    np.exp(e, out=e)
+    up = np.multiply(e, cal.p1)
+    up += cal.p2
+    np.log(up, out=up)
+    e *= cal.p3
+    e += cal.p4
+    np.log(e, out=e)
+    dn = np.subtract(math.log(cal.p3 + cal.p4), a_dn)
+    dn -= e
+    np.subtract(math.log(cal.p1 + cal.p2), a_dn, out=a_dn)
+    a_dn -= up
+    a_dn *= cal.q
+    dn *= 1.0 - cal.q
+    a_dn += dn
+    a_dn /= gamma
+    return a_dn
+
+
 def g_values(x_up, x_dn, cal: LatticeCalibration, gamma: float):
     """Vectorized certainty-equivalent operator.
 
     ``x_up`` and ``x_dn`` are the payoffs in the project-up and
     project-down states (arrays of equal shape, or scalars).  This is the
-    hot path of the lattice recursion.
+    hot path of the lattice recursion: equal-shape arrays that never
+    decrease from the down to the up state, under positive weights, take
+    the single-exponential :func:`_g_monotone`; anything else takes the
+    general shifted log-sum-exp path, with the same result bit for bit
+    where both apply.
     """
     if gamma <= 0.0 or not math.isfinite(gamma):
         raise ValueError("gamma must be positive and finite")
-    a_up = -gamma * np.asarray(x_up, dtype=float)
-    a_dn = -gamma * np.asarray(x_dn, dtype=float)
+    x_up = np.asarray(x_up, dtype=float)
+    x_dn = np.asarray(x_dn, dtype=float)
+    if x_up.ndim and x_up.shape == x_dn.shape and min(cal.p1, cal.p2, cal.p3, cal.p4) > 0.0:
+        out = _g_monotone(x_up, x_dn, cal, gamma)
+        if out is not None:
+            return out
+    a_up = -gamma * x_up
+    a_dn = -gamma * x_dn
     branch_up = _branch_contribution(cal.p1, cal.p2, a_up, a_dn)
     branch_dn = _branch_contribution(cal.p3, cal.p4, a_up, a_dn)
     return (cal.q * branch_up + (1.0 - cal.q) * branch_dn) / gamma

@@ -164,9 +164,13 @@ class ValueGrid:
 
 
 def _mask_summary(mask: np.ndarray) -> tuple[int, bool]:
-    false_idx = np.flatnonzero(~mask)
-    depth = int(false_idx[0]) if false_idx.size else len(mask)
-    return depth, bool(mask[depth:].any())
+    """(exercise depth, anomalous) of one column's exercise mask: the
+    length of the run of True from the top, and whether a True follows
+    the first False."""
+    depth = int(mask.argmin())
+    if mask[depth]:
+        return len(mask), False
+    return depth, bool(np.count_nonzero(mask[depth:]))
 
 
 def backward_induce(
@@ -218,18 +222,27 @@ def backward_induce(
     if keep_grid:
         all_values[:, n_steps] = col
 
+    # Work buffers for the interior columns: the exercise value, the
+    # column being filled (it alternates with ``col``) and the mask, whose
+    # top row always exercises and whose bottom row never does.
+    ex = np.empty(rows)
+    new = np.empty(rows)
+    mask = np.zeros(rows, dtype=bool)
+    mask[0] = True
+    exercised = mask[1:-1]
+    positive = np.empty(rows - 2, dtype=bool)
     for n in range(n_steps - 1, -1, -1):
         cont = cont_of(col[:-2], col[2:])
-        ex = np.maximum(v - strike[n], 0.0)
-        new = np.empty(rows)
-        new[0] = v[0] - strike[n]
+        np.subtract(v, strike[n], out=ex)
+        new[0] = ex[0]
         new[-1] = 0.0
-        new[1:-1] = np.maximum(ex[1:-1], cont)
-        mask = np.zeros(rows, dtype=bool)
-        mask[0] = True
-        mask[1:-1] = (ex[1:-1] >= cont) & (ex[1:-1] > 0.0)
+        np.maximum(ex, 0.0, out=ex)
+        np.maximum(ex[1:-1], cont, out=new[1:-1])
+        np.greater_equal(ex[1:-1], cont, out=exercised)
+        np.greater(ex[1:-1], 0.0, out=positive)
+        exercised &= positive
         depth[n], anomalous[n] = _mask_summary(mask)
-        col = new
+        col, new = new, col
         if keep_grid:
             all_values[:, n] = col
 

@@ -15,6 +15,7 @@ from reopt import (
     g_value,
     g_values,
     gamma_limits,
+    indifference,
     linear_limit_values,
     numeric_indifference_price,
 )
@@ -126,6 +127,89 @@ def test_vectorized_matches_scalar():
     vec = g_values(x_up, x_dn, CAL, 2.5)
     for i in range(len(x_up)):
         assert vec[i] == g_value(PayoffPair(x_up[i], x_dn[i]), CAL, UtilityParams(2.5))
+
+
+# ---------------------------------------------------------------------------
+# single-exponential path for monotone columns
+# ---------------------------------------------------------------------------
+
+
+def general_g_values(monkeypatch, x_up, x_dn, cal, gamma):
+    """g_values with the monotone path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(indifference, "_g_monotone", lambda *args: None)
+        return g_values(x_up, x_dn, cal, gamma)
+
+
+def monotone_column(rng, size=400, scale=1.0):
+    x_dn = np.sort(rng.uniform(-scale, scale, size))
+    x_up = x_dn + rng.exponential(0.05 * scale, size)
+    x_up[::5] = x_dn[::5]  # ties
+    return x_up, x_dn
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.3, 1.0, 10.0, 100.0])
+def test_monotone_path_is_bit_identical_to_general_path(monkeypatch, gamma):
+    rng = np.random.default_rng(17)
+    x_up, x_dn = monotone_column(rng)
+    up0, dn0 = x_up.copy(), x_dn.copy()
+    got = g_values(x_up, x_dn, CAL, gamma)
+    assert indifference._g_monotone(x_up, x_dn, CAL, gamma) is not None
+    assert np.array_equal(got, general_g_values(monkeypatch, x_up, x_dn, CAL, gamma))
+    assert np.array_equal(x_up, up0) and np.array_equal(x_dn, dn0)
+    assert not np.shares_memory(got, x_up) and not np.shares_memory(got, x_dn)
+
+
+def test_monotone_path_on_lattice_column_views(monkeypatch):
+    # The induction passes overlapping views of one column.
+    rng = np.random.default_rng(3)
+    col = np.sort(rng.uniform(0.0, 2.0, 301))[::-1].copy()
+    before = col.copy()
+    got = g_values(col[:-2], col[2:], CAL, 2.0)
+    assert np.array_equal(col, before)
+    assert np.array_equal(got, general_g_values(monkeypatch, col[:-2], col[2:], CAL, 2.0))
+
+
+def test_monotone_path_does_not_overflow_near_gamma_x_700(monkeypatch):
+    rng = np.random.default_rng(5)
+    x_up, x_dn = monotone_column(rng, scale=7.0)
+    with np.errstate(all="raise"):
+        got = g_values(x_up, x_dn, CAL, 100.0)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, general_g_values(monkeypatch, x_up, x_dn, CAL, 100.0))
+    assert got[0] == pytest.approx(mpmath_g(x_up[0], x_dn[0], CAL, 100.0), abs=1e-10)
+
+
+def test_decreasing_node_falls_back_to_general_path(monkeypatch):
+    rng = np.random.default_rng(9)
+    x_up, x_dn = monotone_column(rng)
+    x_up[123] = x_dn[123] - 0.01
+    assert indifference._g_monotone(x_up, x_dn, CAL, 1.0) is None
+    got = g_values(x_up, x_dn, CAL, 1.0)
+    assert np.array_equal(got, general_g_values(monkeypatch, x_up, x_dn, CAL, 1.0))
+    assert got[123] == pytest.approx(mpmath_g(x_up[123], x_dn[123], CAL, 1.0), abs=1e-13)
+
+
+def test_zero_weights_fall_back_and_cancel_gamma(monkeypatch):
+    cal = degenerate_complete_calibration()
+    x_up, x_dn = monotone_column(np.random.default_rng(1))
+    linear = cal.q * x_up + (1.0 - cal.q) * x_dn
+    for gamma in (0.01, 1.0, 100.0):
+        got = g_values(x_up, x_dn, cal, gamma)
+        assert np.array_equal(got, general_g_values(monkeypatch, x_up, x_dn, cal, gamma))
+        assert np.max(np.abs(got - linear)) < 1e-14
+
+
+def test_signed_weight_falls_back(monkeypatch):
+    cal = calibrate(base_market(rho=0.99), dt=1.0 / 300.0, p_tol=1e-3)
+    assert min(cal.probabilities) < 0.0
+    x_up, x_dn = monotone_column(np.random.default_rng(2))
+    got = g_values(x_up, x_dn, cal, 2.0)
+    assert np.array_equal(got, general_g_values(monkeypatch, x_up, x_dn, cal, 2.0))
+
+
+def test_g_value_returns_a_python_float():
+    assert type(g_value(PayoffPair(0.4, 0.1), CAL, GAMMA1)) is float
 
 
 def test_rejects_nonfinite_payoffs():

@@ -20,6 +20,7 @@ from reopt import (
     value_curve,
 )
 from reopt.calibration import CalibrationInfeasible
+from reopt.lattice import _mask_summary
 
 from conftest import base_market, degenerate_complete_calibration, grid_from_ladder
 
@@ -239,6 +240,40 @@ def test_continuation_operator_name_is_checked():
     cal = calibrate(market, grid.dt)
     with pytest.raises(ValueError, match="continuation"):
         backward_induce(grid, cal, option, continuation="euler")
+
+
+@pytest.mark.parametrize(
+    "mask,depth,anomalous",
+    [
+        ([True, True, True, True, True], 5, False),  # all exercised
+        ([True, False, False, False, False], 1, False),  # top row only
+        ([False, False, False, False, False], 0, False),  # nothing exercised
+        ([True, True, True, True, False], 4, False),  # run ending above the bottom
+        ([True, True, False, True, False], 2, True),  # top run, gap, exercised node
+        ([False, True, False, False, False], 0, True),
+    ],
+)
+def test_mask_summary(mask, depth, anomalous):
+    assert _mask_summary(np.array(mask)) == (depth, anomalous)
+
+
+@pytest.mark.parametrize("cost", [1.0, 0.1])
+def test_recorded_exercise_summary_matches_the_grid(cost):
+    # A node exercises exactly where its value equals the positive exercise
+    # value (the top row always, before maturity; never the worthless
+    # bottom row, even when cost 0.1 puts it in the money at maturity).
+    # The maturity and the interior columns share one summary helper.
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=cost, maturity=2.0, gamma=1.0, cost_growth=0.02)
+    grid, cal, vg = induce(market, option, dt=0.02, keep_grid=True)
+    t = np.arange(grid.n_steps + 1) * grid.dt
+    strike = option.cost * np.exp((option.cost_growth - market.r) * t)
+    exercise = np.maximum(grid.row_values[:, None] - strike[None, :], 0.0)
+    masks = (vg.values == exercise) & (exercise > 0.0)
+    masks[0, :-1] = True
+    summaries = [_mask_summary(masks[:, n]) for n in range(grid.n_steps + 1)]
+    assert [d for d, _ in summaries] == vg.exercise_depth.tolist()
+    assert [a for _, a in summaries] == vg.anomalous.tolist()
 
 
 # ---------------------------------------------------------------------------
