@@ -408,25 +408,31 @@ def _lattice_nodes(cfg: RunConfig) -> int:
     return grid.n_rows * (grid.n_steps + 1)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunResult]:
-    """Run every swept value; per-point failures become error rows.
+def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
+    """Run every swept value of every spec; per-point failures become
+    error rows.
 
-    Points are independent, so with ``workers > 1`` they execute on a
-    process pool of at most one worker per point, submitted largest
-    lattice first so that no long point starts last.  Results come back
-    ordered by swept value regardless of scheduling, and the numbers are
-    identical for any worker count.
+    Points are independent, so with ``workers > 1`` the points of all
+    specs execute on one process pool of at most one worker per point,
+    submitted largest lattice first so that no long point starts last.
+    Results come back spec by spec, each ordered by swept value,
+    regardless of scheduling, and the numbers are identical for any
+    worker count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    jobs = [(_point_config(spec, v), spec.outputs, spec.name, v) for v in sorted(spec.values)]
+    jobs = [
+        (_point_config(spec, v), spec.outputs, spec.name, v)
+        for spec in specs
+        for v in sorted(spec.values)
+    ]
     workers = min(workers, len(jobs))
-    if workers == 1:
+    if workers <= 1:
         return [_sweep_point(job) for job in jobs]
-    largest_first = sorted(jobs, key=lambda job: -_lattice_nodes(job[0]))
+    largest_first = sorted(range(len(jobs)), key=lambda i: -_lattice_nodes(jobs[i][0]))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_sweep_point, largest_first))
-    return sorted(results, key=lambda res: res.swept_value)
+        done = list(pool.map(_sweep_point, [jobs[i] for i in largest_first]))
+    return [res for _, res in sorted(zip(largest_first, done), key=lambda pair: pair[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +484,7 @@ def preset_names() -> tuple[str, ...]:
 
 
 def run_preset(name: str, workers: int = 1, dt: float | None = None) -> list[RunResult]:
-    results: list[RunResult] = []
-    for spec in build_preset(name, dt):
-        results.extend(run_sweep(spec, workers=workers))
-    return results
+    return run_sweep(*build_preset(name, dt), workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -217,11 +217,22 @@ def numeric_indifference_price(
     exploiting the wealth separability of exponential utility; the result
     is nevertheless independent of ``x0``, which tests rely on.
 
+    Each maximization fixes the wealth and the payoff, so log(-E[U]) at
+    hedge H is the shifted log-sum-exp of c_i - k_i H over the four
+    terminal states, with c_i = log p_i - gamma (wealth + payoff_i) and
+    k_i = gamma dS_i computed once per maximization, not once per
+    evaluation.  Under positive weights the sum is written out over the
+    four states; zero weights drop out, and marginally signed weights
+    from a relaxed calibration enter the shifted sum as p_i exp(...).
+
     Kept free of any code shared with :func:`g_value` so the two routes
     stay independent checks of one another.
 
     Raises
     ------
+    ValueError
+        If a signed weight makes the expected utility non-negative, i.e.
+        undefined, at some evaluated hedge.
     BracketFailure
         If the inner objective cannot be bracketed, which indicates a
         degenerate calibration (e.g. a dominated branch turning the
@@ -232,30 +243,58 @@ def numeric_indifference_price(
     if not (math.isfinite(xh) and math.isfinite(xl) and math.isfinite(x0)):
         raise ValueError("payoffs and initial wealth must be finite")
 
-    log_p = [math.log(p) if p > 0.0 else None for p in cal.probabilities]
-    signed = [(i, p) for i, p in enumerate(cal.probabilities) if log_p[i] is None]
+    probs = [float(p) for p in cal.probabilities]
     ds = (s0 * (cal.u - 1.0), s0 * (cal.u - 1.0), s0 * (cal.d - 1.0), s0 * (cal.d - 1.0))
+    slopes = [gamma * d for d in ds]
+    positive = min(probs) > 0.0
+    exp, log = math.exp, math.log
 
-    def log_neg_utility(wealth: float, hedge: float, payoff) -> float:
-        # log(-E[U]) via shifted log-sum-exp over the four terminal states.
-        exponents = []
-        for i in range(4):
-            if log_p[i] is None:
-                continue
-            exponents.append(log_p[i] - gamma * (wealth + hedge * ds[i] + payoff[i]))
-        m = max(exponents)
-        total = sum(math.exp(e - m) for e in exponents)
-        # Marginally signed weights (relaxed calibrations) enter directly.
-        for i, p in signed:
-            if p != 0.0:
-                total += p * math.exp(-gamma * (wealth + hedge * ds[i] + payoff[i]) - m)
-        if total <= 0.0:
-            raise ValueError("expected utility undefined for signed branch weights")
-        return m + math.log(total)
+    def log_neg_utility(wealth: float, payoff):
+        # log(-E[U]) as a function of the hedge, for this wealth and payoff.
+        if positive:
+            c1, c2, c3, c4 = (
+                math.log(p) - gamma * (wealth + x) for p, x in zip(probs, payoff)
+            )
+            k1, k2, k3, k4 = slopes
+
+            def f(hedge: float) -> float:
+                e1 = c1 - k1 * hedge
+                e2 = c2 - k2 * hedge
+                e3 = c3 - k3 * hedge
+                e4 = c4 - k4 * hedge
+                m = max(e1, e2, e3, e4)
+                return m + log(exp(e1 - m) + exp(e2 - m) + exp(e3 - m) + exp(e4 - m))
+
+            return f
+
+        # Zero weights drop out; marginally signed weights (relaxed
+        # calibrations) enter the shifted sum directly.
+        terms = [
+            (math.log(p) - gamma * (wealth + x), k)
+            for p, x, k in zip(probs, payoff, slopes)
+            if p > 0.0
+        ]
+        signed = [
+            (p, -gamma * (wealth + x), k)
+            for p, x, k in zip(probs, payoff, slopes)
+            if p < 0.0
+        ]
+
+        def f(hedge: float) -> float:
+            exponents = [c - k * hedge for c, k in terms]
+            m = max(exponents)
+            total = sum([exp(e - m) for e in exponents])
+            for p, c, k in signed:
+                total += p * exp(c - k * hedge - m)
+            if total <= 0.0:
+                raise ValueError("expected utility undefined for signed branch weights")
+            return m + log(total)
+
+        return f
 
     def maximize_utility(wealth: float, payoff) -> float:
         # Bracket geometrically from the wealth scale, then golden section.
-        f = lambda hedge: log_neg_utility(wealth, hedge, payoff)
+        f = log_neg_utility(wealth, payoff)
         width = max(1.0, abs(xh), abs(xl)) / (gamma * s0 * (cal.u - cal.d))
         centre = f(0.0)
         for _ in range(200):

@@ -187,12 +187,15 @@ def test_delta_sweep_holds_each_shortfall_on_drift_specified_project():
     assert values[0] > values[1] > values[2]
 
 
-def test_sweep_pool_is_bounded_by_point_count(monkeypatch):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the sweep's process pool with an in-process one and record
+    the worker count of every pool started."""
+    started = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -204,11 +207,24 @@ def test_sweep_pool_is_bounded_by_point_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_sweep_pool_is_bounded_by_point_count(pools):
     _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 0.5]}))
     assert [r.swept_value for r in run_sweep(sweep, workers=64)] == [0.5, 1.0]
     assert pools == [2]
     run_sweep(SweepSpec("gamma", (1.0,), sweep.base), workers=64)
     assert pools == [2]
+
+
+def test_preset_runs_on_one_pool(pools):
+    sequential = run_preset("fig3", workers=1, dt=0.1)
+    pooled = run_preset("fig3", workers=2, dt=0.1)
+    assert pools == [2]
+    key = lambda r: (r.config, r.swept_value, r.option_value_v0, r.threshold_spot_t0, r.error)
+    assert [key(r) for r in pooled] == [key(r) for r in sequential]
+    assert [r.swept_value for r in pooled] == [1.0, 2.0, 5.0, 10.0, 20.0, 40.0] * 3
 
 
 def test_gamma_sweep_threshold_decreasing():

@@ -312,3 +312,49 @@ def test_oracle_agrees_with_g_on_random_inputs():
         pi = numeric_indifference_price(pay, cal, util, x0=x0)
         assert g_value(pay, cal, util) == pytest.approx(pi, abs=1e-7)
         checked += 1
+
+
+SIGNED_CAL = calibrate(base_market(rho=0.99), dt=1.0 / 300.0, p_tol=1e-4)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 1.0])
+@pytest.mark.parametrize("pay", [PayoffPair(0.3, -0.1), PayoffPair(-1.0, 2.0)])
+def test_oracle_agrees_with_g_under_a_signed_weight(pay, gamma):
+    assert min(SIGNED_CAL.probabilities) < 0.0
+    util = UtilityParams(gamma)
+    pi = numeric_indifference_price(pay, SIGNED_CAL, util)
+    assert g_value(pay, SIGNED_CAL, util) == pytest.approx(pi, abs=1e-7)
+
+
+def test_signed_weight_dominating_the_mixture_is_rejected_by_both_routes():
+    pay, util = PayoffPair(-1.0, 2.0), UtilityParams(30.0)
+    with pytest.raises(ValueError, match="undefined"):
+        g_value(pay, SIGNED_CAL, util)
+    with pytest.raises(ValueError, match="undefined"):
+        numeric_indifference_price(pay, SIGNED_CAL, util)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0])
+def test_oracle_agrees_with_g_on_a_degenerate_complete_lattice(gamma):
+    cal = degenerate_complete_calibration()
+    util = UtilityParams(gamma)
+    for pay in (PayoffPair(0.7, -0.2), PayoffPair(-1.0, 2.0)):
+        pi = numeric_indifference_price(pay, cal, util)
+        assert g_value(pay, cal, util) == pytest.approx(pi, abs=1e-7)
+
+
+def test_oracle_does_not_use_the_g_kernel(monkeypatch):
+    cases = [
+        (PayoffPair(0.3, -0.1), CAL, UtilityParams(1.0)),
+        (PayoffPair(-1.0, 2.0), SIGNED_CAL, UtilityParams(0.01)),
+        (PayoffPair(0.7, -0.2), degenerate_complete_calibration(), UtilityParams(10.0)),
+    ]
+    expected = [g_value(*case) for case in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not call the g kernel")
+
+    for name in ("g_values", "_g_monotone", "_branch_contribution"):
+        monkeypatch.setattr(indifference, name, forbidden)
+    for case, g in zip(cases, expected):
+        assert numeric_indifference_price(*case) == pytest.approx(g, abs=1e-7)
