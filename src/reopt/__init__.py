@@ -44,7 +44,6 @@ from .lattice import (
 from .reference import (
     DivergentThreshold,
     PerpetualParams,
-    npv_threshold,
     perpetual_beta,
     perpetual_threshold,
     risk_neutral_idiosyncratic_limit,
@@ -98,7 +97,6 @@ __all__ = [
     "gamma_limits",
     "linear_limit_values",
     "mu2_from_shortfall",
-    "npv_threshold",
     "numeric_indifference_price",
     "parse_config",
     "perpetual_beta",

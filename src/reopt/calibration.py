@@ -27,7 +27,7 @@ the variances are matched to first order in dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "capm_equilibrium_rate",
     "mu2_from_shortfall",
 ]
-
-_FIELDS = ("mu1", "sigma1", "mu2", "sigma2", "rho", "r", "s0", "v0")
 
 # Containers tolerate this much structural slack (floating point dust plus
 # deliberately signed probability vectors produced by calibrate(p_tol=...)).
@@ -60,7 +58,9 @@ class MarketParams:
 
     Drifts and the riskless rate are per year, volatilities per
     square-root year.  ``rho`` is the instantaneous correlation between
-    the traded asset and the project value.
+    the traded asset and the project value, and ``v0`` the project value
+    at time 0.  The traded asset enters the valuation only through its
+    returns, so it has no initial level here.
     """
 
     mu1: float
@@ -69,17 +69,16 @@ class MarketParams:
     sigma2: float
     rho: float
     r: float
-    s0: float = 1.0
     v0: float = 1.0
 
     def __post_init__(self):
-        for name in _FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
             raise ValueError("sigma1 and sigma2 must be positive")
-        if self.s0 <= 0.0 or self.v0 <= 0.0:
-            raise ValueError("s0 and v0 must be positive")
+        if self.v0 <= 0.0:
+            raise ValueError("v0 must be positive")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
 
@@ -139,10 +138,6 @@ class LatticeCalibration:
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3, self.p4])
-
-    def is_strictly_feasible(self) -> bool:
-        """True when every probability lies strictly inside (0, 1)."""
-        return all(0.0 < p < 1.0 for p in self.probabilities)
 
 
 def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCalibration:

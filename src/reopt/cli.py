@@ -137,6 +137,8 @@ def _side_path(out: str, kind: str, res: RunResult) -> str:
 
 def _cmd_sweep(args) -> int:
     if args.preset:
+        if args.config:
+            raise ConfigError("--preset and --config cannot be combined")
         results = run_preset(args.preset, workers=args.workers, dt=args.dt)
         root = preset_hash(args.preset, args.dt)
         out = args.out or f"{args.preset}.csv"

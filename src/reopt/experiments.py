@@ -11,8 +11,9 @@ every point so that the shortfall stays fixed.
 Named presets rebuild the standard parameter studies (threshold versus
 correlation, risk aversion, volatility, shortfall and maturity, plus the
 value-curve pair) on the base parameter set I = 1, r = 0.04, T = 10,
-mu1 = 0.115, sigma1 = 0.25, S0 = V0 = 1, sigma2 = 0.2, delta = 0.04,
-dt = 1/900.
+mu1 = 0.115, sigma1 = 0.25, V0 = 1, sigma2 = 0.2, delta = 0.04,
+dt = 1/900.  The traded asset enters only through its returns, so it has
+no initial-level field.
 
 Sweep points are independent pure computations; they can run on a worker
 pool, largest lattice first, and the output is deterministic regardless of
@@ -33,12 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .calibration import (
-    CalibrationInfeasible,
-    MarketParams,
-    capm_equilibrium_rate,
-    mu2_from_shortfall,
-)
+from .calibration import MarketParams, capm_equilibrium_rate, mu2_from_shortfall
 from .lattice import OptionSpec, ThresholdCurve, build_grid, solve, value_curve
 
 __all__ = [
@@ -108,7 +104,6 @@ _REQUIRED = object()
 _FIELDS = (
     ("market", "mu1", 0.115, "real"),
     ("market", "sigma1", 0.25, "positive"),
-    ("market", "s0", 1.0, "positive"),
     ("market", "v0", 1.0, "positive"),
     ("market", "r", 0.04, "real"),
     ("project", "rho", _REQUIRED, "correlation"),
@@ -188,12 +183,11 @@ class SweepSpec:
 @dataclass
 class RunResult:
     """Outcome of one valuation: the resolved configuration it ran, and
-    the step ``dt``, half height ``m`` and step count ``n`` of its grid."""
+    the half height ``m`` and step count ``n`` of its grid."""
 
     swept_name: str
     swept_value: float
     config: RunConfig
-    dt: float
     m: int
     n: int
     threshold_spot_t0: float = math.nan
@@ -256,7 +250,7 @@ def _resolve(val: dict[str, Any], delta_fixed: bool) -> RunConfig:
     """
     shell = MarketParams(
         mu1=val["mu1"], sigma1=val["sigma1"], mu2=0.0, sigma2=val["sigma2"], rho=val["rho"],
-        r=val["r"], s0=val["s0"], v0=val["v0"],
+        r=val["r"], v0=val["v0"],
     )
     mu2, delta = val["mu2"], val["delta"]
     if not delta_fixed:
@@ -376,12 +370,10 @@ def run_single(
     """Build, solve and summarize one lattice; errors become result rows."""
     start = time.perf_counter()
     grid = build_grid(cfg.market, cfg.option, cfg.dt)
-    result = RunResult(
-        swept_name, swept_value, cfg, dt=grid.dt, m=grid.half_height, n=grid.n_steps
-    )
+    result = RunResult(swept_name, swept_value, cfg, m=grid.half_height, n=grid.n_steps)
     try:
         sol = solve(cfg.market, cfg.option, grid, cfg.p_tol)
-    except (CalibrationInfeasible, ValueError) as exc:
+    except ValueError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         result.anomaly_flags = f"error:{type(exc).__name__}"
         return result
@@ -390,7 +382,11 @@ def run_single(
     curve = sol.curve
     result.threshold_spot_t0 = curve.spot_t0
     result.option_value_v0 = float(sol.values.values_t0[grid.half_height])
-    columns = (("anomalous_columns", curve.anomalous), ("no_exercise_columns", curve.no_exercise))
+    columns = (
+        ("anomalous_columns", curve.anomalous),
+        ("no_exercise_columns", curve.no_exercise),
+        ("ladder_bottom_columns", curve.ladder_bottom),
+    )
     result.anomaly_flags = ";".join(f"{flag}={int(c.sum())}" for flag, c in columns if c.any())
     if "threshold_curve" in outputs:
         result.threshold_curve = curve
@@ -520,9 +516,10 @@ def write_sweep_csv(results: list[RunResult], path, cfg_hash: str) -> None:
     """Write sweep results; numbers carry 17 significant digits so a
     re-parse recovers them bit-exactly."""
     def row(res: RunResult) -> list:
-        # a result field wins over the config field of the same name: the
-        # dt column is the grid's step, not the requested one
-        values = {**res.config.field_values(), **vars(res), "M": res.m, "N": res.n}
+        # the dt column is the grid's step (as build_grid computes it), not
+        # the requested one
+        grid_dt = res.config.option.maturity / res.n
+        values = {**res.config.field_values(), **vars(res), "dt": grid_dt, "M": res.m, "N": res.n}
         return [values[column] for column in SWEEP_COLUMNS]
 
     _write_rows(path, cfg_hash, SWEEP_COLUMNS, map(row, results))

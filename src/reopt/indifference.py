@@ -205,13 +205,14 @@ def numeric_indifference_price(
     cal: LatticeCalibration,
     util: UtilityParams,
     x0: float = 0.0,
-    s0: float = 1.0,
 ) -> float:
     """Indifference price recomputed from the defining optimization problems.
 
-    Solves max_H E[U(x0 + H (S_T - S_0))] with and without the claim by a
-    derivative-free bracketed search over the hedge H (tolerance 1e-12),
-    then finds the price pi equating the two optima by bisection
+    Solves max_H E[U(x0 + H R)] with and without the claim, where R =
+    S_1/S_0 - 1 is the traded asset's one-period return (u - 1 or d - 1)
+    and H the amount held in it, so the asset's level never enters.  It
+    maximizes over H by a derivative-free bracketed search (tolerance
+    1e-12), then finds the price pi equating the two optima by bisection
     (tolerance 1e-10).  The maximization is repeated at every bisection
     point, so the routine exercises the definition literally instead of
     exploiting the wealth separability of exponential utility; the result
@@ -220,7 +221,7 @@ def numeric_indifference_price(
     Each maximization fixes the wealth and the payoff, so log(-E[U]) at
     hedge H is the shifted log-sum-exp of c_i - k_i H over the four
     terminal states, with c_i = log p_i - gamma (wealth + payoff_i) and
-    k_i = gamma dS_i computed once per maximization, not once per
+    k_i = gamma R_i computed once per maximization, not once per
     evaluation.  Under positive weights the sum is written out over the
     four states; zero weights drop out, and marginally signed weights
     from a relaxed calibration enter the shifted sum as p_i exp(...).
@@ -244,8 +245,8 @@ def numeric_indifference_price(
         raise ValueError("payoffs and initial wealth must be finite")
 
     probs = [float(p) for p in cal.probabilities]
-    ds = (s0 * (cal.u - 1.0), s0 * (cal.u - 1.0), s0 * (cal.d - 1.0), s0 * (cal.d - 1.0))
-    slopes = [gamma * d for d in ds]
+    returns = (cal.u - 1.0, cal.u - 1.0, cal.d - 1.0, cal.d - 1.0)
+    slopes = [gamma * ret for ret in returns]
     positive = min(probs) > 0.0
     exp, log = math.exp, math.log
 
@@ -295,7 +296,7 @@ def numeric_indifference_price(
     def maximize_utility(wealth: float, payoff) -> float:
         # Bracket geometrically from the wealth scale, then golden section.
         f = log_neg_utility(wealth, payoff)
-        width = max(1.0, abs(xh), abs(xl)) / (gamma * s0 * (cal.u - cal.d))
+        width = max(1.0, abs(xh), abs(xl)) / (gamma * (cal.u - cal.d))
         centre = f(0.0)
         for _ in range(200):
             if f(-width) > centre and f(width) > centre:

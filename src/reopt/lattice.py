@@ -256,11 +256,13 @@ class ThresholdCurve:
     """Exercise thresholds per time step, discounted and spot.
 
     Columns with no exercise region carry NaN thresholds and are flagged
-    through ``no_exercise``; columns whose exercise region fails to be an
-    up-set in V keep the threshold of the contiguous top run and are
-    flagged through ``anomalous``.  ``resolution_halfwidth`` is the size
-    of one grid cell at the threshold, V* (h - 1), the quantization error
-    of the reported value.
+    through ``no_exercise``; columns whose exercise region reaches the
+    bottom of the ladder show no boundary, carry NaN thresholds and are
+    flagged through ``ladder_bottom``; columns whose exercise region fails
+    to be an up-set in V keep the threshold of the contiguous top run and
+    are flagged through ``anomalous``.  ``resolution_halfwidth`` is the
+    size of one grid cell at the threshold, V* (h - 1), the quantization
+    error of the reported value.
     """
 
     n: np.ndarray
@@ -271,6 +273,7 @@ class ThresholdCurve:
     resolution_halfwidth: np.ndarray
     anomalous: np.ndarray
     no_exercise: np.ndarray
+    ladder_bottom: np.ndarray
 
     @property
     def spot_t0(self) -> float:
@@ -287,17 +290,21 @@ def extract_thresholds(
     exercises with every higher row exercising too.  Exercise regions
     that are not up-sets are flagged as anomalous rather than silently
     repaired.  A column has no exercise region when nothing exercises
-    beyond the top row, which is always exercised before maturity.
+    beyond the top row, which is always exercised before maturity.  It
+    hits the ladder bottom when every row exercises that can: all but the
+    worthless bottom row before maturity, every row at maturity.
     """
     n_idx = np.arange(grid.n_steps + 1)
     t = n_idx * grid.dt
     h = grid.step_ratio
-    no_exercise = vg.exercise_depth <= 1
-    no_exercise[-1] = vg.exercise_depth[-1] == 0
+    depth = vg.exercise_depth
+    no_exercise = depth <= 1
+    no_exercise[-1] = depth[-1] == 0
+    ladder_bottom = depth == grid.n_rows - 1
+    ladder_bottom[-1] = depth[-1] == grid.n_rows
     disc = np.full(grid.n_steps + 1, np.nan)
-    usable = ~no_exercise
-    rows = np.clip(vg.exercise_depth - 1, 0, grid.n_rows - 1)
-    disc[usable] = grid.row_values[rows[usable]]
+    usable = ~(no_exercise | ladder_bottom)
+    disc[usable] = grid.row_values[depth[usable] - 1]
     spot = disc * np.exp(cal.r * t)
     return ThresholdCurve(
         n=n_idx,
@@ -308,6 +315,7 @@ def extract_thresholds(
         resolution_halfwidth=disc * (h - 1.0),
         anomalous=vg.anomalous.copy(),
         no_exercise=no_exercise,
+        ladder_bottom=ladder_bottom,
     )
 
 

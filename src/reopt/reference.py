@@ -1,15 +1,16 @@
 """Closed-form benchmarks the lattice must approach in limits.
 
-Three yardsticks:
+Two yardsticks computed here:
 
 * the perpetual complete-market investment threshold beta/(beta - 1) * I
   with beta the positive root of (sigma^2/2) b (b - 1) + (r - delta) b - r = 0
   (the textbook Dixit-Pindyck threshold),
-* the net-present-value threshold, simply the cost I, reached as risk
-  aversion grows without bound,
 * the risk-neutral-toward-idiosyncratic-risk limit (McDonald-Siegel
   style), obtained by running the lattice with the certainty equivalent
   replaced by its analytically evaluated gamma -> 0 linear limit.
+
+The third, the net-present-value threshold reached as risk aversion grows
+without bound, is the cost I itself and needs no function.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "PerpetualParams",
     "perpetual_beta",
     "perpetual_threshold",
-    "npv_threshold",
     "risk_neutral_idiosyncratic_limit",
 ]
 
@@ -79,13 +79,6 @@ def perpetual_threshold(p: PerpetualParams) -> float:
     """Perpetual investment threshold beta / (beta - 1) * cost."""
     beta = perpetual_beta(p.sigma, p.r, p.delta)
     return beta / (beta - 1.0) * p.cost
-
-
-def npv_threshold(cost: float) -> float:
-    """Threshold of the invest-when-positive-NPV rule: the cost itself."""
-    if not (math.isfinite(cost) and cost > 0.0):
-        raise ValueError("cost must be positive")
-    return cost
 
 
 def risk_neutral_idiosyncratic_limit(

@@ -3,17 +3,10 @@
 import math
 from dataclasses import replace
 
-import numpy as np
-
-from reopt import (
-    GridSpec,
-    LatticeCalibration,
-    MarketParams,
-    mu2_from_shortfall,
-)
+from reopt import LatticeCalibration, MarketParams, mu2_from_shortfall
 
 # Base parameter set used throughout the parameter studies.
-BASE = dict(mu1=0.115, sigma1=0.25, r=0.04, s0=1.0, v0=1.0)
+BASE = dict(mu1=0.115, sigma1=0.25, r=0.04, v0=1.0)
 BASE_SIGMA2 = 0.2
 BASE_DELTA = 0.04
 
@@ -37,18 +30,6 @@ def degenerate_complete_calibration(
         h=math.exp(sigma2 * math.sqrt(dt)),
         p1=p1, p2=0.0, p3=0.0, p4=1.0 - p1,
         dt=dt, r=r,
-    )
-
-
-def grid_from_ladder(v0: float, sigma2: float, dt: float, half_height: int, n_steps: int) -> GridSpec:
-    """Build a GridSpec directly, bypassing calibration feasibility."""
-    h = math.exp(sigma2 * math.sqrt(dt))
-    exponents = np.arange(half_height, -half_height - 1, -1, dtype=float)
-    return GridSpec(
-        n_steps=n_steps,
-        half_height=half_height,
-        dt=dt,
-        row_values=v0 * h**exponents,
     )
 
 

@@ -27,7 +27,7 @@ from reopt import (
 from reopt.cli import main as cli_main
 from reopt.experiments import parse_config, run_preset, run_single, run_sweep
 
-from conftest import base_market, degenerate_complete_calibration, grid_from_ladder, record_criterion
+from conftest import base_market, degenerate_complete_calibration, record_criterion
 from test_lattice import mpmath_reference_grid
 
 FIG4_TARGETS = {0.0: 1.1972, 0.99: 1.7507}
@@ -232,7 +232,7 @@ def test_criterion_06_monotonicity_suite():
 
 def test_criterion_07_gamma_free_in_degenerate_complete_lattice():
     cal = degenerate_complete_calibration(dt=0.02)
-    grid = grid_from_ladder(v0=1.0, sigma2=0.2, dt=0.02, half_height=60, n_steps=100)
+    grid = build_grid(base_market(rho=1.0), OptionSpec(cost=1.0, maturity=2.0, gamma=1.0), 0.02, 60)
     worst = 0.0
     for gamma in (0.03, 0.4, 7.0):
         lo = backward_induce(grid, cal, OptionSpec(cost=1.0, maturity=2.0, gamma=gamma)).values_t0

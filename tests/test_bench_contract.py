@@ -4,16 +4,19 @@ The tracer wraps functions by their module attribute, and the workloads
 swap ``reopt.cli.run_single`` and count ``reopt.experiments.parse_config``
 calls, so these names must exist and be looked up at call time.  The
 tracer also counts induction nodes from the grid passed as the first
-positional argument of ``backward_induce``.
+positional argument of ``backward_induce``.  The workloads and gates read
+result fields by name, build markets from six keywords and call the
+numeric oracle with ``x0`` by keyword.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import reopt.cli
 import reopt.experiments
 import reopt.lattice
-from reopt import GridSpec
+from reopt import GridSpec, MarketParams, PayoffPair, RunResult, UtilityParams, calibrate
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -74,3 +77,19 @@ def test_preset_sweep_calls_value_curve(tmp_path, monkeypatch):
     argv = ["sweep", "--preset", "fig4", "--dt", "0.05", "--out", str(tmp_path / "fig4.csv")]
     assert reopt.cli.main(argv) == reopt.cli.EXIT_OK
     assert "reopt.experiments.value_curve" in calls
+
+
+def test_run_result_has_the_fields_the_bench_reads():
+    names = {f.name for f in dataclasses.fields(RunResult)}
+    wanted = {"m", "n", "error", "option_value_v0", "threshold_spot_t0", "wall_ms"}
+    assert wanted <= names
+
+
+def test_oracle_claims_market_and_oracle_call():
+    # the six keywords of bench/workloads.py oracle_claims, and the oracle
+    # call of its workload and of bench/gates.py
+    market = MarketParams(mu1=0.1, sigma1=0.3, mu2=0.05, sigma2=0.2, rho=0.4, r=0.03)
+    cal = calibrate(market, 0.1)
+    pay, util = PayoffPair(0.5, -0.2), UtilityParams(1.0)
+    price = reopt.numeric_indifference_price(pay, cal, util, x0=1.5)
+    assert abs(price - reopt.g_value(pay, cal, util)) < 1e-7

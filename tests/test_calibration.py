@@ -89,7 +89,7 @@ def test_exact_moment_matching(mu1, sigma1, mu2, sigma2, rho, r, dt):
     assert abs(mean_s - math.exp((mu1 - r) * dt)) < 1e-14
     assert abs(mean_v - math.exp((mu2 - r) * dt)) < 1e-14
     assert abs(cov - rho * sigma1 * sigma2 * dt) < 1e-14
-    assert cal.is_strictly_feasible()
+    assert all(0.0 < p < 1.0 for p in cal.probabilities)
     assert abs(cal.probabilities.sum() - 1.0) < 5e-16
 
 
@@ -123,7 +123,7 @@ def test_feasible_near_perfect_correlation_with_small_step():
         for sign in (+1.0, -1.0):
             market = base_market(rho=sign * (1.0 - gap))
             cal = calibrate(market, dt=gap * gap)
-            assert cal.is_strictly_feasible()
+            assert all(0.0 < p < 1.0 for p in cal.probabilities)
 
 
 def test_infeasible_when_step_too_large():
@@ -145,7 +145,7 @@ def test_probability_slack_admits_marginal_calibrations():
     with pytest.raises(CalibrationInfeasible):
         calibrate(market, dt=1.0 / 300.0, p_tol=1e-6)
     cal = calibrate(market, dt=1.0 / 300.0, p_tol=1e-3)
-    assert not cal.is_strictly_feasible()
+    assert not all(0.0 < p < 1.0 for p in cal.probabilities)
     assert cal.p3 < 0.0 and cal.p3 > -1e-4
     # the signed solution still matches the moments exactly
     mean_s, mean_v, cov = four_state_moments(cal)

@@ -103,6 +103,10 @@ def test_malformed_json_is_config_error(tmp_path, config_file, capsys):
     doc = dict(BASE_DOC, option={"gamma": 1.0, "maturty": 2.0})
     assert main(["price", "--config", config_file(doc)]) == 2
     assert "option.maturty" in capsys.readouterr().err
+    # the traded asset enters only through its returns, so has no level
+    doc = dict(BASE_DOC, market={"s0": 7.5})
+    assert main(["price", "--config", config_file(doc)]) == 2
+    assert "market.s0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["price", "threshold", "validate"])
@@ -213,6 +217,28 @@ def test_unread_flags_are_rejected(config_file, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--config", config_file(BASE_DOC)])
     assert exc.value.code == 2
+
+
+def test_preset_and_config_are_rejected_together(config_file, capsys):
+    argv = ["sweep", "--preset", "fig4", "--config", config_file(BASE_DOC)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--preset" in err and "--config" in err
+
+
+@pytest.mark.parametrize("cost, threshold", [
+    (0.1, "nan"), (0.2, "nan"), (0.3, "nan"), (0.5, "0.726149037074"),
+])
+def test_exercise_at_the_ladder_bottom_is_flagged(config_file, capsys, cost, threshold):
+    doc = {
+        "project": {"rho": 0.5},
+        "option": {"gamma": 1.0, "maturity": 2.0, "cost": cost},
+        "grid": {"dt": 0.01},
+    }
+    assert main(["price", "--config", config_file(doc)]) == 0
+    out = capsys.readouterr().out
+    assert f"threshold_spot_t0 = {threshold}\n" in out
+    assert ("ladder_bottom_columns=" in out) == (threshold == "nan")
 
 
 def test_validate_calibrates_at_the_grid_step(config_file, capsys):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from reopt import calibration, experiments
+from reopt import build_grid, calibration, experiments
 from reopt.experiments import (
     ConfigError,
     SweepSpec,
@@ -40,7 +40,6 @@ def test_defaults_mirror_base_parameter_study():
     assert cfg.option.maturity == 10.0
     assert cfg.market.mu1 == 0.115
     assert cfg.market.sigma1 == 0.25
-    assert cfg.market.s0 == 1.0
     assert cfg.market.sigma2 == 0.2
     assert cfg.delta == 0.04
     assert cfg.market.mu2 == pytest.approx(0.03, abs=1e-15)
@@ -77,6 +76,9 @@ def test_invalid_json_and_unknown_sections():
         parse_config(json.dumps({"project": {"rho": 0.5}, "option": {"gamma": 1.0}, "market": []}))
     with pytest.raises(ConfigError, match="unknown field option.maturty"):
         parse_config(cfg_text(option={"maturty": 2.0}))
+    # the traded asset enters only through its returns, so has no level
+    with pytest.raises(ConfigError, match=r"unknown field market\.s0"):
+        parse_config(cfg_text(market={"s0": 1.0}))
     with pytest.raises(ConfigError, match="unknown field sweep.value"):
         parse_config(cfg_text(sweep={"name": "rho", "value": [0.1]}))
     with pytest.raises(ConfigError, match="sweep.range must be a JSON object"):
@@ -303,7 +305,7 @@ def test_single_row_sweep_roundtrip(tmp_path):
     # full-precision round trip, bit exact
     assert float(row["threshold_spot_t0"]) == results[0].threshold_spot_t0
     assert float(row["option_value_v0"]) == results[0].option_value_v0
-    assert float(row["dt"]) == results[0].dt
+    assert float(row["dt"]) == build_grid(sweep.base.market, sweep.base.option, 0.05).dt
     assert float(row["wall_ms"]) == results[0].wall_ms
     assert int(row["M"]) == results[0].m
     assert int(row["N"]) == results[0].n

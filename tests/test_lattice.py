@@ -22,7 +22,7 @@ from reopt import (
 from reopt.calibration import CalibrationInfeasible
 from reopt.lattice import _mask_summary
 
-from conftest import base_market, degenerate_complete_calibration, grid_from_ladder
+from conftest import base_market, degenerate_complete_calibration
 
 
 def induce(market, option, dt, m=None, **kw):
@@ -205,9 +205,9 @@ def test_value_dominance_and_monotonicity():
 
 def test_complete_market_values_do_not_depend_on_gamma():
     cal = degenerate_complete_calibration(dt=0.02)
-    grid = grid_from_ladder(v0=1.0, sigma2=0.2, dt=0.02, half_height=40, n_steps=50)
     option_lo = OptionSpec(cost=1.0, maturity=1.0, gamma=0.5)
     option_hi = OptionSpec(cost=1.0, maturity=1.0, gamma=5.0)
+    grid = build_grid(base_market(rho=1.0), option_lo, 0.02, 40)
     lo = backward_induce(grid, cal, option_lo).values_t0
     hi = backward_induce(grid, cal, option_hi).values_t0
     scale = np.maximum(np.abs(lo), 1e-30)
@@ -319,6 +319,21 @@ def test_grid_refinement_moves_threshold_less_than_one_coarse_cell():
     thr_f = extract_thresholds(vg_f, grid_f, cal_f, option).spot_t0
     coarse_cell = thr_c * (grid_c.step_ratio - 1.0)
     assert abs(thr_f - thr_c) < coarse_cell
+
+
+def test_exercise_reaching_the_ladder_bottom_has_no_threshold():
+    # every row but the worthless bottom one exercises on the default
+    # M = 60 ladder (every row at maturity), so no boundary shows
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=0.3, maturity=2.0, gamma=1.0)
+    curve = solve(market, option, build_grid(market, option, 0.01)).curve
+    assert curve.ladder_bottom.all()
+    assert np.isnan(curve.threshold_spot).all()
+    assert not curve.no_exercise.any()
+    # a taller ladder holds the boundary
+    tall = solve(market, option, build_grid(market, option, 0.01, 150)).curve
+    assert not tall.ladder_bottom.any()
+    assert np.isfinite(tall.threshold_spot).all()
 
 
 def test_value_curve_boundaries_and_pasting_slope():

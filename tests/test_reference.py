@@ -11,7 +11,6 @@ from reopt import (
     OptionSpec,
     PerpetualParams,
     build_grid,
-    npv_threshold,
     perpetual_beta,
     perpetual_threshold,
     risk_neutral_idiosyncratic_limit,
@@ -76,13 +75,6 @@ def test_perpetual_params_validation():
         PerpetualParams(sigma=0.2, r=0.04, delta=0.04, cost=0.0)
 
 
-def test_npv_threshold():
-    assert npv_threshold(1.0) == 1.0
-    assert npv_threshold(3.5) == 3.5
-    with pytest.raises(ValueError):
-        npv_threshold(0.0)
-
-
 # ---------------------------------------------------------------------------
 # risk-neutral idiosyncratic limit
 # ---------------------------------------------------------------------------
@@ -128,4 +120,5 @@ def test_npv_is_a_lower_bound_for_lattice_thresholds():
         grid = build_grid(market, option, dt)
         curve = solve(market, option, grid).curve
         cell = curve.spot_t0 * (grid.step_ratio - 1.0)
-        assert curve.spot_t0 > npv_threshold(option.cost) - cell
+        # the NPV rule's threshold is the cost itself
+        assert curve.spot_t0 > option.cost - cell
