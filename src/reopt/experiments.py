@@ -43,7 +43,6 @@ __all__ = [
     "SweepSpec",
     "RunResult",
     "parse_config",
-    "check_field",
     "config_hash",
     "run_single",
     "run_sweep",
@@ -51,10 +50,6 @@ __all__ = [
     "preset_names",
     "build_preset",
     "write_sweep_csv",
-    "read_sweep_csv",
-    "write_threshold_curve_csv",
-    "write_value_curve_csv",
-    "SWEEP_COLUMNS",
 ]
 
 BASE_DT = 1.0 / 900.0
@@ -176,6 +171,8 @@ class SweepSpec:
         values = tuple(
             check_field(self.name, v, f"sweep.values[{i}]") for i, v in enumerate(self.values)
         )
+        if len(set(values)) < len(values):
+            raise ConfigError(f"sweep.values must not repeat a value, got {list(values)!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
@@ -331,6 +328,9 @@ def parse_config(text: str) -> tuple[RunConfig, SweepSpec | None]:
 def config_hash(cfg: RunConfig, sweep: SweepSpec | None = None) -> str:
     """Stable hash of the fully resolved parameter set."""
     payload = cfg.as_dict()
+    if not cfg.delta_fixed:
+        # mu2 is held and delta derived from it, so delta is not an input
+        payload["project"]["delta"] = None
     if sweep is not None:
         payload["sweep"] = {
             "name": sweep.name,

@@ -6,12 +6,18 @@ calls, so these names must exist and be looked up at call time.  The
 tracer also counts induction nodes from the grid passed as the first
 positional argument of ``backward_induce``.  The workloads and gates read
 result fields by name, build markets from six keywords and call the
-numeric oracle with ``x0`` by keyword.
+numeric oracle with ``x0`` by keyword.  Pool workers of a traced sweep
+must reach the tracer's ``run_single`` wrapper, a closure that does not
+pickle.
 """
 
 import dataclasses
 import importlib.util
+import json
+import multiprocessing
 from pathlib import Path
+
+import pytest
 
 import reopt.cli
 import reopt.experiments
@@ -93,3 +99,31 @@ def test_oracle_claims_market_and_oracle_call():
     pay, util = PayoffPair(0.5, -0.2), UtilityParams(1.0)
     price = reopt.numeric_indifference_price(pay, cal, util, x0=1.5)
     assert abs(price - reopt.g_value(pay, cal, util)) < 1e-7
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the tracer's wrappers only when the pool forks",
+)
+def test_pool_sweep_reaches_a_patched_run_single(monkeypatch):
+    # the tracer swaps a closure into reopt.experiments.run_single; a pool
+    # cannot pickle it, so run_sweep must send a module-level function that
+    # looks run_single up in the worker
+    inner = reopt.experiments.run_single
+
+    def tagged(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        result.tag = "traced"
+        return result
+
+    monkeypatch.setattr(reopt.experiments, "run_single", tagged)
+    doc = {
+        "project": {"rho": 0.5},
+        "option": {"gamma": 1.0},
+        "grid": {"dt": 0.05},
+        "sweep": {"name": "gamma", "values": [1.0, 2.0]},
+    }
+    _, sweep = reopt.experiments.parse_config(json.dumps(doc))
+    results = reopt.experiments.run_sweep(sweep, workers=2)
+    assert [r.swept_value for r in results] == [1.0, 2.0]
+    assert [getattr(r, "tag", None) for r in results] == ["traced", "traced"]

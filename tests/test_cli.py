@@ -127,6 +127,8 @@ def test_bad_dt_override_is_config_error(config_file, capsys, command, dt):
     ({"name": "gamma", "range": {"start": 1.0, "stop": 2.0}}, "missing required fields: sweep.range.count"),
     ({"name": "gamma", "range": {"start": 1.0, "stop": 2.0, "count": 0}}, "sweep.range.count"),
     ({"values": [1.0]}, "missing required fields: sweep.name"),
+    ({"name": "gamma", "values": [1.0, 1.0, 2.0]}, "sweep.values"),
+    ({"name": "gamma", "range": {"start": 1.0, "stop": 1.0, "count": 2}}, "sweep.values"),
 ])
 def test_malformed_sweep_section_is_config_error(config_file, tmp_path, capsys, sweep, field):
     out = tmp_path / "sweep.csv"

@@ -276,6 +276,15 @@ def test_config_hash_depends_on_parameters():
     cfg_b, _ = parse_config(cfg_text(option={"gamma": 2.0}))
     assert config_hash(cfg_a) == config_hash(cfg_a)
     assert config_hash(cfg_a) != config_hash(cfg_b)
+    # the same resolved numbers, but one holds delta and the other mu2, so
+    # their sweeps run different points
+    project = {"rho": 0.5, "mu2": 0.06}
+    sweep = {"name": "rho", "values": [0.0, 0.9]}
+    held_mu2 = parse_config(cfg_text(project=project, grid={"dt": 0.05}, sweep=sweep))
+    project["delta"] = 0.010000000000000009
+    held_delta = parse_config(cfg_text(project=project, grid={"dt": 0.05}, sweep=sweep))
+    assert held_mu2[0].as_dict() == held_delta[0].as_dict()
+    assert config_hash(*held_mu2) != config_hash(*held_delta)
 
 
 # ---------------------------------------------------------------------------
