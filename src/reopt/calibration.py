@@ -89,7 +89,11 @@ class LatticeCalibration:
 
     ``d = 1/u``, ``l = 1/h`` and ``q = (1 - d) / (u - d)``, the
     risk-neutral up-probability of the traded asset, are derived from the
-    multipliers and stored once, at construction.  ``r`` is carried along
+    multipliers and stored once, at construction.  So are the constants
+    the certainty equivalent g reads at every lattice column:
+    ``log_up_mass = log(p1 + p2)``, ``log_down_mass = log(p3 + p4)``,
+    ``q_down = 1 - q`` and ``positive_weights``, whether all four
+    probabilities are strictly positive.  ``r`` is carried along
     so downstream consumers can convert between discounted and spot
     quantities without re-threading the market description.
 
@@ -113,6 +117,10 @@ class LatticeCalibration:
     d: float = field(init=False)
     l: float = field(init=False)
     q: float = field(init=False)
+    log_up_mass: float = field(init=False)
+    log_down_mass: float = field(init=False)
+    q_down: float = field(init=False)
+    positive_weights: bool = field(init=False)
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -131,9 +139,15 @@ class LatticeCalibration:
         if not math.isfinite(self.r):
             raise ValueError("r must be finite")
         d = 1.0 / self.u
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "l", 1.0 / self.h)
-        object.__setattr__(self, "q", (1.0 - d) / (self.u - d))
+        q = (1.0 - d) / (self.u - d)
+        derive = object.__setattr__
+        derive(self, "d", d)
+        derive(self, "l", 1.0 / self.h)
+        derive(self, "q", q)
+        derive(self, "log_up_mass", math.log(self.p1 + self.p2))
+        derive(self, "log_down_mass", math.log(self.p3 + self.p4))
+        derive(self, "q_down", 1.0 - q)
+        derive(self, "positive_weights", min(ps) > 0.0)
 
     @property
     def probabilities(self) -> np.ndarray:

@@ -22,6 +22,10 @@ one exponential exp(-gamma (x_h - x_l)) <= 1 and two logarithms.  Array
 inputs take that path; a column with any node x_h < x_l, a zero or signed
 weight, or scalar inputs take the general path.  Both paths perform the
 same operations in the same order, so they agree bit for bit.
+
+What is fixed per calibration is computed once, by the
+:class:`LatticeCalibration` itself, not once per column: log(p1 + p2),
+log(p3 + p4), 1 - q and whether all four weights are positive.
 """
 
 from __future__ import annotations
@@ -129,12 +133,12 @@ def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gam
     e *= cal.p3
     e += cal.p4
     np.log(e, out=e)
-    dn = np.subtract(math.log(cal.p3 + cal.p4), a_dn)
+    dn = np.subtract(cal.log_down_mass, a_dn)
     dn -= e
-    np.subtract(math.log(cal.p1 + cal.p2), a_dn, out=a_dn)
+    np.subtract(cal.log_up_mass, a_dn, out=a_dn)
     a_dn -= up
     a_dn *= cal.q
-    dn *= 1.0 - cal.q
+    dn *= cal.q_down
     a_dn += dn
     a_dn /= gamma
     return a_dn
@@ -155,7 +159,7 @@ def g_values(x_up, x_dn, cal: LatticeCalibration, gamma: float):
         raise ValueError("gamma must be positive and finite")
     x_up = np.asarray(x_up, dtype=float)
     x_dn = np.asarray(x_dn, dtype=float)
-    if x_up.ndim and x_up.shape == x_dn.shape and min(cal.p1, cal.p2, cal.p3, cal.p4) > 0.0:
+    if x_up.ndim and x_up.shape == x_dn.shape and cal.positive_weights:
         out = _g_monotone(x_up, x_dn, cal, gamma)
         if out is not None:
             return out
@@ -163,7 +167,7 @@ def g_values(x_up, x_dn, cal: LatticeCalibration, gamma: float):
     a_dn = -gamma * x_dn
     branch_up = _branch_contribution(cal.p1, cal.p2, a_up, a_dn)
     branch_dn = _branch_contribution(cal.p3, cal.p4, a_up, a_dn)
-    return (cal.q * branch_up + (1.0 - cal.q) * branch_dn) / gamma
+    return (cal.q * branch_up + cal.q_down * branch_dn) / gamma
 
 
 def g_value(pay: PayoffPair, cal: LatticeCalibration, util: UtilityParams) -> float:
@@ -184,7 +188,7 @@ def linear_limit_values(x_up, x_dn, cal: LatticeCalibration):
     x_dn = np.asarray(x_dn, dtype=float)
     up = (cal.p1 * x_up + cal.p2 * x_dn) / (cal.p1 + cal.p2)
     dn = (cal.p3 * x_up + cal.p4 * x_dn) / (cal.p3 + cal.p4)
-    return cal.q * up + (1.0 - cal.q) * dn
+    return cal.q * up + cal.q_down * dn
 
 
 def gamma_limits(pay: PayoffPair, cal: LatticeCalibration) -> tuple[float, float]:

@@ -203,6 +203,8 @@ def backward_induce(
     n_steps = grid.n_steps
     rows = grid.n_rows
     v = grid.row_values
+    if not np.all(v[1:] < v[:-1]):
+        raise ValueError("row values must be strictly decreasing")
     t = np.arange(n_steps + 1) * grid.dt
     strike = option.cost * np.exp((option.cost_growth - cal.r) * t)
     if v[0] - strike.max() < 0.0:
@@ -210,6 +212,9 @@ def backward_induce(
             "top boundary value is negative: half_height too small for the "
             "always-exercise boundary condition"
         )
+    # V falls down the ladder, so the rows in the money at column n, where
+    # V - K_n > 0, are exactly the first above[n] rows, those with V > K_n.
+    above = np.searchsorted(-v, -strike)
 
     depth = np.zeros(n_steps + 1, dtype=int)
     anomalous = np.zeros(n_steps + 1, dtype=bool)
@@ -222,27 +227,31 @@ def backward_induce(
     if keep_grid:
         all_values[:, n_steps] = col
 
-    # Work buffers for the interior columns: the exercise value, the
-    # column being filled (it alternates with ``col``) and the mask, whose
-    # top row always exercises and whose bottom row never does.
+    # Fixed per induction: the work buffers and their views.  ``ex`` holds
+    # the exercise value.  Two column buffers alternate as the column being
+    # filled; their bottom row is the worthless boundary, zeroed here once
+    # and never written.  The terminal column, whose bottom row may be in
+    # the money, is read from its own array.  The mask's top row always
+    # exercises and its bottom row never does.
     ex = np.empty(rows)
-    new = np.empty(rows)
+    ex_inner = ex[1:-1]
+    buffers = [(b, b[1:-1], b[:-2], b[2:]) for b in (np.zeros(rows), np.zeros(rows))]
+    up, dn = col[:-2], col[2:]
     mask = np.zeros(rows, dtype=bool)
     mask[0] = True
     exercised = mask[1:-1]
-    positive = np.empty(rows - 2, dtype=bool)
     for n in range(n_steps - 1, -1, -1):
-        cont = cont_of(col[:-2], col[2:])
+        col, inner, next_up, next_dn = buffers[n & 1]
+        cont = cont_of(up, dn)
+        k = above.item(n)
         np.subtract(v, strike[n], out=ex)
-        new[0] = ex[0]
-        new[-1] = 0.0
-        np.maximum(ex, 0.0, out=ex)
-        np.maximum(ex[1:-1], cont, out=new[1:-1])
-        np.greater_equal(ex[1:-1], cont, out=exercised)
-        np.greater(ex[1:-1], 0.0, out=positive)
-        exercised &= positive
+        col[0] = ex[0]
+        ex[k:] = 0.0  # (V - K_n)^+
+        np.maximum(ex_inner, cont, out=inner)
+        np.greater_equal(ex_inner, cont, out=exercised)
+        exercised[max(k - 1, 0):] = False  # exercise needs V - K_n > 0
         depth[n], anomalous[n] = _mask_summary(mask)
-        col, new = new, col
+        up, dn = next_up, next_dn
         if keep_grid:
             all_values[:, n] = col
 

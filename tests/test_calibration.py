@@ -1,6 +1,7 @@
 """Calibration: moment matching, feasibility, equilibrium relations."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,38 @@ def test_reciprocal_multipliers_and_probability_sum():
     assert abs(cal.u * cal.d - 1.0) < 1e-15
     assert abs(cal.h * cal.l - 1.0) < 1e-15
     assert abs(cal.probabilities.sum() - 1.0) < 5e-16
+
+
+def assert_derived_g_constants(cal):
+    assert cal.log_up_mass == math.log(cal.p1 + cal.p2)
+    assert cal.log_down_mass == math.log(cal.p3 + cal.p4)
+    assert cal.q_down == 1.0 - cal.q
+    assert cal.positive_weights is (min(cal.p1, cal.p2, cal.p3, cal.p4) > 0.0)
+
+
+def test_derived_g_constants_follow_their_definitions():
+    cal = calibrate(base_market(rho=0.5), dt=0.01)
+    assert_derived_g_constants(cal)
+    assert cal.positive_weights
+    # replace() re-derives them from the new probabilities and multipliers
+    moved = replace(cal, u=cal.u * 1.01, p1=cal.p1 + 0.01, p4=cal.p4 - 0.01)
+    assert_derived_g_constants(moved)
+    assert moved.log_up_mass != cal.log_up_mass and moved.q_down != cal.q_down
+    signed = calibrate(base_market(rho=0.99), dt=1.0 / 300.0, p_tol=1e-4)
+    assert_derived_g_constants(signed)
+    assert not signed.positive_weights
+    degenerate = replace(cal, p1=cal.p1 + cal.p2, p2=0.0)
+    assert_derived_g_constants(degenerate)
+    assert not degenerate.positive_weights
+    with pytest.raises(ValueError, match="init=False"):
+        replace(cal, q_down=0.5)
+
+
+def test_calibration_survives_a_pickle_round_trip():
+    cal = calibrate(base_market(rho=-0.3), dt=0.02)
+    back = pickle.loads(pickle.dumps(cal))
+    assert back == cal
+    assert_derived_g_constants(back)
 
 
 def test_zero_correlation_factorizes():

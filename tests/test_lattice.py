@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from reopt import (
+    GridSpec,
+    LatticeCalibration,
     OptionSpec,
     PayoffPair,
     UtilityParams,
@@ -16,6 +18,8 @@ from reopt import (
     choose_half_height,
     extract_thresholds,
     g_value,
+    g_values,
+    linear_limit_values,
     solve,
     value_curve,
 )
@@ -274,6 +278,169 @@ def test_recorded_exercise_summary_matches_the_grid(cost):
     summaries = [_mask_summary(masks[:, n]) for n in range(grid.n_steps + 1)]
     assert [d for d, _ in summaries] == vg.exercise_depth.tolist()
     assert [a for _, a in summaries] == vg.anomalous.tolist()
+
+
+def reference_column_loop(grid, cal, option, continuation):
+    """The column loop without the in-the-money cut-off, in plain numpy:
+    every column clamps the exercise value at 0 and tests each row for a
+    positive exercise value."""
+    if continuation == "utility":
+        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, option.gamma)
+    else:
+        cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
+    n_steps, rows, v = grid.n_steps, grid.n_rows, grid.row_values
+    t = np.arange(n_steps + 1) * grid.dt
+    strike = option.cost * np.exp((option.cost_growth - cal.r) * t)
+    values = np.empty((rows, n_steps + 1))
+    depth = np.zeros(n_steps + 1, dtype=int)
+    anomalous = np.zeros(n_steps + 1, dtype=bool)
+    payoff = v - strike[n_steps]
+    col = np.maximum(payoff, 0.0)
+    values[:, n_steps] = col
+    depth[n_steps], anomalous[n_steps] = _mask_summary(payoff > 0.0)
+    for n in range(n_steps - 1, -1, -1):
+        # contiguous columns: numpy's exp and log may round differently on
+        # strided input
+        cont = cont_of(col[:-2], col[2:])
+        ex = v - strike[n]
+        new = np.empty(rows)
+        new[0] = ex[0]
+        new[-1] = 0.0
+        ex = np.maximum(ex, 0.0)
+        new[1:-1] = np.maximum(ex[1:-1], cont)
+        mask = np.zeros(rows, dtype=bool)
+        mask[0] = True
+        mask[1:-1] = (ex[1:-1] >= cont) & (ex[1:-1] > 0.0)
+        depth[n], anomalous[n] = _mask_summary(mask)
+        values[:, n] = col = new
+    return values, depth, anomalous
+
+
+def _in_the_money_rows(grid, cal, option):
+    t = np.arange(grid.n_steps + 1) * grid.dt
+    strike = option.cost * np.exp((option.cost_growth - cal.r) * t)
+    return (grid.row_values[:, None] > strike[None, :]).sum(axis=0)
+
+
+def _case_growth(alpha):
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0, cost_growth=alpha)
+    grid = build_grid(market, option, 0.02)
+    cal = calibrate(market, grid.dt)
+    assert len(set(_in_the_money_rows(grid, cal, option).tolist())) > 3  # the cut-off moves
+    return grid, cal, option
+
+
+def _case_strike_on_a_row():
+    # cost_growth = r keeps K_n = cost, a ladder row: V - K is exactly 0 there
+    market = base_market(rho=0.5)
+    grid = build_grid(market, OptionSpec(cost=1.0, maturity=1.0, gamma=1.0), 0.02)
+    option = OptionSpec(cost=float(grid.row_values[grid.half_height - 4]), maturity=1.0,
+                        gamma=1.0, cost_growth=market.r)
+    assert (grid.row_values == option.cost).sum() == 1
+    return grid, calibrate(market, grid.dt), option
+
+
+def _case_strike_overtakes_the_rows():
+    # K_0 = cost = V0, a ladder row, and the strike rises faster than the
+    # rows are spaced, so the rows just above it are worthless one step on
+    # and g is exactly 0 at the row where V - K_0 is exactly 0
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=market.v0, maturity=0.2, gamma=1.0, cost_growth=1.0)
+    grid = build_grid(market, option, 0.1)
+    assert grid.row_values[grid.half_height] == option.cost
+    return grid, calibrate(market, grid.dt), option
+
+
+def _case_top_row_at_the_largest_strike():
+    # K_0 = cost = v[0], so no row is in the money at time 0, while the
+    # lower rows of column 1 are still exactly 0
+    market = base_market(rho=0.5)
+    grid = build_grid(market, OptionSpec(cost=1.0, maturity=0.5, gamma=1.0), 0.05, 20)
+    option = OptionSpec(cost=float(grid.row_values[0]), maturity=0.5, gamma=1.0)
+    cal = calibrate(market, grid.dt)
+    assert _in_the_money_rows(grid, cal, option)[0] == 0
+    return grid, cal, option
+
+
+def _case_cost_below_the_ladder():
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=0.1, maturity=2.0, gamma=1.0)
+    grid = build_grid(market, option, 0.02)
+    cal = calibrate(market, grid.dt)
+    assert (_in_the_money_rows(grid, cal, option) == grid.n_rows).all()
+    return grid, cal, option
+
+
+def _case_signed_weights():
+    market = base_market(rho=0.99)
+    option = OptionSpec(cost=1.0, maturity=0.5, gamma=2.0, cost_growth=0.1)
+    grid = build_grid(market, option, 1.0 / 300.0)
+    cal = calibrate(market, grid.dt, p_tol=1e-4)
+    assert min(cal.probabilities) < 0.0
+    return grid, cal, option
+
+
+def _case_signed_weights_below_zero():
+    # weights inside the container's slack that make g(x, 0) < 0 for x > 0,
+    # so only the clamp of the exercise value at 0 decides out-of-the-money
+    # rows
+    dt = 0.02
+    cal = LatticeCalibration(
+        u=math.exp(0.25 * math.sqrt(dt)), h=math.exp(0.2 * math.sqrt(dt)),
+        p1=-0.001, p2=0.011, p3=0.001, p4=0.989, dt=dt, r=0.04,
+    )
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
+    assert g_value(PayoffPair(1.0, 0.0), cal, UtilityParams(1.0)) < 0.0
+    return build_grid(base_market(rho=0.5), option, dt), cal, option
+
+
+def _case_degenerate_complete():
+    cal = degenerate_complete_calibration(dt=0.02)
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=3.0, cost_growth=-0.05)
+    return build_grid(base_market(rho=1.0), option, 0.02, 30), cal, option
+
+
+@pytest.mark.parametrize(
+    "case,continuation",
+    [
+        (lambda: _case_growth(0.1), "utility"),
+        (lambda: _case_growth(-0.05), "utility"),
+        (_case_strike_on_a_row, "utility"),
+        (_case_strike_overtakes_the_rows, "utility"),
+        (_case_top_row_at_the_largest_strike, "utility"),
+        (_case_cost_below_the_ladder, "utility"),
+        (lambda: _case_growth(0.1), "linear"),
+        (_case_cost_below_the_ladder, "linear"),
+        (_case_signed_weights, "utility"),
+        (_case_signed_weights_below_zero, "utility"),
+        (_case_degenerate_complete, "utility"),
+    ],
+    ids=[
+        "growth-above-r", "growth-below-r", "strike-on-a-row", "strike-overtakes-rows",
+        "top-row-at-strike", "cost-below-ladder", "linear", "linear-cost-below-ladder",
+        "signed-weights", "signed-weights-below-zero", "degenerate-complete",
+    ],
+)
+def test_induction_is_bit_identical_to_the_reference_column_loop(case, continuation):
+    grid, cal, option = case()
+    vg = backward_induce(grid, cal, option, keep_grid=True, continuation=continuation)
+    values, depth, anomalous = reference_column_loop(grid, cal, option, continuation)
+    assert np.array_equal(vg.values, values)
+    assert np.array_equal(vg.values_t0, values[:, 0])
+    assert np.array_equal(vg.exercise_depth, depth)
+    assert np.array_equal(vg.anomalous, anomalous)
+
+
+def test_induction_rejects_a_ladder_that_does_not_fall():
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
+    grid = build_grid(market, option, 0.1, 5)
+    rows = grid.row_values.copy()
+    rows[2], rows[3] = rows[3], rows[2]
+    bad = GridSpec(n_steps=grid.n_steps, half_height=5, dt=grid.dt, row_values=rows)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        backward_induce(bad, calibrate(market, grid.dt), option)
 
 
 # ---------------------------------------------------------------------------
