@@ -27,6 +27,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -149,8 +151,9 @@ class RunConfig:
 class SweepSpec:
     """One-parameter study around a resolved base configuration.
 
-    The only check of swept values and outputs, whether they come from a
-    config file or from code; both are stored as tuples.
+    The only check of swept values and outputs, from a config file or from
+    code.  Stored canonically, so every spelling of a run hashes alike:
+    values ascending; ``threshold_at_t0``, then any named curves, once each.
     """
 
     name: str
@@ -173,8 +176,9 @@ class SweepSpec:
         )
         if len(set(values)) < len(values):
             raise ConfigError(f"sweep.values must not repeat a value, got {list(values)!r}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        object.__setattr__(self, "values", tuple(sorted(values)))
+        named = (out for out in _OUTPUTS[1:] if out in self.outputs)
+        object.__setattr__(self, "outputs", (_OUTPUTS[0], *named))
 
 
 @dataclass
@@ -219,7 +223,7 @@ def check_field(key: str, value, path: str) -> float:
     if domain == "positive" and v <= 0.0:
         raise ConfigError(f"{path}: {key} must be positive, got {v}")
     if domain == "nonnegative" and v < 0.0:
-        raise ConfigError(f"{path} must be nonnegative")
+        raise ConfigError(f"{path}: {key} must be nonnegative, got {v}")
     return v
 
 
@@ -322,7 +326,7 @@ def parse_config(text: str) -> tuple[RunConfig, SweepSpec | None]:
             raise ConfigError("sweep.range.count must be a positive integer")
         start = _number(rng["start"], "sweep.range.start")
         values = np.linspace(start, _number(rng["stop"], "sweep.range.stop"), count).tolist()
-    return base, SweepSpec(sec["name"], values, base, sec.get("outputs", ("threshold_at_t0",)))
+    return base, SweepSpec(sec["name"], values, base, sec.get("outputs", ()))
 
 
 def config_hash(cfg: RunConfig, sweep: SweepSpec | None = None) -> str:
@@ -399,6 +403,18 @@ def _sweep_point(job: tuple[RunConfig, tuple[str, ...], str, float]) -> RunResul
     return run_single(*job)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool worker initializer: end the worker within ~0.2 s of its parent
+    process ``parent`` going away, e.g. a sweep killed by a signal, which
+    would otherwise leave the worker waiting for jobs that never come."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _lattice_nodes(cfg: RunConfig) -> int:
     grid = build_grid(cfg.market, cfg.option, cfg.dt)
     return grid.n_rows * (grid.n_steps + 1)
@@ -417,16 +433,14 @@ def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    jobs = [
-        (_point_config(spec, v), spec.outputs, spec.name, v)
-        for spec in specs
-        for v in sorted(spec.values)
-    ]
+    jobs = [(_point_config(s, v), s.outputs, s.name, v) for s in specs for v in s.values]
     workers = min(workers, len(jobs))
     if workers <= 1:
         return [_sweep_point(job) for job in jobs]
     largest_first = sorted(range(len(jobs)), key=lambda i: -_lattice_nodes(jobs[i][0]))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
+    ) as pool:
         done = list(pool.map(_sweep_point, [jobs[i] for i in largest_first]))
     return [res for _, res in sorted(zip(largest_first, done), key=lambda pair: pair[0])]
 
@@ -471,7 +485,7 @@ def build_preset(name: str, dt: float | None = None) -> list[SweepSpec]:
     for rho, gamma in bases:
         doc = {"project": {"rho": rho}, "option": {"gamma": gamma}, "grid": grid}
         base, _ = parse_config(json.dumps(doc))
-        specs.append(SweepSpec(swept, values, base, ("threshold_at_t0", *extra)))
+        specs.append(SweepSpec(swept, values, base, extra))
     return specs
 
 
@@ -489,8 +503,6 @@ def run_preset(name: str, workers: int = 1, dt: float | None = None) -> list[Run
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):

@@ -221,27 +221,28 @@ def backward_induce(
     all_values = np.empty((rows, n_steps + 1)) if keep_grid else None
 
     payoff = v - strike[n_steps]
-    col = np.maximum(payoff, 0.0)
+    terminal = np.maximum(payoff, 0.0)
     mask = payoff > 0.0
     depth[n_steps], anomalous[n_steps] = _mask_summary(mask)
     if keep_grid:
-        all_values[:, n_steps] = col
+        all_values[:, n_steps] = terminal
 
     # Fixed per induction: the work buffers and their views.  ``ex`` holds
-    # the exercise value.  Two column buffers alternate as the column being
-    # filled; their bottom row is the worthless boundary, zeroed here once
-    # and never written.  The terminal column, whose bottom row may be in
-    # the money, is read from its own array.  The mask's top row always
-    # exercises and its bottom row never does.
+    # the exercise value.  One column buffer is refilled at every column:
+    # g returns a new array, never a view of its inputs, so the previous
+    # column is read in full first.  Its bottom row, the worthless boundary,
+    # is zeroed once; the terminal column, whose bottom row may be in the
+    # money, keeps its own array.  The mask's top row always exercises, its
+    # bottom row never.
     ex = np.empty(rows)
     ex_inner = ex[1:-1]
-    buffers = [(b, b[1:-1], b[:-2], b[2:]) for b in (np.zeros(rows), np.zeros(rows))]
-    up, dn = col[:-2], col[2:]
+    col = np.zeros(rows)
+    inner, next_up, next_dn = col[1:-1], col[:-2], col[2:]
+    up, dn = terminal[:-2], terminal[2:]
     mask = np.zeros(rows, dtype=bool)
     mask[0] = True
     exercised = mask[1:-1]
     for n in range(n_steps - 1, -1, -1):
-        col, inner, next_up, next_dn = buffers[n & 1]
         cont = cont_of(up, dn)
         k = above.item(n)
         np.subtract(v, strike[n], out=ex)

@@ -205,6 +205,34 @@ def test_calibrate_rejects_bad_dt():
         calibrate(base_market(rho=0.0), dt=-0.5)
 
 
+def test_calibrate_rejects_negative_p_tol():
+    with pytest.raises(ValueError, match="p_tol must be nonnegative"):
+        calibrate(base_market(rho=0.0), dt=0.01, p_tol=-1e-6)
+
+
+def test_infeasible_when_project_branch_mass_leaves_the_unit_interval():
+    # the traded branch mass a is inside (0, 1), but a project drift this
+    # far above the rate puts exp((mu2 - r) dt) beyond h, so b > 1
+    market = MarketParams(mu1=0.115, sigma1=0.25, mu2=5.0, sigma2=0.2, rho=0.0, r=0.04)
+    with pytest.raises(CalibrationInfeasible, match="project branch mass b="):
+        calibrate(market, dt=1.0)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"dt": 0.0}, "dt must be positive and finite"),
+    ({"u": 1.0}, "u and h must be finite and greater than 1"),
+    ({"p1": math.nan}, "probabilities must be finite"),
+    ({"p1": 0.5, "p2": -0.1, "p3": 0.3, "p4": 0.3}, "outside the admissible range"),
+    ({"p1": 0.25, "p2": 0.25, "p3": 0.25, "p4": 0.2501}, "must sum to 1"),
+    ({"p1": 0.0, "p2": 0.0, "p3": 0.5, "p4": 0.5}, "each traded-asset branch needs positive mass"),
+    ({"r": math.inf}, "r must be finite"),
+])
+def test_calibration_container_rejects(changes, message):
+    cal = calibrate(base_market(rho=0.5), dt=0.01)
+    with pytest.raises(ValueError, match=message):
+        replace(cal, **changes)
+
+
 def test_moment_report_fields():
     market = base_market(rho=0.5)
     cal = calibrate(market, dt=0.01)

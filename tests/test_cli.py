@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from reopt.cli import main
+from reopt.cli import main, preset_hash
 from reopt.experiments import read_sweep_csv
 
 
@@ -83,6 +83,41 @@ def test_sweep_preset_fig4_emits_value_curves(tmp_path):
     assert (tmp_path / "fig4_value_rho=0.99.csv").exists()
 
 
+# preset hash at the default step and at dt = 0.02; a preset CSV's first
+# line, so a change here means a published run no longer names itself
+PRESET_HASHES = {
+    "fig1-left": (
+        "b593aa5755c3c675a8f51fdd628474f664a62284b19b2602d7ad87d5ccb49928",
+        "537f26cedeb94d8fc86fae1a0488fa262db5706145d17b266f19e0079a86fbe2",
+    ),
+    "fig1-right": (
+        "40465acbed764b5ea2f308f3760acc330218c93b3199d80e37ad8e05f8dc0332",
+        "c18911ff8db2c94406025940c7925ecd946a0e55c1b170e75dd388c78b97a15f",
+    ),
+    "fig2-left": (
+        "abb26bc87fe56fd13f8366b5b2f03eb21a51c420e401debfcb5136dba65e6318",
+        "ecf1f0f95d489c57e390cc6629eb83a029d7c427aeddef3381ab3d75c3669f64",
+    ),
+    "fig2-right": (
+        "70447fe0a49fb0de5a3a42d1c66fc7c80435cb735670077afcfef48efb05e477",
+        "ee03d747a6f4fe5fb134bb5d6a4d74d2dbe44e0ba8aafc572854bdcc77360c9b",
+    ),
+    "fig3": (
+        "3dceb80c46b9cfbfd5738a096c6190fb93c2ffc924aa4595f8d971c32c80f158",
+        "d9f3a06e7e747d1d40d33b719adb428a4c2a8cef7eee28cc8298d130c08f1747",
+    ),
+    "fig4": (
+        "b19cec3b2a66be6058ad4e26052780f1be5fdcf96e163ab0ce8b2cba61f6314b",
+        "72f42468afc08ee845dc7df0e86b68ec6257336ab91ff4ae784cd2a4388a5493",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_HASHES)
+def test_preset_hashes_are_pinned(name):
+    assert (preset_hash(name), preset_hash(name, 0.02)) == PRESET_HASHES[name]
+
+
 def test_sweep_requires_preset_or_sweep_section(config_file):
     assert main(["sweep", "--config", config_file(BASE_DOC)]) == 2
 
@@ -129,6 +164,7 @@ def test_bad_dt_override_is_config_error(config_file, capsys, command, dt):
     ({"values": [1.0]}, "missing required fields: sweep.name"),
     ({"name": "gamma", "values": [1.0, 1.0, 2.0]}, "sweep.values"),
     ({"name": "gamma", "range": {"start": 1.0, "stop": 1.0, "count": 2}}, "sweep.values"),
+    ({"name": "gamma", "values": [1.0], "outputs": ["spot_curve"]}, "sweep.outputs"),
 ])
 def test_malformed_sweep_section_is_config_error(config_file, tmp_path, capsys, sweep, field):
     out = tmp_path / "sweep.csv"
@@ -151,6 +187,42 @@ def test_domain_violation_is_config_error(config_file, capsys):
     doc = {"project": {"rho": 1.5}, "option": {"gamma": 1.0}}
     assert main(["price", "--config", config_file(doc)]) == 2
     assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[{"project": {"rho": 0.5}}]', "top-level config must be a JSON object"),
+    ('{"project": {"rho": "0.5"}, "option": {"gamma": 1.0}}', "project.rho must be a number"),
+    (
+        '{"project": {"rho": 0.5}, "option": {"gamma": 1.0}, "grid": {"p_tol": -1.0}}',
+        "grid.p_tol: p_tol must be nonnegative, got -1.0",
+    ),
+], ids=["top-level-array", "non-number", "negative-p_tol"])
+def test_malformed_value_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["price", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_price_without_config_is_config_error(capsys):
+    assert main(["price"]) == 2
+    assert "--config is required" in capsys.readouterr().err
+
+
+def test_dt_override_of_a_config_sweep_runs_that_step(config_file, tmp_path):
+    sweep = {"name": "gamma", "values": [2.0, 1.0]}
+    doc = {"project": {"rho": 0.5}, "option": {"gamma": 1.0, "maturity": 1.0}, "sweep": sweep}
+    overridden, written = tmp_path / "overridden.csv", tmp_path / "written.csv"
+    argv = ["sweep", "--config", config_file(doc, "a.json"), "--dt", "0.1", "--out"]
+    assert main(argv + [str(overridden)]) == 0
+    doc["grid"] = {"dt": 0.1}
+    assert main(["sweep", "--config", config_file(doc, "b.json"), "--out", str(written)]) == 0
+    (hash_a, rows_a), (hash_b, rows_b) = map(read_sweep_csv, (overridden, written))
+    assert hash_a == hash_b
+    for row in rows_a + rows_b:
+        del row["wall_ms"]
+    assert rows_a == rows_b
+    assert [row["N"] for row in rows_a] == ["10", "10"]
 
 
 def test_infeasible_calibration_exit_code(config_file, capsys):

@@ -2,7 +2,13 @@
 
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -196,7 +202,7 @@ def pools(monkeypatch):
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **pool_args):
             started.append(max_workers)
 
         def __enter__(self):
@@ -255,6 +261,66 @@ def test_workers_do_not_change_results():
         assert a.swept_value == b.swept_value
 
 
+def _stat(pid) -> list[str]:
+    """Fields of /proc/<pid>/stat after the command name (state first), or
+    [] once the process is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return []
+
+
+def _alive(pid) -> bool:
+    return _stat(pid)[:1] not in ([], ["Z"])
+
+
+def _children(pid: int) -> list[int]:
+    """Pids of the live processes whose parent is ``pid``."""
+    pids = (int(path.name) for path in Path("/proc").iterdir() if path.name.isdigit())
+    return [child for child in pids if _alive(child) and _stat(child)[1:2] == [str(pid)]]
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or multiprocessing.get_start_method() != "fork",
+    reason="reads /proc and relies on forked pool workers",
+)
+def test_killed_sweep_leaves_no_worker(tmp_path):
+    # four T = 40 points at the paper's step: seconds of work per worker,
+    # so the sweep is still running when it is killed
+    doc = {
+        "project": {"rho": 0.5},
+        "option": {"gamma": 1.0, "maturity": 40.0},
+        "sweep": {"name": "gamma", "values": [0.5, 1.0, 2.0, 5.0]},
+    }
+    config, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    config.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["sweep", "--config", str(config), "--workers", "2", "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reopt.cli", *argv], env=dict(os.environ, PYTHONPATH=path)
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == 2 and proc.poll() is None
+        deadline = time.monotonic() + 3.0
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+        assert not out.exists()
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_run_single_calibrates_once(monkeypatch):
     original = calibration.calibrate
     calls = []
@@ -285,6 +351,24 @@ def test_config_hash_depends_on_parameters():
     held_delta = parse_config(cfg_text(project=project, grid={"dt": 0.05}, sweep=sweep))
     assert held_mu2[0].as_dict() == held_delta[0].as_dict()
     assert config_hash(*held_mu2) != config_hash(*held_delta)
+
+    def sweep_hash(values, **outputs):
+        sweep = {"name": "gamma", "values": values, **outputs}
+        doc = cfg_text(option={"maturity": 1.0}, grid={"dt": 0.1}, sweep=sweep)
+        return config_hash(*parse_config(doc))
+
+    # spellings of one run share its hash: the order of the values, the
+    # order and repeats of the outputs, and listing the always-reported
+    # time-0 threshold or not
+    assert sweep_hash([1.0, 2.0]) == sweep_hash([2.0, 1.0])
+    assert sweep_hash([1.0, 2.0]) == sweep_hash([1.0, 2.0], outputs=["threshold_at_t0"])
+    assert sweep_hash([1.0, 2.0]) == sweep_hash([1.0, 2.0], outputs=[])
+    assert sweep_hash([1.0, 2.0], outputs=["value_curve", "value_curve", "threshold_curve"]) == (
+        sweep_hash([1.0, 2.0], outputs=["threshold_curve", "value_curve"])
+    )
+    # runs of different points, or with different curves, do not
+    assert sweep_hash([1.0, 2.0]) != sweep_hash([1.0, 3.0])
+    assert sweep_hash([1.0, 2.0]) != sweep_hash([1.0, 2.0], outputs=["value_curve"])
 
 
 # ---------------------------------------------------------------------------
