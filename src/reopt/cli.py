@@ -98,7 +98,7 @@ class _IOFailure(Exception):
     pass
 
 
-def _run_config(args, outputs=("threshold_at_t0",)) -> tuple[RunConfig, RunResult]:
+def _run_config(args, outputs=()) -> tuple[RunConfig, RunResult]:
     """Value the loaded configuration once.  A failed valuation raises
     CalibrationInfeasible with the recorded error, less the label of that
     type, which the exit message already gives."""
@@ -120,7 +120,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    cfg, res = _run_config(args, ("threshold_at_t0", "threshold_curve"))
+    cfg, res = _run_config(args, ("threshold_curve",))
     out = args.out or "threshold_curve.csv"
     _write(write_threshold_curve_csv, res.threshold_curve, out, config_hash(cfg))
     print(f"wrote {out}")

@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import threading
 import time
@@ -159,7 +160,7 @@ class SweepSpec:
     name: str
     values: tuple[float, ...]
     base: RunConfig
-    outputs: tuple[str, ...] = ("threshold_at_t0",)
+    outputs: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.name not in _SWEEPABLE:
@@ -367,7 +368,7 @@ def _point_config(spec: SweepSpec, value: float) -> RunConfig:
 
 def run_single(
     cfg: RunConfig,
-    outputs: tuple[str, ...] = ("threshold_at_t0",),
+    outputs: tuple[str, ...] = (),
     swept_name: str = "",
     swept_value: float = math.nan,
 ) -> RunResult:
@@ -403,13 +404,15 @@ def _sweep_point(job: tuple[RunConfig, tuple[str, ...], str, float]) -> RunResul
     return run_single(*job)
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool worker initializer: end the worker within ~0.2 s of its parent
-    process ``parent`` going away, e.g. a sweep killed by a signal, which
-    would otherwise leave the worker waiting for jobs that never come."""
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end the worker once the sweep process that
+    started it is gone (e.g. killed by a signal), not its OS parent, which
+    under "forkserver" is the fork server; it outlives the sweep while
+    workers remain.  Otherwise the worker waits for jobs that never come."""
+    sweep = multiprocessing.parent_process()
+
     def watch():
-        while os.getppid() == parent:
-            time.sleep(0.2)
+        sweep.join()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
@@ -438,9 +441,7 @@ def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
     if workers <= 1:
         return [_sweep_point(job) for job in jobs]
     largest_first = sorted(range(len(jobs)), key=lambda i: -_lattice_nodes(jobs[i][0]))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as pool:
         done = list(pool.map(_sweep_point, [jobs[i] for i in largest_first]))
     return [res for _, res in sorted(zip(largest_first, done), key=lambda pair: pair[0])]
 

@@ -256,9 +256,8 @@ def backward_induce(
         if keep_grid:
             all_values[:, n] = col
 
-    return ValueGrid(
-        values=all_values, values_t0=col, exercise_depth=depth, anomalous=anomalous
-    )
+    t0 = col if n_steps else terminal  # with no step, the payoff itself
+    return ValueGrid(values=all_values, values_t0=t0, exercise_depth=depth, anomalous=anomalous)
 
 
 @dataclass(frozen=True)

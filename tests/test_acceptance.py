@@ -34,7 +34,7 @@ FIG4_TARGETS = {0.0: 1.1972, 0.99: 1.7507}
 _fig4_cache: dict = {}
 
 
-def run_config(doc: dict, outputs=("threshold_at_t0",)):
+def run_config(doc: dict, outputs=()):
     cfg, _ = parse_config(json.dumps(doc))
     return run_single(cfg, outputs=outputs)
 
@@ -276,7 +276,7 @@ def test_criterion_09_smooth_pasting_slope():
             "option": {"gamma": gamma},
             "grid": {"dt": 1.0 / 900.0},
         },
-        outputs=("threshold_at_t0", "value_curve"),
+        outputs=("value_curve",),
     )
     assert not res.error
     v_spot = res.value_points[:, 0]

@@ -8,6 +8,8 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -261,6 +263,25 @@ def test_workers_do_not_change_results():
         assert a.swept_value == b.swept_value
 
 
+_START_METHODS = [
+    m for m in ("fork", "forkserver", "spawn") if m in multiprocessing.get_all_start_methods()
+]
+
+
+@pytest.mark.parametrize("method", _START_METHODS)
+def test_sweep_pool_runs_under_every_start_method(monkeypatch, method):
+    # the worker watchdog must not take the fork server for a lost parent
+    pool = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    _, sweep = parse_config(
+        cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [0.5, 1.0]})
+    )
+    par = run_sweep(sweep, workers=2)
+    seq = run_sweep(sweep, workers=1)
+    assert not any(r.error for r in par)
+    assert [r.option_value_v0 for r in par] == [r.option_value_v0 for r in seq]
+
+
 def _stat(pid) -> list[str]:
     """Fields of /proc/<pid>/stat after the command name (state first), or
     [] once the process is gone."""
@@ -274,17 +295,40 @@ def _alive(pid) -> bool:
     return _stat(pid)[:1] not in ([], ["Z"])
 
 
-def _children(pid: int) -> list[int]:
-    """Pids of the live processes whose parent is ``pid``."""
-    pids = (int(path.name) for path in Path("/proc").iterdir() if path.name.isdigit())
-    return [child for child in pids if _alive(child) and _stat(child)[1:2] == [str(pid)]]
+def _descendants(pid: int) -> list[int]:
+    """Pids of the live processes below ``pid``, at any depth."""
+    parent = {}
+    for path in Path("/proc").iterdir():
+        if path.name.isdigit() and _alive(path.name):
+            parent[int(path.name)] = int((_stat(path.name)[1:2] or ["0"])[0])
+    found, todo = [], [pid]
+    while todo:
+        top = todo.pop()
+        below = [child for child, up in parent.items() if up == top]
+        found += below
+        todo += below
+    return found
 
 
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or multiprocessing.get_start_method() != "fork",
-    reason="reads /proc and relies on forked pool workers",
-)
-def test_killed_sweep_leaves_no_worker(tmp_path):
+def _pool_workers(pid: int) -> list[int]:
+    """The live pool workers below ``pid``: the descendants with no child
+    of their own, less multiprocessing's resource tracker (a fork server
+    has the workers below it)."""
+    tree = _descendants(pid)
+
+    def is_worker(p):
+        try:
+            cmdline = Path(f"/proc/{p}/cmdline").read_bytes()
+        except OSError:
+            return False
+        return b"resource_tracker" not in cmdline and not _descendants(p)
+
+    return [p for p in tree if is_worker(p)]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("method", _START_METHODS)
+def test_killed_sweep_leaves_no_worker(tmp_path, method):
     # four T = 40 points at the paper's step: seconds of work per worker,
     # so the sweep is still running when it is killed
     doc = {
@@ -297,15 +341,20 @@ def test_killed_sweep_leaves_no_worker(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = ["sweep", "--config", str(config), "--workers", "2", "--out", str(out)]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "reopt.cli", *argv], env=dict(os.environ, PYTHONPATH=path)
+    cli = (
+        "import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]); "
+        "from reopt.cli import main; sys.exit(main(sys.argv[2:]))"
     )
-    workers = []
+    proc = subprocess.Popen(
+        [sys.executable, "-c", cli, method, *argv], env=dict(os.environ, PYTHONPATH=path)
+    )
+    workers, started = [], []
     try:
         deadline = time.monotonic() + 60.0
         while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.05)
-            workers = _children(proc.pid)
+            workers = _pool_workers(proc.pid)
+        started = _descendants(proc.pid)
         assert len(workers) == 2 and proc.poll() is None
         deadline = time.monotonic() + 3.0
         proc.send_signal(signal.SIGTERM)
@@ -317,7 +366,7 @@ def test_killed_sweep_leaves_no_worker(tmp_path):
     finally:
         proc.kill()
         proc.wait(timeout=10)
-        for pid in filter(_alive, workers):
+        for pid in filter(_alive, started + workers):
             os.kill(pid, signal.SIGKILL)
 
 
@@ -422,7 +471,7 @@ def test_error_rows_serialize_with_empty_values(tmp_path):
 
 def test_curve_csv_writers(tmp_path):
     cfg, _ = parse_config(cfg_text(grid={"dt": 0.1}, option={"maturity": 1.0}))
-    res = run_single(cfg, outputs=("threshold_at_t0", "threshold_curve", "value_curve"))
+    res = run_single(cfg, outputs=("threshold_curve", "value_curve"))
     tpath = tmp_path / "curve.csv"
     write_threshold_curve_csv(res.threshold_curve, tpath, "00")
     lines = tpath.read_text().splitlines()

@@ -443,6 +443,18 @@ def test_induction_rejects_a_ladder_that_does_not_fall():
         backward_induce(bad, calibrate(market, grid.dt), option)
 
 
+def test_induction_without_steps_values_the_payoff():
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
+    grid = build_grid(market, option, 0.1, 5)
+    at_maturity = GridSpec(n_steps=0, half_height=5, dt=grid.dt, row_values=grid.row_values)
+    vg = backward_induce(at_maturity, calibrate(market, grid.dt), option, keep_grid=True)
+    payoff = np.maximum(grid.row_values - option.cost, 0.0)
+    assert payoff[0] > 0.0 and payoff[-1] == 0.0
+    np.testing.assert_array_equal(vg.values_t0, payoff)
+    np.testing.assert_array_equal(vg.values[:, 0], payoff)
+
+
 # ---------------------------------------------------------------------------
 # thresholds and value curves
 # ---------------------------------------------------------------------------
