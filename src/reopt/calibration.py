@@ -183,7 +183,7 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
-    if p_tol < 0.0:
+    if not p_tol >= 0.0:  # also NaN, which would fail every probability check
         raise ValueError("p_tol must be nonnegative")
 
     sq = math.sqrt(dt)

@@ -110,7 +110,7 @@ def _branch_contribution(w_hi: float, w_lo: float, a_hi, a_lo):
     return out
 
 
-def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gamma: float):
+def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gamma):
     """g on arrays with every exponent a_up <= a_dn and all weights positive,
     or None if some node has a_up > a_dn.
 
@@ -144,18 +144,24 @@ def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gam
     return a_dn
 
 
-def g_values(x_up, x_dn, cal: LatticeCalibration, gamma: float):
+def g_values(x_up, x_dn, cal: LatticeCalibration, gamma):
     """Vectorized certainty-equivalent operator.
 
     ``x_up`` and ``x_dn`` are the payoffs in the project-up and
-    project-down states (arrays of equal shape, or scalars).  This is the
+    project-down states (arrays of equal shape, or scalars).  ``gamma`` is
+    a scalar, or an array that broadcasts against them: a (K, 1) column
+    values K lattices' rows, one risk aversion each, in one call.  This is the
     hot path of the lattice recursion: equal-shape arrays that never
     decrease from the down to the up state, under positive weights, take
     the single-exponential :func:`_g_monotone`; anything else takes the
     general shifted log-sum-exp path, with the same result bit for bit
     where both apply.
     """
-    if gamma <= 0.0 or not math.isfinite(gamma):
+    try:
+        valid = 0.0 < gamma < math.inf  # also rejects NaN
+    except ValueError:  # several gammas have no single truth value
+        valid = 0.0 < gamma.min() <= gamma.max() < math.inf
+    if not valid:
         raise ValueError("gamma must be positive and finite")
     x_up = np.asarray(x_up, dtype=float)
     x_dn = np.asarray(x_dn, dtype=float)

@@ -21,7 +21,8 @@ only in reporting helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "extract_thresholds",
     "Solution",
     "solve",
+    "solve_gammas",
     "value_curve",
 ]
 
@@ -155,6 +157,9 @@ class ValueGrid:
     count as exercise) and is strictly positive; the latter keeps the
     worthless bottom boundary, where 0 ties with 0, out of the exercise
     region.
+
+    An induction of K risk aversions at once (``backward_induce``'s
+    ``gammas``) puts a leading axis of length K on every array.
     """
 
     values: np.ndarray | None
@@ -179,6 +184,7 @@ def backward_induce(
     option: OptionSpec,
     keep_grid: bool = False,
     continuation: str = "utility",
+    gammas: Sequence[float] | None = None,
 ) -> ValueGrid:
     """Fill the grid from maturity backwards and record exercise decisions.
 
@@ -187,14 +193,28 @@ def backward_induce(
     analytically evaluated gamma -> 0 limit (used for the risk-neutral
     benchmark, where a vanishing gamma would be numerically fragile).
 
+    ``gammas``, a sequence of K risk aversions, takes the place of
+    ``option.gamma``: neither the grid nor the calibration depends on
+    gamma, so the K lattices are induced together on (K, 2M+1) columns,
+    one numpy call doing K lattices' work.  Every array of the returned
+    grid then gains a leading axis of length K, one row per gamma, and
+    each row is bit for bit the single lattice at that gamma.
+
     Time columns are processed sequentially (hard data dependency); rows
     within a column are vectorized.  The whole routine is pure, so
     independent inductions may run in parallel.
     """
     if abs(cal.dt - grid.dt) > 1e-12 * max(1.0, grid.dt):
         raise ValueError("calibration and grid use different time steps")
+    if gammas is None:
+        gamma, lattices = option.gamma, ()
+    elif continuation != "utility":
+        raise ValueError("gammas need the utility continuation")
+    else:
+        gamma = np.array(gammas, dtype=float).reshape(-1, 1)  # a row per lattice
+        lattices = (len(gamma),)
     if continuation == "utility":
-        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, option.gamma)
+        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, gamma)
     elif continuation == "linear":
         cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
     else:
@@ -216,48 +236,57 @@ def backward_induce(
     # V - K_n > 0, are exactly the first above[n] rows, those with V > K_n.
     above = np.searchsorted(-v, -strike)
 
-    depth = np.zeros(n_steps + 1, dtype=int)
-    anomalous = np.zeros(n_steps + 1, dtype=bool)
-    all_values = np.empty((rows, n_steps + 1)) if keep_grid else None
+    depth = np.zeros(lattices + (n_steps + 1,), dtype=int)
+    anomalous = np.zeros(lattices + (n_steps + 1,), dtype=bool)
+    all_values = np.empty(lattices + (rows, n_steps + 1)) if keep_grid else None
 
+    # The terminal column is the payoff, the same for every gamma.
     payoff = v - strike[n_steps]
-    terminal = np.maximum(payoff, 0.0)
-    mask = payoff > 0.0
-    depth[n_steps], anomalous[n_steps] = _mask_summary(mask)
+    terminal = np.broadcast_to(np.maximum(payoff, 0.0), lattices + (rows,))
+    depth[..., n_steps], anomalous[..., n_steps] = _mask_summary(payoff > 0.0)
     if keep_grid:
-        all_values[:, n_steps] = terminal
+        all_values[..., n_steps] = terminal
 
     # Fixed per induction: the work buffers and their views.  ``ex`` holds
-    # the exercise value.  One column buffer is refilled at every column:
-    # g returns a new array, never a view of its inputs, so the previous
-    # column is read in full first.  Its bottom row, the worthless boundary,
-    # is zeroed once; the terminal column, whose bottom row may be in the
-    # money, keeps its own array.  The mask's top row always exercises, its
-    # bottom row never.
+    # the exercise value, which no gamma changes.  One column buffer, a row
+    # per lattice, is refilled at every column: g returns a new array, never
+    # a view of its inputs, so the previous column is read in full first.
+    # Its bottom row, the worthless boundary, is zeroed once; the terminal
+    # column, whose bottom row may be in the money, keeps its own array.
+    # The mask's top row always exercises, its bottom row never.  Each
+    # lattice's row of the buffers stays contiguous, so g's exp and log
+    # round as they do for one lattice alone.
     ex = np.empty(rows)
     ex_inner = ex[1:-1]
-    col = np.zeros(rows)
-    inner, next_up, next_dn = col[1:-1], col[:-2], col[2:]
-    up, dn = terminal[:-2], terminal[2:]
-    mask = np.zeros(rows, dtype=bool)
-    mask[0] = True
-    exercised = mask[1:-1]
+    col = np.zeros(lattices + (rows,))
+    inner, next_up, next_dn = col[..., 1:-1], col[..., :-2], col[..., 2:]
+    up, dn = terminal[..., :-2], terminal[..., 2:]
+    mask = np.zeros(lattices + (rows,), dtype=bool)
+    mask[..., 0] = True
+    exercised = mask[..., 1:-1]
+    # The transposes index the ladder first for any K, as cheaply as 1-D.
+    col_by_row, exercised_by_row = col.T, exercised.T
     for n in range(n_steps - 1, -1, -1):
         cont = cont_of(up, dn)
         k = above.item(n)
         np.subtract(v, strike[n], out=ex)
-        col[0] = ex[0]
+        col_by_row[0] = ex[0]
         ex[k:] = 0.0  # (V - K_n)^+
         np.maximum(ex_inner, cont, out=inner)
         np.greater_equal(ex_inner, cont, out=exercised)
-        exercised[max(k - 1, 0):] = False  # exercise needs V - K_n > 0
-        depth[n], anomalous[n] = _mask_summary(mask)
+        exercised_by_row[max(k - 1, 0):] = False  # exercise needs V - K_n > 0
+        if lattices:
+            for j in range(lattices[0]):
+                depth[j, n], anomalous[j, n] = _mask_summary(mask[j])
+        else:
+            depth[n], anomalous[n] = _mask_summary(mask)
         up, dn = next_up, next_dn
         if keep_grid:
-            all_values[:, n] = col
+            all_values[..., n] = col
 
-    t0 = col if n_steps else terminal  # with no step, the payoff itself
-    return ValueGrid(values=all_values, values_t0=t0, exercise_depth=depth, anomalous=anomalous)
+    if not n_steps:  # with no step, the payoff itself
+        col[...] = terminal
+    return ValueGrid(values=all_values, values_t0=col, exercise_depth=depth, anomalous=anomalous)
 
 
 @dataclass(frozen=True)
@@ -354,6 +383,34 @@ def solve(
     cal = calibrate(market, grid.dt, p_tol)
     values = backward_induce(grid, cal, option, continuation=continuation)
     return Solution(grid, cal, values, extract_thresholds(values, grid, cal, option))
+
+
+def solve_gammas(
+    market: MarketParams,
+    option: OptionSpec,
+    grid: GridSpec,
+    gammas: Sequence[float],
+    p_tol: float = 0.0,
+) -> Iterator[Solution]:
+    """:func:`solve` at each of the risk aversions ``gammas``, which take
+    the place of ``option.gamma``, with one calibration and one induction
+    for them all (see :func:`backward_induce`), both run by this call.
+    Yields one Solution per gamma, in order, each equal to what
+    :func:`solve` gives at that gamma; each threshold curve is read off
+    only when its Solution is taken, so the curves need not all be held
+    at once."""
+    cal = calibrate(market, grid.dt, p_tol)
+    stacked = backward_induce(grid, cal, option, gammas=gammas)
+
+    def solutions():
+        for k, gamma in enumerate(gammas):
+            values = ValueGrid(
+                None, stacked.values_t0[k], stacked.exercise_depth[k], stacked.anomalous[k]
+            )
+            curve = extract_thresholds(values, grid, cal, replace(option, gamma=gamma))
+            yield Solution(grid, cal, values, curve)
+
+    return solutions()
 
 
 def value_curve(vg: ValueGrid, grid: GridSpec, option: OptionSpec) -> np.ndarray:

@@ -17,6 +17,7 @@ import dataclasses
 import importlib.util
 import json
 import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -146,9 +147,55 @@ def test_pool_sweep_reaches_a_patched_run_single(monkeypatch):
         "project": {"rho": 0.5},
         "option": {"gamma": 1.0},
         "grid": {"dt": 0.05},
-        "sweep": {"name": "gamma", "values": [1.0, 2.0]},
+        "sweep": {"name": "maturity", "values": [1.0, 2.0]},
     }
     _, sweep = reopt.experiments.parse_config(json.dumps(doc))
     results = reopt.experiments.run_sweep(sweep, workers=2)
     assert [r.swept_value for r in results] == [1.0, 2.0]
     assert [getattr(r, "tag", None) for r in results] == ["traced", "traced"]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the patched functions only when the pool forks",
+)
+def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch):
+    # two gamma sweeps, two stacked jobs on two workers: every point still
+    # passes through run_single in its worker, and the one induction of
+    # each stack calls g once per column on all K lattices' interior rows
+    sizes = []
+    inner_g = reopt.lattice.g_values
+
+    def recording_g(*args, **kwargs):
+        sizes.append(np.size(args[0]))
+        return inner_g(*args, **kwargs)
+
+    inner = reopt.experiments.run_single
+
+    def tagged(*args, **kwargs):
+        sizes.clear()
+        result = inner(*args, **kwargs)
+        result.tag = "traced"
+        result.g_sizes = list(sizes)
+        result.pid = os.getpid()
+        return result
+
+    monkeypatch.setattr(reopt.lattice, "g_values", recording_g)
+    monkeypatch.setattr(reopt.experiments, "run_single", tagged)
+    specs = []
+    for rho in (0.0, 0.5):
+        doc = {
+            "project": {"rho": rho},
+            "option": {"gamma": 1.0, "maturity": 1.0},
+            "grid": {"dt": 0.05},
+            "sweep": {"name": "gamma", "values": [1.0, 2.0, 5.0]},
+        }
+        specs.append(reopt.experiments.parse_config(json.dumps(doc))[1])
+    results = reopt.experiments.run_sweep(*specs, workers=2)
+    assert [r.swept_value for r in results] == [1.0, 2.0, 5.0] * 2
+    assert [getattr(r, "tag", None) for r in results] == ["traced"] * 6
+    assert os.getpid() not in {r.pid for r in results}
+    for first, *rest in (results[:3], results[3:]):
+        # the first point of a stack runs the shared induction
+        assert first.n == 20 and first.g_sizes == [3 * (2 * first.m - 1)] * 20
+        assert all(r.g_sizes == [] for r in rest)

@@ -210,6 +210,16 @@ def test_calibrate_rejects_negative_p_tol():
         calibrate(base_market(rho=0.0), dt=0.01, p_tol=-1e-6)
 
 
+def test_calibrate_rejects_nan_p_tol():
+    # a NaN slack used to fail every probability check, so a feasible
+    # calibration was reported infeasible ("p1=0.246747 outside (0, 1)")
+    market = base_market(rho=0.0)
+    assert calibrate(market, dt=0.01).positive_weights
+    with pytest.raises(ValueError, match="p_tol must be nonnegative") as err:
+        calibrate(market, dt=0.01, p_tol=math.nan)
+    assert not isinstance(err.value, CalibrationInfeasible)
+
+
 def test_infeasible_when_project_branch_mass_leaves_the_unit_interval():
     # the traded branch mass a is inside (0, 1), but a project drift this
     # far above the rate puts exp((mu2 - r) dt) beyond h, so b > 1

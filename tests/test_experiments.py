@@ -1,5 +1,6 @@
 """Config parsing, sweeps, presets, CSV persistence."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -12,9 +13,10 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from reopt import build_grid, calibration, experiments
+from reopt import build_grid, calibration, experiments, lattice
 from reopt.experiments import (
     ConfigError,
     SweepSpec,
@@ -221,10 +223,11 @@ def pools(monkeypatch):
 
 
 def test_sweep_pool_is_bounded_by_point_count(pools):
-    _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 0.5]}))
+    # a maturity sweep: each point has its own lattice, so its own job
+    _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "maturity", "values": [1.0, 0.5]}))
     assert [r.swept_value for r in run_sweep(sweep, workers=64)] == [0.5, 1.0]
     assert pools == [2]
-    run_sweep(SweepSpec("gamma", (1.0,), sweep.base), workers=64)
+    run_sweep(SweepSpec("maturity", (1.0,), sweep.base), workers=64)
     assert pools == [2]
 
 
@@ -263,6 +266,122 @@ def test_workers_do_not_change_results():
         assert a.swept_value == b.swept_value
 
 
+def _same_result(a, b) -> bool:
+    """Equal in every field but ``wall_ms``, curves compared element-wise."""
+    fa, fb = dict(vars(a)), dict(vars(b))
+    for name in ("threshold_curve", "value_points"):
+        x, y = fa.pop(name), fb.pop(name)
+        if (x is None) != (y is None):
+            return False
+        if isinstance(x, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x is not None:
+            for field in dataclasses.fields(x):
+                u, v = getattr(x, field.name), getattr(y, field.name)
+                if not np.array_equal(u, v, equal_nan=u.dtype.kind == "f"):
+                    return False
+    fa.pop("wall_ms"), fb.pop("wall_ms")
+    nan_or_equal = lambda x, y: x == y or (x != x and y != y)
+    return fa.keys() == fb.keys() and all(nan_or_equal(fa[k], fb[k]) for k in fa)
+
+
+def _separate_runs(*specs):
+    """Each point of the specs on its own, without sharing an induction."""
+    return [
+        run_single(experiments._point_config(s, v), s.outputs, s.name, v)
+        for s in specs for v in s.values
+    ]
+
+
+@pytest.fixture
+def inductions(monkeypatch):
+    """Count the inductions that ``solve`` and ``solve_gammas`` run."""
+    calls = []
+    inner = lattice.backward_induce
+
+    def counting(*args, **kwargs):
+        gammas = kwargs.get("gammas")
+        calls.append(None if gammas is None else tuple(gammas))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "backward_induce", counting)
+    return calls
+
+
+def test_gamma_points_share_one_induction(inductions):
+    _, sweep = parse_config(cfg_text(
+        grid={"dt": 0.05},
+        sweep={"name": "gamma", "values": [0.01, 0.1, 1.0, 10.0, 100.0],
+               "outputs": ["threshold_curve", "value_curve"]},
+    ))
+    stacked = run_sweep(sweep)
+    assert inductions == [(0.01, 0.1, 1.0, 10.0, 100.0)]
+    separate = _separate_runs(sweep)
+    assert len(inductions) == 6
+    assert [r.swept_value for r in stacked] == list(sweep.values)
+    assert all(_same_result(a, b) for a, b in zip(stacked, separate))
+    assert len({r.option_value_v0 for r in stacked}) == 5
+
+
+def test_one_induction_per_base_config(inductions):
+    # fig1-right: 7 gammas at each of 3 correlations
+    assert len(run_preset("fig1-right", dt=0.1)) == 21
+    assert inductions == [(0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)] * 3
+    inductions.clear()
+    run_preset("fig3", dt=0.1)  # gamma varies with rho, so no point shares
+    assert inductions == [None] * 18
+
+
+def test_gamma_stack_is_the_same_on_any_worker_count():
+    # acceptance criterion 11 on the stacked preset, and equal to the
+    # points run one by one
+    specs = build_preset("fig1-right", dt=0.1)
+    one = run_sweep(*specs, workers=1)
+    two = run_sweep(*specs, workers=2)
+    separate = _separate_runs(*specs)
+    assert all(_same_result(a, b) for a, b in zip(one, two))
+    assert all(_same_result(a, b) for a, b in zip(one, separate))
+    assert [r.swept_value for r in two] == [r.swept_value for r in separate]
+
+
+def test_gamma_stack_shares_its_wall_time():
+    _, sweep = parse_config(cfg_text(
+        grid={"dt": 0.02}, sweep={"name": "gamma", "values": [0.5, 1.0, 2.0, 5.0]},
+    ))
+    start = time.perf_counter()
+    results = run_sweep(sweep)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    walls = [r.wall_ms for r in results]
+    assert all(0.0 < w < elapsed_ms for w in walls)
+    assert sum(walls) <= elapsed_ms
+    # the first point ran the shared induction, but is charged a quarter of it
+    assert walls[0] < 2.0 * min(walls[1:]) + 1.0
+
+
+def test_gamma_stack_errors_match_separate_runs(monkeypatch):
+    # an infeasible calibration fails every point, as it does one by one
+    _, sweep = parse_config(json.dumps({
+        "project": {"rho": 0.99},
+        "option": {"gamma": 1.0},
+        "grid": {"dt": 0.01},
+        "sweep": {"name": "gamma", "values": [1.0, 2.0]},
+    }))
+    results = run_sweep(sweep)
+    assert all("CalibrationInfeasible" in r.error for r in results)
+    assert all(_same_result(a, b) for a, b in zip(results, _separate_runs(sweep)))
+
+    # a stacked solve that fails leaves each point to solve on its own
+    def failing(*args, **kwargs):
+        raise ValueError("certainty equivalent undefined at one gamma")
+
+    monkeypatch.setattr(experiments, "solve_gammas", failing)
+    _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 2.0]}))
+    results = run_sweep(sweep)
+    assert not any(r.error for r in results)
+    assert all(_same_result(a, b) for a, b in zip(results, _separate_runs(sweep)))
+
+
 _START_METHODS = [
     m for m in ("fork", "forkserver", "spawn") if m in multiprocessing.get_all_start_methods()
 ]
@@ -274,7 +393,7 @@ def test_sweep_pool_runs_under_every_start_method(monkeypatch, method):
     pool = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
     _, sweep = parse_config(
-        cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [0.5, 1.0]})
+        cfg_text(grid={"dt": 0.05}, sweep={"name": "maturity", "values": [0.5, 1.0]})
     )
     par = run_sweep(sweep, workers=2)
     seq = run_sweep(sweep, workers=1)
@@ -329,12 +448,12 @@ def _pool_workers(pid: int) -> list[int]:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
 @pytest.mark.parametrize("method", _START_METHODS)
 def test_killed_sweep_leaves_no_worker(tmp_path, method):
-    # four T = 40 points at the paper's step: seconds of work per worker,
-    # so the sweep is still running when it is killed
+    # four T = 40 points at the paper's step, each its own lattice: seconds
+    # of work per worker, so the sweep is still running when it is killed
     doc = {
         "project": {"rho": 0.5},
         "option": {"gamma": 1.0, "maturity": 40.0},
-        "sweep": {"name": "gamma", "values": [0.5, 1.0, 2.0, 5.0]},
+        "sweep": {"name": "rho", "values": [0.2, 0.4, 0.6, 0.8]},
     }
     config, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
     config.write_text(json.dumps(doc))

@@ -1,5 +1,6 @@
 """Grid construction, backward induction, thresholds, value curves."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -21,6 +22,7 @@ from reopt import (
     g_values,
     linear_limit_values,
     solve,
+    solve_gammas,
     value_curve,
 )
 from reopt.calibration import CalibrationInfeasible
@@ -395,6 +397,18 @@ def _case_signed_weights_below_zero():
     return build_grid(base_market(rho=0.5), option, dt), cal, option
 
 
+def _case_anomalous():
+    # a strike that outgrows the project: exercise regions that are not
+    # up-sets, in a different number of columns at each gamma
+    dt = 0.02
+    cal = LatticeCalibration(
+        u=math.exp(0.25 * math.sqrt(dt)), h=math.exp(0.2 * math.sqrt(dt)),
+        p1=0.2, p2=0.12, p3=0.38, p4=0.3, dt=dt, r=0.0,
+    )
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0, cost_growth=0.33)
+    return build_grid(base_market(rho=0.5), option, dt, 30), cal, option
+
+
 def _case_degenerate_complete():
     cal = degenerate_complete_calibration(dt=0.02)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=3.0, cost_growth=-0.05)
@@ -453,6 +467,79 @@ def test_induction_without_steps_values_the_payoff():
     assert payoff[0] > 0.0 and payoff[-1] == 0.0
     np.testing.assert_array_equal(vg.values_t0, payoff)
     np.testing.assert_array_equal(vg.values[:, 0], payoff)
+
+
+GAMMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _case_growth(0.1),
+        lambda: _case_growth(-0.05),
+        _case_strike_on_a_row,
+        _case_strike_overtakes_the_rows,
+        _case_top_row_at_the_largest_strike,
+        _case_cost_below_the_ladder,
+        _case_signed_weights,
+        _case_signed_weights_below_zero,
+        _case_degenerate_complete,
+        _case_anomalous,
+    ],
+    ids=[
+        "growth-above-r", "growth-below-r", "strike-on-a-row", "strike-overtakes-rows",
+        "top-row-at-strike", "cost-below-ladder", "signed-weights",
+        "signed-weights-below-zero", "degenerate-complete", "anomalous",
+    ],
+)
+def test_stacked_gammas_match_separate_inductions(case):
+    # one induction over (K, 2M+1) columns is K inductions, bit for bit
+    grid, cal, option = case()
+    stacked = backward_induce(grid, cal, option, keep_grid=True, gammas=GAMMAS)
+    assert stacked.values.shape == (len(GAMMAS), grid.n_rows, grid.n_steps + 1)
+    if case is _case_anomalous:
+        assert stacked.anomalous.sum(axis=1).tolist() == [5, 7, 27, 0, 0]
+    for k, gamma in enumerate(GAMMAS):
+        alone = backward_induce(grid, cal, dataclasses.replace(option, gamma=gamma), keep_grid=True)
+        assert np.array_equal(stacked.values[k], alone.values)
+        assert np.array_equal(stacked.values_t0[k], alone.values_t0)
+        assert np.array_equal(stacked.exercise_depth[k], alone.exercise_depth)
+        assert np.array_equal(stacked.anomalous[k], alone.anomalous)
+
+
+@pytest.mark.parametrize(
+    "rho,cost_growth,dt,p_tol",
+    [(0.5, 0.0, 0.02, 0.0), (0.0, 0.06, 0.02, 0.0), (0.99, 0.1, 1.0 / 300.0, 1e-4)],
+    ids=["base", "growth-above-r", "signed-weights"],
+)
+def test_solve_gammas_matches_solve_at_each_gamma(rho, cost_growth, dt, p_tol):
+    market = base_market(rho=rho)
+    option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0, cost_growth=cost_growth)
+    grid = build_grid(market, option, dt)
+    stacked = list(solve_gammas(market, option, grid, GAMMAS, p_tol))
+    assert len(stacked) == len(GAMMAS)
+    assert len({float(sol.values.values_t0[grid.half_height]) for sol in stacked}) == len(GAMMAS)
+    for sol, gamma in zip(stacked, GAMMAS):
+        alone = solve(market, dataclasses.replace(option, gamma=gamma), grid, p_tol)
+        assert sol.cal == alone.cal
+        assert np.array_equal(sol.values.values_t0, alone.values.values_t0)
+        assert np.array_equal(sol.values.exercise_depth, alone.values.exercise_depth)
+        assert np.array_equal(sol.values.anomalous, alone.values.anomalous)
+        for field in dataclasses.fields(sol.curve):
+            a, b = getattr(sol.curve, field.name), getattr(alone.curve, field.name)
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field.name
+
+
+def test_stacked_gammas_are_checked():
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
+    grid = build_grid(market, option, 0.1, 5)
+    cal = calibrate(market, grid.dt)
+    with pytest.raises(ValueError, match="utility continuation"):
+        backward_induce(grid, cal, option, continuation="linear", gammas=(1.0, 2.0))
+    for gammas in ((1.0, 0.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            backward_induce(grid, cal, option, gammas=gammas)
 
 
 # ---------------------------------------------------------------------------
