@@ -31,7 +31,6 @@ import multiprocessing
 import os
 import threading
 import time
-from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any
@@ -196,8 +195,8 @@ class SweepSpec:
 class RunResult:
     """Outcome of one valuation: the resolved configuration it ran, and
     the half height ``m`` and step count ``n`` of its grid.  ``wall_ms`` is
-    the time spent on it; points that shared one induction each carry an
-    equal share of that induction's time."""
+    the time spent on it; the K points of a gamma sweep, solved as one
+    job, each carry 1/K of that job's time."""
 
     swept_name: str
     swept_value: float
@@ -379,39 +378,26 @@ def _point_config(spec: SweepSpec, value: float) -> RunConfig:
 
 
 class _GammaStack:
-    """The points of a sweep that differ only in gamma, so share one grid and
-    one calibration: solved together, in one induction, when the first of
-    them asks, and handed out one per point in the order of ``gammas``.
-
-    Each point is charged its 1/K share of the stacked solve, so the
-    ``wall_ms`` of a stack adds up to its real time.  If the stacked solve
-    fails (a signed-weight g can fail at some gammas only), every point
-    solves on its own and so gets its own result or error.
+    """The points of a gamma sweep, which share one grid and one
+    calibration: solved together, in one induction, when the first of them
+    asks, and handed out one per point in swept order.  If the stacked
+    solve fails (a signed-weight g can fail at some gammas only), every
+    point solves on its own and so gets its own result or error.
     """
 
-    def __init__(self, gammas: list[float]):
+    def __init__(self, gammas: tuple[float, ...]):
         self.gammas = gammas
-        self.solutions: Iterator[Solution | None] | None = None
-        self.share_ms = 0.0
-        self.unbilled_ms = 0.0
+        self.solutions: list[Solution] | None = None
 
     def solve(self, cfg: RunConfig, grid: GridSpec) -> Solution:
         if self.solutions is None:
-            start = time.perf_counter()
             try:
                 self.solutions = solve_gammas(cfg.market, cfg.option, grid, self.gammas, cfg.p_tol)
             except ValueError:
-                self.solutions = iter([None] * len(self.gammas))
-            self.unbilled_ms = (time.perf_counter() - start) * 1e3
-            self.share_ms = self.unbilled_ms / len(self.gammas)
-        sol = next(self.solutions)
-        return sol if sol is not None else solve(cfg.market, cfg.option, grid, cfg.p_tol)
-
-    def charge_ms(self) -> float:
-        """What the point just served adds to its own time: its share of
-        the stacked solve, less the solve itself if it ran it."""
-        charge, self.unbilled_ms = self.share_ms - self.unbilled_ms, 0.0
-        return charge
+                self.solutions = []
+        if self.solutions:
+            return self.solutions.pop(0)
+        return solve(cfg.market, cfg.option, grid, cfg.p_tol)
 
 
 def run_single(
@@ -422,8 +408,8 @@ def run_single(
     stack: _GammaStack | None = None,
 ) -> RunResult:
     """Build, solve and summarize one lattice; errors become result rows.
-    ``stack`` is set by :func:`run_sweep` when the point shares one
-    induction with the other gammas of its sweep."""
+    ``stack`` is set by :func:`run_sweep` when the point is one of the
+    gammas of a gamma sweep, which share one induction."""
     start = time.perf_counter()
     grid = build_grid(cfg.market, cfg.option, cfg.dt)
     result = RunResult(swept_name, swept_value, cfg, m=grid.half_height, n=grid.n_steps)
@@ -438,8 +424,6 @@ def run_single(
         return result
     finally:
         result.wall_ms = (time.perf_counter() - start) * 1e3
-        if stack is not None:
-            result.wall_ms += stack.charge_ms()
     curve = sol.curve
     result.threshold_spot_t0 = curve.spot_t0
     result.option_value_v0 = float(sol.values.values_t0[grid.half_height])
@@ -460,8 +444,16 @@ _Point = tuple[RunConfig, tuple[str, ...], str, float]
 
 
 def _sweep_job(job: tuple[list[_Point], _GammaStack | None]) -> list[RunResult]:
+    """Run a job's points; the K points of a stack each carry 1/K of the
+    job's time, so a job's rows add up to its real time."""
     points, stack = job
-    return [run_single(*point, stack=stack) for point in points]
+    start = time.perf_counter()
+    results = [run_single(*point, stack=stack) for point in points]
+    if stack is not None:
+        each_ms = (time.perf_counter() - start) * 1e3 / len(results)
+        for result in results:
+            result.wall_ms = each_ms
+    return results
 
 
 def _exit_with_parent() -> None:
@@ -483,49 +475,37 @@ def _lattice_nodes(cfg: RunConfig) -> int:
     return grid.n_rows * (grid.n_steps + 1)
 
 
-def _groups(points: list[_Point]) -> list[list[int]]:
-    """Indices of the points whose configs differ at most in gamma, group
-    by group in order of first appearance."""
-    groups: dict[RunConfig, list[int]] = {}
-    for i, (cfg, *_) in enumerate(points):
-        groups.setdefault(replace(cfg, option=replace(cfg.option, gamma=1.0)), []).append(i)
-    return list(groups.values())
-
-
 def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
     """Run every swept value of every spec; per-point failures become
     error rows.
 
-    Points whose configs differ only in gamma share a grid and a
-    calibration, so each such group is one job, solved in one induction;
-    every other point is a job of its own.  With ``workers > 1`` the jobs
-    of all specs execute on one process pool of at most one worker per
-    job, submitted largest first so that no long job starts last.  Results
-    come back spec by spec, each ordered by swept value, regardless of
+    The points of a ``gamma`` sweep of more than one value share a grid and
+    a calibration, so they are one job, solved in one induction; every
+    other point is a job of its own.  With ``workers > 1`` the jobs of all
+    specs execute on one process pool of at most one worker per job,
+    submitted largest first so that no long job starts last.  Results come
+    back spec by spec, each ordered by swept value, regardless of
     scheduling, and the numbers are identical for any worker count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    points = [(_point_config(s, v), s.outputs, s.name, v) for s in specs for v in s.values]
-    groups = _groups(points)
     jobs = []
-    for idx in groups:
-        stack = _GammaStack([points[i][0].option.gamma for i in idx]) if len(idx) > 1 else None
-        jobs.append(([points[i] for i in idx], stack))
-    order = list(range(len(jobs)))
+    for s in specs:
+        points = [(_point_config(s, v), s.outputs, s.name, v) for v in s.values]
+        if s.name == "gamma" and len(points) > 1:
+            jobs.append((points, _GammaStack(s.values)))
+        else:
+            jobs.extend(([point], None) for point in points)
     workers = min(workers, len(jobs))
     if workers <= 1:
         done = [_sweep_job(job) for job in jobs]
     else:
-        size = [_lattice_nodes(points[idx[0]][0]) * len(idx) for idx in groups]
-        order.sort(key=lambda j: -size[j])
+        size = [_lattice_nodes(points[0][0]) * len(points) for points, _ in jobs]
+        order = sorted(range(len(jobs)), key=lambda j: -size[j])
         with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as pool:
-            done = list(pool.map(_sweep_job, [jobs[j] for j in order]))
-    results = [None] * len(points)
-    for j, job_results in zip(order, done):
-        for i, res in zip(groups[j], job_results):
-            results[i] = res
-    return results
+            by_job = dict(zip(order, pool.map(_sweep_job, [jobs[j] for j in order])))
+        done = [by_job[j] for j in range(len(jobs))]
+    return [result for job_results in done for result in job_results]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ only in reporting helpers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,6 +210,8 @@ def backward_induce(
         gamma, lattices = option.gamma, ()
     elif continuation != "utility":
         raise ValueError("gammas need the utility continuation")
+    elif not len(gammas):
+        raise ValueError("gammas must hold at least one risk aversion")
     else:
         gamma = np.array(gammas, dtype=float).reshape(-1, 1)  # a row per lattice
         lattices = (len(gamma),)
@@ -359,10 +361,9 @@ def extract_thresholds(
 
 @dataclass(frozen=True)
 class Solution:
-    """One valuation: the grid, its calibration, the induced values and
+    """One valuation on a grid: its calibration, the induced values and
     the threshold curve read off them."""
 
-    grid: GridSpec
     cal: LatticeCalibration
     values: ValueGrid
     curve: ThresholdCurve
@@ -382,7 +383,7 @@ def solve(
     """
     cal = calibrate(market, grid.dt, p_tol)
     values = backward_induce(grid, cal, option, continuation=continuation)
-    return Solution(grid, cal, values, extract_thresholds(values, grid, cal, option))
+    return Solution(cal, values, extract_thresholds(values, grid, cal, option))
 
 
 def solve_gammas(
@@ -391,26 +392,18 @@ def solve_gammas(
     grid: GridSpec,
     gammas: Sequence[float],
     p_tol: float = 0.0,
-) -> Iterator[Solution]:
+) -> list[Solution]:
     """:func:`solve` at each of the risk aversions ``gammas``, which take
     the place of ``option.gamma``, with one calibration and one induction
-    for them all (see :func:`backward_induce`), both run by this call.
-    Yields one Solution per gamma, in order, each equal to what
-    :func:`solve` gives at that gamma; each threshold curve is read off
-    only when its Solution is taken, so the curves need not all be held
-    at once."""
+    for them all (see :func:`backward_induce`).  Returns one Solution per
+    gamma, in order, each equal to what :func:`solve` gives at that gamma."""
     cal = calibrate(market, grid.dt, p_tol)
     stacked = backward_induce(grid, cal, option, gammas=gammas)
-
-    def solutions():
-        for k, gamma in enumerate(gammas):
-            values = ValueGrid(
-                None, stacked.values_t0[k], stacked.exercise_depth[k], stacked.anomalous[k]
-            )
-            curve = extract_thresholds(values, grid, cal, replace(option, gamma=gamma))
-            yield Solution(grid, cal, values, curve)
-
-    return solutions()
+    solutions = []
+    for lattice in zip(stacked.values_t0, stacked.exercise_depth, stacked.anomalous):
+        values = ValueGrid(None, *lattice)
+        solutions.append(Solution(cal, values, extract_thresholds(values, grid, cal, option)))
+    return solutions
 
 
 def value_curve(vg: ValueGrid, grid: GridSpec, option: OptionSpec) -> np.ndarray:

@@ -537,9 +537,16 @@ def test_stacked_gammas_are_checked():
     cal = calibrate(market, grid.dt)
     with pytest.raises(ValueError, match="utility continuation"):
         backward_induce(grid, cal, option, continuation="linear", gammas=(1.0, 2.0))
-    for gammas in ((1.0, 0.0), (1.0, math.nan), (math.inf, 1.0)):
-        with pytest.raises(ValueError, match="gamma must be positive"):
+    for gammas, match in (
+        ((), "gammas must hold"),
+        ((1.0, 0.0), "gamma must be positive"),
+        ((1.0, math.nan), "gamma must be positive"),
+        ((math.inf, 1.0), "gamma must be positive"),
+    ):
+        with pytest.raises(ValueError, match=match):
             backward_induce(grid, cal, option, gammas=gammas)
+    with pytest.raises(ValueError, match="gammas must hold"):
+        solve_gammas(market, option, grid, [])
 
 
 # ---------------------------------------------------------------------------
