@@ -164,7 +164,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg, _ = _load_config(args)
-    grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    try:
+        grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    except ValueError as exc:
+        raise CalibrationInfeasible(f"ValueError: {exc}") from exc
     cal = calibrate(cfg.market, grid.dt, cfg.p_tol)
     print(moment_report_text(cal, cfg.market))
     return EXIT_OK

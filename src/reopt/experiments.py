@@ -194,15 +194,16 @@ class SweepSpec:
 @dataclass
 class RunResult:
     """Outcome of one valuation: the resolved configuration it ran, and
-    the half height ``m`` and step count ``n`` of its grid.  ``wall_ms`` is
-    the time spent on it; the K points of a gamma sweep, solved as one
-    job, each carry 1/K of that job's time."""
+    the half height ``m`` and step count ``n`` of its grid (NaN when the
+    grid could not be laid out).  ``wall_ms`` is the time spent on it; the
+    K points of a gamma sweep, solved as one job, each carry 1/K of that
+    job's time."""
 
     swept_name: str
     swept_value: float
     config: RunConfig
-    m: int
-    n: int
+    m: int | float = math.nan
+    n: int | float = math.nan
     threshold_spot_t0: float = math.nan
     option_value_v0: float = math.nan
     anomaly_flags: str = ""
@@ -411,9 +412,10 @@ def run_single(
     ``stack`` is set by :func:`run_sweep` when the point is one of the
     gammas of a gamma sweep, which share one induction."""
     start = time.perf_counter()
-    grid = build_grid(cfg.market, cfg.option, cfg.dt)
-    result = RunResult(swept_name, swept_value, cfg, m=grid.half_height, n=grid.n_steps)
+    result = RunResult(swept_name, swept_value, cfg)
     try:
+        grid = build_grid(cfg.market, cfg.option, cfg.dt)
+        result.m, result.n = grid.half_height, grid.n_steps
         if stack is None:
             sol = solve(cfg.market, cfg.option, grid, cfg.p_tol)
         else:
@@ -471,7 +473,10 @@ def _exit_with_parent() -> None:
 
 
 def _lattice_nodes(cfg: RunConfig) -> int:
-    grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    try:
+        grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    except ValueError:  # the point is an error row, quickly
+        return 0
     return grid.n_rows * (grid.n_steps + 1)
 
 

@@ -44,6 +44,8 @@ __all__ = [
     "value_curve",
 ]
 
+_MAX_AXIS = 10**9  # most time steps, or rows above V0: a 10**9-row column takes 8 GB
+
 
 @dataclass(frozen=True)
 class OptionSpec:
@@ -107,8 +109,11 @@ def choose_half_height(market: MarketParams, option: OptionSpec, dt: float) -> i
     spread = 4.0 * market.sigma2 * math.sqrt(option.maturity)
     growth = max(0.0, option.cost_growth - market.r) * option.maturity
     strike = max(0.0, math.log(option.cost / market.v0) + growth)
-    m = math.ceil((drift + spread + strike) / (market.sigma2 * math.sqrt(dt)))
-    return max(m, 1)
+    cell = max(market.sigma2 * math.sqrt(dt), math.ulp(0.0))  # > 0 even if it underflows
+    m = (drift + spread + strike) / cell
+    if not m <= _MAX_AXIS:
+        raise ValueError(f"the ladder needs M = {m:.3g} rows above V0, over {_MAX_AXIS:.0e}")
+    return max(math.ceil(m), 1)
 
 
 def build_grid(
@@ -123,10 +128,14 @@ def build_grid(
     the half height M comes from :func:`choose_half_height` at that step
     unless ``half_height`` pins it.  Calibration feasibility is checked
     later, by :func:`solve`, so an infeasible grid still reports its size.
+    A grid too large to lay out raises ValueError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
-    n_steps = max(1, round(option.maturity / dt))
+    n_steps = option.maturity / dt
+    if not n_steps <= _MAX_AXIS:
+        raise ValueError(f"the grid needs N = {n_steps:.3g} time steps, over {_MAX_AXIS:.0e}")
+    n_steps = max(1, round(n_steps))
     step = option.maturity / n_steps
     if half_height is None:
         half_height = choose_half_height(market, option, step)
@@ -142,11 +151,9 @@ def build_grid(
 class ValueGrid:
     """Result of the backward induction.
 
-    ``values_t0`` is the time-0 column.  ``values`` is the full (2M+1, N+1)
-    grid when the induction ran with ``keep_grid=True`` and None otherwise
-    (the induction needs just two adjacent columns, and sweeps multiply
-    memory).  Per-column exercise summaries are always recorded so
-    thresholds can be extracted in either mode:
+    ``values_t0`` is the time-0 column; the induction keeps just two
+    adjacent columns, never the full grid.  Per-column exercise summaries
+    are recorded so thresholds can be extracted:
 
     ``exercise_depth[n]``  number of consecutive exercised rows from the top;
     ``anomalous[n]``       an exercised node exists below that run, i.e. the
@@ -156,33 +163,22 @@ class ValueGrid:
     A node exercises where the exercise value attains the maximum (ties
     count as exercise) and is strictly positive; the latter keeps the
     worthless bottom boundary, where 0 ties with 0, out of the exercise
-    region.
+    region.  At maturity the exercised rows are those in the money, a
+    run from the top, so the last column is never anomalous.
 
     An induction of K risk aversions at once (``backward_induce``'s
     ``gammas``) puts a leading axis of length K on every array.
     """
 
-    values: np.ndarray | None
     values_t0: np.ndarray
     exercise_depth: np.ndarray
     anomalous: np.ndarray
-
-
-def _mask_summary(mask: np.ndarray) -> tuple[int, bool]:
-    """(exercise depth, anomalous) of one column's exercise mask: the
-    length of the run of True from the top, and whether a True follows
-    the first False."""
-    depth = int(mask.argmin())
-    if mask[depth]:
-        return len(mask), False
-    return depth, bool(np.count_nonzero(mask[depth:]))
 
 
 def backward_induce(
     grid: GridSpec,
     cal: LatticeCalibration,
     option: OptionSpec,
-    keep_grid: bool = False,
     continuation: str = "utility",
     gammas: Sequence[float] | None = None,
 ) -> ValueGrid:
@@ -192,10 +188,12 @@ def backward_induce(
     is the exponential-utility g at ``option.gamma``; "linear" is its
     analytically evaluated gamma -> 0 limit (used for the risk-neutral
     benchmark, where a vanishing gamma would be numerically fragile).
+    Either is called once per column, through this module's global, on
+    views of the rows of the column one step later.
 
-    ``gammas``, a sequence of K risk aversions, takes the place of
-    ``option.gamma``: neither the grid nor the calibration depends on
-    gamma, so the K lattices are induced together on (K, 2M+1) columns,
+    ``gammas``, a non-empty 1-D sequence of K risk aversions, takes the
+    place of ``option.gamma``: neither the grid nor the calibration depends
+    on gamma, so the K lattices are induced together on (K, 2M+1) columns,
     one numpy call doing K lattices' work.  Every array of the returned
     grid then gains a leading axis of length K, one row per gamma, and
     each row is bit for bit the single lattice at that gamma.
@@ -210,11 +208,11 @@ def backward_induce(
         gamma, lattices = option.gamma, ()
     elif continuation != "utility":
         raise ValueError("gammas need the utility continuation")
-    elif not len(gammas):
-        raise ValueError("gammas must hold at least one risk aversion")
     else:
-        gamma = np.array(gammas, dtype=float).reshape(-1, 1)  # a row per lattice
-        lattices = (len(gamma),)
+        gamma = np.array(gammas, dtype=float)
+        if gamma.ndim != 1 or not gamma.size:
+            raise ValueError(f"gammas must hold a non-empty 1-D list of risk aversions: {gammas}")
+        gamma, lattices = gamma.reshape(-1, 1), gamma.shape  # a row per lattice
     if continuation == "utility":
         cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, gamma)
     elif continuation == "linear":
@@ -222,9 +220,7 @@ def backward_induce(
     else:
         raise ValueError(f"unknown continuation operator {continuation!r}")
 
-    n_steps = grid.n_steps
-    rows = grid.n_rows
-    v = grid.row_values
+    n_steps, rows, v = grid.n_steps, grid.n_rows, grid.row_values
     if not np.all(v[1:] < v[:-1]):
         raise ValueError("row values must be strictly decreasing")
     t = np.arange(n_steps + 1) * grid.dt
@@ -238,16 +234,14 @@ def backward_induce(
     # V - K_n > 0, are exactly the first above[n] rows, those with V > K_n.
     above = np.searchsorted(-v, -strike)
 
-    depth = np.zeros(lattices + (n_steps + 1,), dtype=int)
-    anomalous = np.zeros(lattices + (n_steps + 1,), dtype=bool)
-    all_values = np.empty(lattices + (rows, n_steps + 1)) if keep_grid else None
+    # Per column, a row per lattice: the first row that does not exercise,
+    # and how many rows below the last one that does.  At maturity the
+    # in-the-money rows exercise, a run of above[N] from the top.
+    first, from_bottom = np.empty((2, n_steps + 1) + lattices, dtype=int)
+    first[n_steps], from_bottom[n_steps] = above[n_steps], rows - above[n_steps]
 
     # The terminal column is the payoff, the same for every gamma.
-    payoff = v - strike[n_steps]
-    terminal = np.broadcast_to(np.maximum(payoff, 0.0), lattices + (rows,))
-    depth[..., n_steps], anomalous[..., n_steps] = _mask_summary(payoff > 0.0)
-    if keep_grid:
-        all_values[..., n_steps] = terminal
+    terminal = np.broadcast_to(np.maximum(v - strike[n_steps], 0.0), lattices + (rows,))
 
     # Fixed per induction: the work buffers and their views.  ``ex`` holds
     # the exercise value, which no gamma changes.  One column buffer, a row
@@ -265,7 +259,7 @@ def backward_induce(
     up, dn = terminal[..., :-2], terminal[..., 2:]
     mask = np.zeros(lattices + (rows,), dtype=bool)
     mask[..., 0] = True
-    exercised = mask[..., 1:-1]
+    exercised, mask_from_bottom = mask[..., 1:-1], mask[..., ::-1]
     # The transposes index the ladder first for any K, as cheaply as 1-D.
     col_by_row, exercised_by_row = col.T, exercised.T
     for n in range(n_steps - 1, -1, -1):
@@ -277,18 +271,17 @@ def backward_induce(
         np.maximum(ex_inner, cont, out=inner)
         np.greater_equal(ex_inner, cont, out=exercised)
         exercised_by_row[max(k - 1, 0):] = False  # exercise needs V - K_n > 0
-        if lattices:
-            for j in range(lattices[0]):
-                depth[j, n], anomalous[j, n] = _mask_summary(mask[j])
-        else:
-            depth[n], anomalous[n] = _mask_summary(mask)
+        # the top row exercises and the bottom row does not, so both exist
+        first[n] = mask.argmin(-1)
+        from_bottom[n] = mask_from_bottom.argmax(-1)
         up, dn = next_up, next_dn
-        if keep_grid:
-            all_values[..., n] = col
 
     if not n_steps:  # with no step, the payoff itself
         col[...] = terminal
-    return ValueGrid(values=all_values, values_t0=col, exercise_depth=depth, anomalous=anomalous)
+    # the last exercised row, rows - 1 - from_bottom, lies below the first
+    # that does not: the exercise region is not an up-set
+    anomalous = from_bottom < rows - 1 - first
+    return ValueGrid(values_t0=col, exercise_depth=first.T, anomalous=anomalous.T)
 
 
 @dataclass(frozen=True)
@@ -399,11 +392,8 @@ def solve_gammas(
     gamma, in order, each equal to what :func:`solve` gives at that gamma."""
     cal = calibrate(market, grid.dt, p_tol)
     stacked = backward_induce(grid, cal, option, gammas=gammas)
-    solutions = []
-    for lattice in zip(stacked.values_t0, stacked.exercise_depth, stacked.anomalous):
-        values = ValueGrid(None, *lattice)
-        solutions.append(Solution(cal, values, extract_thresholds(values, grid, cal, option)))
-    return solutions
+    lattices = map(ValueGrid, stacked.values_t0, stacked.exercise_depth, stacked.anomalous)
+    return [Solution(cal, vg, extract_thresholds(vg, grid, cal, option)) for vg in lattices]
 
 
 def value_curve(vg: ValueGrid, grid: GridSpec, option: OptionSpec) -> np.ndarray:

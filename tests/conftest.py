@@ -3,6 +3,11 @@
 import math
 from dataclasses import replace
 
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import as_strided
+
+import reopt.lattice
 from reopt import LatticeCalibration, MarketParams, mu2_from_shortfall
 
 # Base parameter set used throughout the parameter studies.
@@ -31,6 +36,46 @@ def degenerate_complete_calibration(
         p1=p1, p2=0.0, p3=0.0, p4=1.0 - p1,
         dt=dt, r=r,
     )
+
+
+class GridRecorder:
+    """Full value grids of ``backward_induce``, which keeps only the time-0
+    column.  The lattice calls its continuation operator once per column,
+    through the module global, on two views of the column one step later:
+    its rows 0 .. 2M-2 and, two rows further on in the same buffer, its
+    rows 2 .. 2M.  So the first view, widened by two rows, is that whole
+    column; the two views side by side would miss the middle row at M = 1."""
+
+    def __init__(self, monkeypatch):
+        self.columns = []
+        for name in ("g_values", "linear_limit_values"):
+            inner = getattr(reopt.lattice, name)
+            monkeypatch.setattr(reopt.lattice, name, self._recording(inner))
+
+    def _recording(self, inner):
+        def recording(x_up, x_dn, *args, **kwargs):
+            assert _address(x_dn) == _address(x_up) + 2 * x_up.strides[-1]
+            shape = x_up.shape[:-1] + (x_up.shape[-1] + 2,)
+            self.columns.append(as_strided(x_up, shape, writeable=False).copy())
+            return inner(x_up, x_dn, *args, **kwargs)
+
+        return recording
+
+    def induce(self, grid, cal, option, **kw):
+        """(ValueGrid, values): the induction and its (..., 2M+1, N+1) grid."""
+        self.columns.clear()
+        vg = reopt.lattice.backward_induce(grid, cal, option, **kw)
+        assert len(self.columns) == grid.n_steps
+        return vg, np.stack([vg.values_t0, *reversed(self.columns)], -1)
+
+
+def _address(array):
+    return array.__array_interface__["data"][0]
+
+
+@pytest.fixture
+def grid_recorder(monkeypatch):
+    return GridRecorder(monkeypatch)
 
 
 # ---------------------------------------------------------------------------

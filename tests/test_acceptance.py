@@ -244,7 +244,7 @@ def test_criterion_07_gamma_free_in_degenerate_complete_lattice():
     assert worst < 1e-9
 
 
-def test_criterion_08_small_lattice_brute_force_equivalence():
+def test_criterion_08_small_lattice_brute_force_equivalence(grid_recorder):
     rng = np.random.default_rng(7)
     worst = 0.0
     for n_steps in range(1, 5):
@@ -260,9 +260,9 @@ def test_criterion_08_small_lattice_brute_force_equivalence():
             )
             grid = build_grid(market, option, option.maturity / n_steps, m)
             cal = calibrate(market, grid.dt)
-            vg = backward_induce(grid, cal, option, keep_grid=True)
+            _, values = grid_recorder.induce(grid, cal, option)
             ref = mpmath_reference_grid(market, option, n_steps, m)
-            worst = max(worst, float(np.max(np.abs(vg.values - ref))))
+            worst = max(worst, float(np.max(np.abs(values - ref))))
     ok = worst < 1e-12
     record_criterion(8, ok, f"max |engine - extended precision| = {worst:.2e} over N<=4, M<=5")
     assert worst < 1e-12

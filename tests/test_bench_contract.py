@@ -6,7 +6,8 @@ calls, so these names must exist and be looked up at call time.  The
 tracer also counts induction nodes from the grid passed as the first
 positional argument of ``backward_induce``, and g's calls and nodes from
 the first positional argument of each ``g_values`` call the lattice makes,
-one per column.  The workloads and gates read
+one per column; the tests' grid recorder relies on the same for
+``linear_limit_values``.  The workloads and gates read
 result fields by name, build markets from six keywords and call the
 numeric oracle with ``x0`` by keyword.  Pool workers of a traced sweep
 must reach the tracer's ``run_single`` wrapper, a closure that does not
@@ -90,17 +91,27 @@ def test_price_induces_on_a_positional_grid_and_extracts(tmp_path, monkeypatch):
     assert len(grids) == 1 and isinstance(grids[0], GridSpec)
 
 
-def test_induction_calls_g_once_per_column_on_the_interior_rows(monkeypatch):
-    # the indifference.g.* metrics count these calls and their args[0].size
+def _check_one_call_per_column_on_the_interior_rows(monkeypatch, operator, continuation):
     market = MarketParams(mu1=0.115, sigma1=0.25, mu2=0.03, sigma2=0.2, rho=0.5, r=0.04)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
     grid = build_grid(market, option, 0.05, 6)
     calls, first_args = [], []
-    _record(monkeypatch, calls, reopt.lattice, "g_values", first_args)
-    reopt.lattice.backward_induce(grid, calibrate(market, grid.dt), option, continuation="utility")
+    _record(monkeypatch, calls, reopt.lattice, operator, first_args)
+    reopt.lattice.backward_induce(grid, calibrate(market, grid.dt), option, continuation=continuation)
     assert len(calls) == grid.n_steps == 20
     for x_up in first_args:
         assert isinstance(x_up, np.ndarray) and x_up.size == 2 * grid.half_height - 1
+
+
+def test_induction_calls_g_once_per_column_on_the_interior_rows(monkeypatch):
+    # the indifference.g.* metrics count these calls and their args[0].size
+    _check_one_call_per_column_on_the_interior_rows(monkeypatch, "g_values", "utility")
+
+
+def test_linear_induction_calls_linear_limit_values_once_per_column(monkeypatch):
+    # the same for the linear continuation, on which the tests' grid
+    # recorder relies
+    _check_one_call_per_column_on_the_interior_rows(monkeypatch, "linear_limit_values", "linear")
 
 
 def test_preset_sweep_calls_value_curve(tmp_path, monkeypatch):

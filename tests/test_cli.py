@@ -332,3 +332,36 @@ def test_ladder_clears_a_strike_above_v0(config_file, capsys, option):
     doc = {"project": {"rho": 0.5}, "option": {"gamma": 1.0, **option}, "grid": {"dt": 0.05}}
     assert main(["price", "--config", config_file(doc)]) == 0
     assert "threshold_spot_t0 = nan" not in capsys.readouterr().out
+
+
+# valid configs whose grid is too large to lay out, and the axis each overflows
+UNLAYABLE_GRIDS = {
+    "tiny-sigma2": ({"project": {"rho": 0.5, "sigma2": 1e-300}}, "M = "),
+    "subnormal-sigma2": ({"project": {"rho": 0.5, "sigma2": 5e-324}}, "M = inf"),
+    "huge-maturity": ({"option": {"gamma": 1.0, "maturity": 1e300}, "grid": {"dt": 1e-10}}, "N = "),
+}
+
+
+@pytest.mark.parametrize("command", ["price", "threshold", "validate"])
+@pytest.mark.parametrize("case", UNLAYABLE_GRIDS.values(), ids=UNLAYABLE_GRIDS.keys())
+def test_grid_too_large_to_lay_out_exits_3(config_file, tmp_path, capsys, command, case):
+    overrides, axis = case
+    out = tmp_path / "curve.csv"
+    argv = [command, "--config", config_file({**BASE_DOC, **overrides})]
+    assert main(argv + ["--out", str(out)] * (command == "threshold")) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and axis in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_point_whose_grid_cannot_be_laid_out_is_an_error_row(config_file, tmp_path, workers):
+    doc = dict(BASE_DOC, sweep={"name": "sigma2", "values": [1e-300, 0.2]})
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", config_file(doc), "--out", str(out), "--workers", workers]
+    assert main(argv) == 0
+    _, (bad, good) = read_sweep_csv(out)
+    assert bad["anomaly_flags"] == "error:ValueError"
+    assert bad["M"] == bad["N"] == bad["dt"] == bad["threshold_spot_t0"] == ""
+    assert good["anomaly_flags"] == "" and float(good["threshold_spot_t0"]) > 1.0
+    assert (good["M"], good["N"]) == ("64", "200")

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import reopt.lattice
 from reopt import (
     GridSpec,
     LatticeCalibration,
@@ -26,7 +27,6 @@ from reopt import (
     value_curve,
 )
 from reopt.calibration import CalibrationInfeasible
-from reopt.lattice import _mask_summary
 
 from conftest import base_market, degenerate_complete_calibration
 
@@ -185,27 +185,28 @@ def test_single_step_reduces_to_one_period_formula():
 
 
 @pytest.mark.parametrize("rho,gamma", [(0.5, 1.0), (-0.3, 4.0)])
-def test_small_lattice_matches_extended_precision_recursion(rho, gamma):
+def test_small_lattice_matches_extended_precision_recursion(rho, gamma, grid_recorder):
     market = base_market(rho=rho)
     option = OptionSpec(cost=1.0, maturity=0.5, gamma=gamma)
     n_steps, m = 3, 4
     grid = build_grid(market, option, option.maturity / n_steps, m)
     cal = calibrate(market, grid.dt)
-    vg = backward_induce(grid, cal, option, keep_grid=True)
+    _, values = grid_recorder.induce(grid, cal, option)
     ref = mpmath_reference_grid(market, option, n_steps, m)
-    assert np.max(np.abs(vg.values - ref)) < 1e-12
+    assert np.max(np.abs(values - ref)) < 1e-12
 
 
-def test_value_dominance_and_monotonicity():
+def test_value_dominance_and_monotonicity(grid_recorder):
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0)
-    grid, cal, vg = induce(market, option, dt=0.02, keep_grid=True)
+    grid = build_grid(market, option, 0.02)
+    vg, values = grid_recorder.induce(grid, calibrate(market, grid.dt), option)
     strike = option.cost * np.exp(-market.r * np.arange(grid.n_steps + 1) * grid.dt)
     exercise = np.maximum(grid.row_values[:, None] - strike[None, :], 0.0)
-    assert np.all(vg.values >= -1e-15)
-    assert np.all(vg.values - exercise >= -1e-12)
+    assert np.all(values >= -1e-15)
+    assert np.all(values - exercise >= -1e-12)
     # nonincreasing in the row index (decreasing project value) at every time
-    assert np.all(np.diff(vg.values, axis=0) <= 1e-12)
+    assert np.all(np.diff(values, axis=0) <= 1e-12)
     assert not vg.anomalous.any()
 
 
@@ -248,36 +249,91 @@ def test_continuation_operator_name_is_checked():
         backward_induce(grid, cal, option, continuation="euler")
 
 
-@pytest.mark.parametrize(
-    "mask,depth,anomalous",
-    [
-        ([True, True, True, True, True], 5, False),  # all exercised
-        ([True, False, False, False, False], 1, False),  # top row only
-        ([False, False, False, False, False], 0, False),  # nothing exercised
-        ([True, True, True, True, False], 4, False),  # run ending above the bottom
-        ([True, True, False, True, False], 2, True),  # top run, gap, exercised node
-        ([False, True, False, False, False], 0, True),
-    ],
-)
-def test_mask_summary(mask, depth, anomalous):
-    assert _mask_summary(np.array(mask)) == (depth, anomalous)
+def plain_summary(mask):
+    """(exercise depth, anomalous) of one column's exercise mask, row by
+    row: the length of the run of exercised rows from the top, and whether
+    a row below that run exercises."""
+    rows = mask.tolist()
+    depth = 0
+    while depth < len(rows) and rows[depth]:
+        depth += 1
+    return depth, any(rows[depth:])
+
+
+# Interior exercise masks of a five-row ladder, as (mask, depth,
+# anomalous): before maturity the top row always exercises and the
+# worthless bottom row never does.
+INTERIOR_MASKS = {
+    "top-row-only": ([True, False, False, False, False], 1, False),
+    "run-ending-above-the-bottom": ([True, True, True, True, False], 4, False),
+    "top-run-gap-exercised-node": ([True, True, False, True, False], 2, True),
+    "top-row-gap-exercised-run": ([True, False, True, True, False], 1, True),
+    "top-row-gap-node-above-the-bottom": ([True, False, False, True, False], 1, True),
+}
+
+
+def _one_step_forcing(monkeypatch, masks):
+    """One step on a five-row ladder that is in the money throughout, with
+    a continuation that forces the time-0 exercise masks ``masks`` (a row
+    per lattice): 0 lets a row exercise, 1e9 keeps it from exercising."""
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=0.1, maturity=0.1, gamma=1.0)
+    grid = build_grid(market, option, 0.1, 2)
+    assert grid.n_steps == 1 and (grid.row_values > option.cost).all()
+    interior = np.array(masks)[..., 1:-1]
+    monkeypatch.setattr(reopt.lattice, "g_values", lambda *args: np.where(interior, 0.0, 1e9))
+    return grid, calibrate(market, grid.dt), option
+
+
+@pytest.mark.parametrize("case", INTERIOR_MASKS.values(), ids=INTERIOR_MASKS.keys())
+def test_mask_summary(monkeypatch, case):
+    # every row is in the money at maturity, so the terminal column
+    # exercises all five rows and is never anomalous
+    mask, depth, anomalous = case
+    grid, cal, option = _one_step_forcing(monkeypatch, mask)
+    vg = backward_induce(grid, cal, option)
+    assert vg.exercise_depth.tolist() == [depth, 5]
+    assert vg.anomalous.tolist() == [anomalous, False]
+
+
+def test_mask_summary_of_stacked_lattices(monkeypatch):
+    # the same masks as one (K, rows) mask of K lattices
+    masks, depths, anomalous = zip(*INTERIOR_MASKS.values())
+    grid, cal, option = _one_step_forcing(monkeypatch, masks)
+    vg = backward_induce(grid, cal, option, gammas=(1.0,) * len(masks))
+    assert vg.exercise_depth.tolist() == [[depth, 5] for depth in depths]
+    assert vg.anomalous.tolist() == [[flag, False] for flag in anomalous]
+
+
+@pytest.mark.parametrize("rows_in_the_money", [5, 0], ids=["every-row", "no-row"])
+def test_terminal_mask_summary(rows_in_the_money):
+    # at maturity the rows in the money exercise, a run from the top, even
+    # when that is every row or none
+    market = base_market(rho=0.5)
+    grid = build_grid(market, OptionSpec(cost=1.0, maturity=0.1, gamma=1.0), 0.1, 2)
+    at_maturity = GridSpec(n_steps=0, half_height=2, dt=grid.dt, row_values=grid.row_values)
+    cost = 0.1 if rows_in_the_money else float(grid.row_values[0])
+    option = OptionSpec(cost=cost, maturity=0.1, gamma=1.0)
+    vg = backward_induce(at_maturity, calibrate(market, grid.dt), option)
+    assert vg.exercise_depth.tolist() == [rows_in_the_money]
+    assert vg.anomalous.tolist() == [False]
 
 
 @pytest.mark.parametrize("cost", [1.0, 0.1])
-def test_recorded_exercise_summary_matches_the_grid(cost):
+def test_recorded_exercise_summary_matches_the_grid(cost, grid_recorder):
     # A node exercises exactly where its value equals the positive exercise
     # value (the top row always, before maturity; never the worthless
     # bottom row, even when cost 0.1 puts it in the money at maturity).
-    # The maturity and the interior columns share one summary helper.
     market = base_market(rho=0.5)
     option = OptionSpec(cost=cost, maturity=2.0, gamma=1.0, cost_growth=0.02)
-    grid, cal, vg = induce(market, option, dt=0.02, keep_grid=True)
+    grid = build_grid(market, option, 0.02)
+    vg, values = grid_recorder.induce(grid, calibrate(market, grid.dt), option)
     t = np.arange(grid.n_steps + 1) * grid.dt
     strike = option.cost * np.exp((option.cost_growth - market.r) * t)
     exercise = np.maximum(grid.row_values[:, None] - strike[None, :], 0.0)
-    masks = (vg.values == exercise) & (exercise > 0.0)
+    masks = (values == exercise) & (exercise > 0.0)
     masks[0, :-1] = True
-    summaries = [_mask_summary(masks[:, n]) for n in range(grid.n_steps + 1)]
+    summaries = [plain_summary(masks[:, n]) for n in range(grid.n_steps + 1)]
     assert [d for d, _ in summaries] == vg.exercise_depth.tolist()
     assert [a for _, a in summaries] == vg.anomalous.tolist()
 
@@ -299,7 +355,7 @@ def reference_column_loop(grid, cal, option, continuation):
     payoff = v - strike[n_steps]
     col = np.maximum(payoff, 0.0)
     values[:, n_steps] = col
-    depth[n_steps], anomalous[n_steps] = _mask_summary(payoff > 0.0)
+    depth[n_steps], anomalous[n_steps] = plain_summary(payoff > 0.0)
     for n in range(n_steps - 1, -1, -1):
         # contiguous columns: numpy's exp and log may round differently on
         # strided input
@@ -313,7 +369,7 @@ def reference_column_loop(grid, cal, option, continuation):
         mask = np.zeros(rows, dtype=bool)
         mask[0] = True
         mask[1:-1] = (ex[1:-1] >= cont) & (ex[1:-1] > 0.0)
-        depth[n], anomalous[n] = _mask_summary(mask)
+        depth[n], anomalous[n] = plain_summary(mask)
         values[:, n] = col = new
     return values, depth, anomalous
 
@@ -436,11 +492,13 @@ def _case_degenerate_complete():
         "signed-weights", "signed-weights-below-zero", "degenerate-complete",
     ],
 )
-def test_induction_is_bit_identical_to_the_reference_column_loop(case, continuation):
+def test_induction_is_bit_identical_to_the_reference_column_loop(
+    case, continuation, grid_recorder
+):
     grid, cal, option = case()
-    vg = backward_induce(grid, cal, option, keep_grid=True, continuation=continuation)
+    vg, recorded = grid_recorder.induce(grid, cal, option, continuation=continuation)
     values, depth, anomalous = reference_column_loop(grid, cal, option, continuation)
-    assert np.array_equal(vg.values, values)
+    assert np.array_equal(recorded, values)
     assert np.array_equal(vg.values_t0, values[:, 0])
     assert np.array_equal(vg.exercise_depth, depth)
     assert np.array_equal(vg.anomalous, anomalous)
@@ -457,16 +515,16 @@ def test_induction_rejects_a_ladder_that_does_not_fall():
         backward_induce(bad, calibrate(market, grid.dt), option)
 
 
-def test_induction_without_steps_values_the_payoff():
+def test_induction_without_steps_values_the_payoff(grid_recorder):
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
     grid = build_grid(market, option, 0.1, 5)
     at_maturity = GridSpec(n_steps=0, half_height=5, dt=grid.dt, row_values=grid.row_values)
-    vg = backward_induce(at_maturity, calibrate(market, grid.dt), option, keep_grid=True)
+    vg, values = grid_recorder.induce(at_maturity, calibrate(market, grid.dt), option)
     payoff = np.maximum(grid.row_values - option.cost, 0.0)
     assert payoff[0] > 0.0 and payoff[-1] == 0.0
     np.testing.assert_array_equal(vg.values_t0, payoff)
-    np.testing.assert_array_equal(vg.values[:, 0], payoff)
+    np.testing.assert_array_equal(values[:, 0], payoff)
 
 
 GAMMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -492,16 +550,17 @@ GAMMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
         "signed-weights-below-zero", "degenerate-complete", "anomalous",
     ],
 )
-def test_stacked_gammas_match_separate_inductions(case):
+def test_stacked_gammas_match_separate_inductions(case, grid_recorder):
     # one induction over (K, 2M+1) columns is K inductions, bit for bit
     grid, cal, option = case()
-    stacked = backward_induce(grid, cal, option, keep_grid=True, gammas=GAMMAS)
-    assert stacked.values.shape == (len(GAMMAS), grid.n_rows, grid.n_steps + 1)
+    stacked, values = grid_recorder.induce(grid, cal, option, gammas=GAMMAS)
+    assert values.shape == (len(GAMMAS), grid.n_rows, grid.n_steps + 1)
     if case is _case_anomalous:
         assert stacked.anomalous.sum(axis=1).tolist() == [5, 7, 27, 0, 0]
     for k, gamma in enumerate(GAMMAS):
-        alone = backward_induce(grid, cal, dataclasses.replace(option, gamma=gamma), keep_grid=True)
-        assert np.array_equal(stacked.values[k], alone.values)
+        option_k = dataclasses.replace(option, gamma=gamma)
+        alone, alone_values = grid_recorder.induce(grid, cal, option_k)
+        assert np.array_equal(values[k], alone_values)
         assert np.array_equal(stacked.values_t0[k], alone.values_t0)
         assert np.array_equal(stacked.exercise_depth[k], alone.exercise_depth)
         assert np.array_equal(stacked.anomalous[k], alone.anomalous)
@@ -539,14 +598,17 @@ def test_stacked_gammas_are_checked():
         backward_induce(grid, cal, option, continuation="linear", gammas=(1.0, 2.0))
     for gammas, match in (
         ((), "gammas must hold"),
+        ([[1.0, 2.0], [3.0, 4.0]], "gammas must hold"),
+        (2.0, "gammas must hold"),
         ((1.0, 0.0), "gamma must be positive"),
         ((1.0, math.nan), "gamma must be positive"),
         ((math.inf, 1.0), "gamma must be positive"),
     ):
         with pytest.raises(ValueError, match=match):
             backward_induce(grid, cal, option, gammas=gammas)
-    with pytest.raises(ValueError, match="gammas must hold"):
-        solve_gammas(market, option, grid, [])
+    for gammas in ([], [[1.0, 2.0], [3.0, 4.0]], 2.0):
+        with pytest.raises(ValueError, match="gammas must hold"):
+            solve_gammas(market, option, grid, gammas)
 
 
 # ---------------------------------------------------------------------------
