@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from reopt import PerpetualParams, perpetual_threshold
+from reopt import perpetual_threshold
 from reopt.experiments import config_hash, parse_config, run_sweep, write_sweep_csv
 
 DT = 0.01  # coarse step keeps this demo quick; 1/900 matches the full study
@@ -26,7 +26,7 @@ doc = {
 base, sweep = parse_config(json.dumps(doc))
 results = run_sweep(sweep, workers=1)
 
-perpetual = perpetual_threshold(PerpetualParams(sigma=0.2, r=0.04, delta=0.04, cost=1.0))
+perpetual = perpetual_threshold(sigma=0.2, r=0.04, delta=0.04, cost=1.0)
 npv = 1.0  # the NPV rule invests once the project is worth its cost
 print(f"perpetual complete-market benchmark: {perpetual:.4f}")
 print(f"NPV benchmark                      : {npv:.4f}")

@@ -13,7 +13,6 @@ from dataclasses import replace
 from reopt import (
     MarketParams,
     OptionSpec,
-    PerpetualParams,
     mu2_from_shortfall,
     perpetual_threshold,
     risk_neutral_idiosyncratic_limit,
@@ -23,7 +22,7 @@ DT = 1.0 / 300.0
 
 shell = MarketParams(mu1=0.115, sigma1=0.25, mu2=0.0, sigma2=0.2, rho=0.9, r=0.04)
 market = replace(shell, mu2=mu2_from_shortfall(shell, delta=0.04))
-perpetual = perpetual_threshold(PerpetualParams(sigma=0.2, r=0.04, delta=0.04, cost=1.0))
+perpetual = perpetual_threshold(sigma=0.2, r=0.04, delta=0.04, cost=1.0)
 
 print(f"perpetual benchmark: {perpetual:.4f}")
 print()

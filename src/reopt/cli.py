@@ -8,8 +8,9 @@ Subcommands:
     sweep       a named figure preset or the sweep from the config file
     validate    calibration feasibility and moment report at the grid's step
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible calibration,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 not valued (one line,
+"infeasible calibration: ..." or, for any other failure, "cannot value:
+..."), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _load_config(args) -> tuple[RunConfig, object]:
         with open(args.config) as fh:
             text = fh.read()
     except OSError as exc:
-        raise _IOFailure(f"cannot read config: {exc}") from exc
+        raise _Failure(EXIT_IO, f"cannot read config: {exc}") from exc
     cfg, sweep = parse_config(text)
     if args.dt is not None:
         cfg = replace(cfg, dt=check_field("dt", args.dt, "grid.dt"))
@@ -94,18 +95,27 @@ def _load_config(args) -> tuple[RunConfig, object]:
     return cfg, sweep
 
 
-class _IOFailure(Exception):
-    pass
+class _Failure(Exception):
+    """Ends the command with exit code ``code`` and a one-line message."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _not_valued(kind: str, reason: str) -> _Failure:
+    """Exit 3, labelled by the kind of error, its exception type's name."""
+    label = "infeasible calibration" if kind == CalibrationInfeasible.__name__ else "cannot value"
+    return _Failure(EXIT_INFEASIBLE, f"{label}: {reason}")
 
 
 def _run_config(args, outputs=()) -> tuple[RunConfig, RunResult]:
-    """Value the loaded configuration once.  A failed valuation raises
-    CalibrationInfeasible with the recorded error, less the label of that
-    type, which the exit message already gives."""
+    """Value the loaded configuration once; a failed valuation exits 3
+    with the error that ``run_single`` recorded."""
     cfg, _ = _load_config(args)
     res = run_single(cfg, outputs)
     if res.error:
-        raise CalibrationInfeasible(res.error.removeprefix("CalibrationInfeasible: "))
+        raise _not_valued(*res.error.split(": ", 1))
     return cfg, res
 
 
@@ -158,7 +168,7 @@ def _cmd_sweep(args) -> int:
             side = _side_path(out, "curve", res)
             _write(write_threshold_curve_csv, res.threshold_curve, side, root)
     errors = sum(1 for r in results if r.error)
-    print(f"wrote {out} ({len(results)} rows, {errors} infeasible)")
+    print(f"wrote {out} ({len(results)} rows, {errors} failed)")
     return EXIT_OK
 
 
@@ -166,9 +176,9 @@ def _cmd_validate(args) -> int:
     cfg, _ = _load_config(args)
     try:
         grid = build_grid(cfg.market, cfg.option, cfg.dt)
+        cal = calibrate(cfg.market, grid.dt, cfg.p_tol)
     except ValueError as exc:
-        raise CalibrationInfeasible(f"ValueError: {exc}") from exc
-    cal = calibrate(cfg.market, grid.dt, cfg.p_tol)
+        raise _not_valued(type(exc).__name__, str(exc)) from exc
     print(moment_report_text(cal, cfg.market))
     return EXIT_OK
 
@@ -206,7 +216,7 @@ def _write(writer, payload, path, root) -> None:
     try:
         writer(payload, path, root)
     except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from exc
+        raise _Failure(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -216,12 +226,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CalibrationInfeasible as exc:
-        print(f"infeasible calibration: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _IOFailure as exc:
+    except _Failure as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_IO
+        return exc.code
 
 
 def entry() -> None:

@@ -52,7 +52,9 @@ class OptionSpec:
     """The investment opportunity: pay ``cost`` for the project, any time
     up to ``maturity``.  ``cost_growth`` lets the cost drift at a fixed
     rate alpha (0 keeps it constant, alpha = r reproduces the constant
-    discounted strike case)."""
+    discounted strike case).  ``gamma`` is the risk aversion toward the
+    unhedgeable risk; 0 values the option in its linear limit (see
+    :func:`backward_induce`)."""
 
     cost: float
     maturity: float
@@ -64,8 +66,8 @@ class OptionSpec:
             raise ValueError("cost must be positive")
         if not (math.isfinite(self.maturity) and self.maturity > 0.0):
             raise ValueError("maturity must be positive")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError("gamma must be nonnegative")
         if not math.isfinite(self.cost_growth):
             raise ValueError("cost_growth must be finite")
 
@@ -103,8 +105,8 @@ def choose_half_height(market: MarketParams, option: OptionSpec, dt: float) -> i
     K_max = cost exp(max(0, alpha - r) T), measured in grid steps.  The
     last term is zero whenever cost <= V0 and alpha <= r.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
     drift = abs(market.mu2 - market.r - market.sigma2**2 / 2.0) * option.maturity
     spread = 4.0 * market.sigma2 * math.sqrt(option.maturity)
     growth = max(0.0, option.cost_growth - market.r) * option.maturity
@@ -179,24 +181,24 @@ def backward_induce(
     grid: GridSpec,
     cal: LatticeCalibration,
     option: OptionSpec,
-    continuation: str = "utility",
     gammas: Sequence[float] | None = None,
 ) -> ValueGrid:
     """Fill the grid from maturity backwards and record exercise decisions.
 
-    ``continuation`` selects the certainty-equivalent operator: "utility"
-    is the exponential-utility g at ``option.gamma``; "linear" is its
-    analytically evaluated gamma -> 0 limit (used for the risk-neutral
-    benchmark, where a vanishing gamma would be numerically fragile).
-    Either is called once per column, through this module's global, on
-    views of the rows of the column one step later.
+    The certainty-equivalent operator is the exponential-utility g at
+    ``option.gamma``; at gamma 0 it is g's analytically evaluated
+    gamma -> 0 limit, ``linear_limit_values`` (the risk-neutral benchmark,
+    where a vanishing gamma would be numerically fragile in g).  Either is
+    called once per column, through this module's global, on views of the
+    rows of the column one step later.
 
     ``gammas``, a non-empty 1-D sequence of K risk aversions, takes the
     place of ``option.gamma``: neither the grid nor the calibration depends
     on gamma, so the K lattices are induced together on (K, 2M+1) columns,
     one numpy call doing K lattices' work.  Every array of the returned
     grid then gains a leading axis of length K, one row per gamma, and
-    each row is bit for bit the single lattice at that gamma.
+    each row is bit for bit the single lattice at that gamma.  A stack is
+    always g, so every gamma in it must be positive.
 
     Time columns are processed sequentially (hard data dependency); rows
     within a column are vectorized.  The whole routine is pure, so
@@ -206,19 +208,15 @@ def backward_induce(
         raise ValueError("calibration and grid use different time steps")
     if gammas is None:
         gamma, lattices = option.gamma, ()
-    elif continuation != "utility":
-        raise ValueError("gammas need the utility continuation")
     else:
         gamma = np.array(gammas, dtype=float)
         if gamma.ndim != 1 or not gamma.size:
             raise ValueError(f"gammas must hold a non-empty 1-D list of risk aversions: {gammas}")
         gamma, lattices = gamma.reshape(-1, 1), gamma.shape  # a row per lattice
-    if continuation == "utility":
-        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, gamma)
-    elif continuation == "linear":
+    if not lattices and gamma == 0.0:
         cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
     else:
-        raise ValueError(f"unknown continuation operator {continuation!r}")
+        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, gamma)
 
     n_steps, rows, v = grid.n_steps, grid.n_rows, grid.row_values
     if not np.all(v[1:] < v[:-1]):
@@ -367,15 +365,15 @@ def solve(
     option: OptionSpec,
     grid: GridSpec,
     p_tol: float = 0.0,
-    continuation: str = "utility",
 ) -> Solution:
     """Calibrate at the grid's step, roll the grid back and extract the
     thresholds.  ``p_tol`` is the calibration slack of :func:`calibrate`
-    (infeasibility raises :class:`CalibrationInfeasible`); ``continuation``
-    selects the operator as in :func:`backward_induce`.
+    (infeasibility raises :class:`CalibrationInfeasible`); ``option.gamma``
+    selects the operator as in :func:`backward_induce`, 0 giving the
+    linear limit.
     """
     cal = calibrate(market, grid.dt, p_tol)
-    values = backward_induce(grid, cal, option, continuation=continuation)
+    values = backward_induce(grid, cal, option)
     return Solution(cal, values, extract_thresholds(values, grid, cal, option))
 
 

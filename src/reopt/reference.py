@@ -6,8 +6,8 @@ Two yardsticks computed here:
   with beta the positive root of (sigma^2/2) b (b - 1) + (r - delta) b - r = 0
   (the textbook Dixit-Pindyck threshold),
 * the risk-neutral-toward-idiosyncratic-risk limit (McDonald-Siegel
-  style), obtained by running the lattice with the certainty equivalent
-  replaced by its analytically evaluated gamma -> 0 linear limit.
+  style), obtained by running the lattice at gamma 0, where the certainty
+  equivalent is its analytically evaluated gamma -> 0 linear limit.
 
 The third, the net-present-value threshold reached as risk aversion grows
 without bound, is the cost I itself and needs no function.
@@ -16,14 +16,13 @@ without bound, is the cost I itself and needs no function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .calibration import MarketParams
 from .lattice import OptionSpec, ThresholdCurve, build_grid, solve
 
 __all__ = [
     "DivergentThreshold",
-    "PerpetualParams",
     "perpetual_beta",
     "perpetual_threshold",
     "risk_neutral_idiosyncratic_limit",
@@ -34,34 +33,22 @@ class DivergentThreshold(ValueError):
     """The perpetual threshold diverges (nonpositive shortfall rate)."""
 
 
-@dataclass(frozen=True)
-class PerpetualParams:
-    """Inputs of the perpetual complete-market benchmark."""
-
-    sigma: float
-    r: float
-    delta: float
-    cost: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be positive")
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError("r must be nonnegative")
-        if not math.isfinite(self.delta):
-            raise ValueError("delta must be finite")
-        if not (math.isfinite(self.cost) and self.cost > 0.0):
-            raise ValueError("cost must be positive")
-
-
 def perpetual_beta(sigma: float, r: float, delta: float) -> float:
     """Positive root of (sigma^2/2) b(b-1) + (r - delta) b - r = 0, always > 1.
 
+    Needs sigma > 0, r >= 0 and delta finite (ValueError otherwise); a
+    nonpositive shortfall rate delta raises :class:`DivergentThreshold`.
     Uses the cancellation-free form of the quadratic formula: when the
     linear coefficient is large and positive the textbook numerator
     -b + sqrt(D) loses precision, so that branch is rewritten as
     2r / (b + sqrt(D)).
     """
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError("sigma must be positive")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError("r must be nonnegative")
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if delta <= 0.0:
         raise DivergentThreshold("perpetual threshold diverges for delta <= 0")
     half_var = 0.5 * sigma * sigma
@@ -75,10 +62,13 @@ def perpetual_beta(sigma: float, r: float, delta: float) -> float:
     return beta
 
 
-def perpetual_threshold(p: PerpetualParams) -> float:
-    """Perpetual investment threshold beta / (beta - 1) * cost."""
-    beta = perpetual_beta(p.sigma, p.r, p.delta)
-    return beta / (beta - 1.0) * p.cost
+def perpetual_threshold(sigma: float, r: float, delta: float, cost: float = 1.0) -> float:
+    """Perpetual investment threshold beta / (beta - 1) * cost, with beta
+    from :func:`perpetual_beta`; ``cost`` must be positive."""
+    if not (math.isfinite(cost) and cost > 0.0):
+        raise ValueError("cost must be positive")
+    beta = perpetual_beta(sigma, r, delta)
+    return beta / (beta - 1.0) * cost
 
 
 def risk_neutral_idiosyncratic_limit(
@@ -86,11 +76,12 @@ def risk_neutral_idiosyncratic_limit(
 ) -> ThresholdCurve:
     """Exercise thresholds in the vanishing-risk-aversion limit.
 
-    Runs the usual backward induction with the certainty equivalent
-    replaced by its gamma -> 0 linear limit, so no small positive gamma
-    has to be pushed through the exponential machinery.  Under the
-    equilibrium-shortfall drift convention these thresholds approach the
-    perpetual complete-market value at long maturity.
+    Runs the usual backward induction at ``gamma=0``, which takes the
+    certainty equivalent's gamma -> 0 linear limit, so no small positive
+    gamma has to be pushed through the exponential machinery;
+    ``option.gamma`` is ignored.  Under the equilibrium-shortfall drift
+    convention these thresholds approach the perpetual complete-market
+    value at long maturity.
     """
     grid = build_grid(market, option, dt)
-    return solve(market, option, grid, continuation="linear").curve
+    return solve(market, replace(option, gamma=0.0), grid).curve

@@ -15,7 +15,6 @@ from reopt import (
     MarketParams,
     OptionSpec,
     PayoffPair,
-    PerpetualParams,
     UtilityParams,
     backward_induce,
     build_grid,
@@ -110,7 +109,7 @@ def test_criterion_01_one_period_oracle_equivalence():
 
 
 def test_criterion_02_perpetual_benchmark_exact():
-    value = perpetual_threshold(PerpetualParams(sigma=0.2, r=0.04, delta=0.04, cost=1.0))
+    value = perpetual_threshold(sigma=0.2, r=0.04, delta=0.04, cost=1.0)
     ok = value == 2.0
     record_criterion(2, ok, f"perpetual threshold = {value!r}")
     assert value == 2.0

@@ -91,13 +91,13 @@ def test_price_induces_on_a_positional_grid_and_extracts(tmp_path, monkeypatch):
     assert len(grids) == 1 and isinstance(grids[0], GridSpec)
 
 
-def _check_one_call_per_column_on_the_interior_rows(monkeypatch, operator, continuation):
+def _check_one_call_per_column_on_the_interior_rows(monkeypatch, operator, gamma):
     market = MarketParams(mu1=0.115, sigma1=0.25, mu2=0.03, sigma2=0.2, rho=0.5, r=0.04)
-    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=gamma)
     grid = build_grid(market, option, 0.05, 6)
     calls, first_args = [], []
     _record(monkeypatch, calls, reopt.lattice, operator, first_args)
-    reopt.lattice.backward_induce(grid, calibrate(market, grid.dt), option, continuation=continuation)
+    reopt.lattice.backward_induce(grid, calibrate(market, grid.dt), option)
     assert len(calls) == grid.n_steps == 20
     for x_up in first_args:
         assert isinstance(x_up, np.ndarray) and x_up.size == 2 * grid.half_height - 1
@@ -105,13 +105,13 @@ def _check_one_call_per_column_on_the_interior_rows(monkeypatch, operator, conti
 
 def test_induction_calls_g_once_per_column_on_the_interior_rows(monkeypatch):
     # the indifference.g.* metrics count these calls and their args[0].size
-    _check_one_call_per_column_on_the_interior_rows(monkeypatch, "g_values", "utility")
+    _check_one_call_per_column_on_the_interior_rows(monkeypatch, "g_values", 1.0)
 
 
 def test_linear_induction_calls_linear_limit_values_once_per_column(monkeypatch):
-    # the same for the linear continuation, on which the tests' grid
+    # the same for the linear limit at gamma 0, on which the tests' grid
     # recorder relies
-    _check_one_call_per_column_on_the_interior_rows(monkeypatch, "linear_limit_values", "linear")
+    _check_one_call_per_column_on_the_interior_rows(monkeypatch, "linear_limit_values", 0.0)
 
 
 def test_preset_sweep_calls_value_curve(tmp_path, monkeypatch):

@@ -351,15 +351,46 @@ def test_grid_too_large_to_lay_out_exits_3(config_file, tmp_path, capsys, comman
     assert main(argv + ["--out", str(out)] * (command == "threshold")) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and axis in err, err
+    assert err.startswith("cannot value: ") and "infeasible" not in err, err
     assert not out.exists()
 
 
+# a feasible calibration with a signed weight (p2 < 0, within p_tol) whose
+# certainty equivalent is undefined at gamma 100
+SIGNED_WEIGHT_DOC = {
+    "market": {"sigma1": 0.8},
+    "project": {"rho": 0.99},
+    "option": {"gamma": 100.0, "maturity": 2.0},
+    "grid": {"dt": 0.02, "p_tol": 1e-3},
+}
+
+
+@pytest.mark.parametrize("command", ["price", "threshold"])
+def test_undefined_certainty_equivalent_exits_3_without_infeasible(
+    config_file, tmp_path, capsys, command
+):
+    out = tmp_path / "curve.csv"
+    argv = [command, "--config", config_file(SIGNED_WEIGHT_DOC)]
+    assert main(argv + ["--out", str(out)] * (command == "threshold")) == 3
+    err = capsys.readouterr().err
+    assert err == "cannot value: certainty equivalent undefined: " \
+        "signed branch weight dominates the mixture\n"
+    assert not out.exists()
+    # the calibration itself is feasible, with p2 < 0
+    assert main(["validate", "--config", config_file(SIGNED_WEIGHT_DOC)]) == 0
+    weights = capsys.readouterr().out.split("p         = (")[1].split(")")[0]
+    assert float(weights.split(", ")[1]) < 0.0
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_point_whose_grid_cannot_be_laid_out_is_an_error_row(config_file, tmp_path, workers):
+def test_sweep_point_whose_grid_cannot_be_laid_out_is_an_error_row(
+    config_file, tmp_path, capsys, workers
+):
     doc = dict(BASE_DOC, sweep={"name": "sigma2", "values": [1e-300, 0.2]})
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", config_file(doc), "--out", str(out), "--workers", workers]
     assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {out} (2 rows, 1 failed)\n"
     _, (bad, good) = read_sweep_csv(out)
     assert bad["anomaly_flags"] == "error:ValueError"
     assert bad["M"] == bad["N"] == bad["dt"] == bad["threshold_spot_t0"] == ""

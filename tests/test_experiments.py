@@ -391,6 +391,29 @@ def test_gamma_stack_errors_match_separate_runs(monkeypatch):
     assert all(_same_result(a, b) for a, b in zip(results, _separate_runs(sweep)))
 
 
+def test_gamma_stack_that_fails_at_some_gammas_matches_separate_runs():
+    # a signed weight (p2 < 0, within p_tol) leaves g undefined at gamma
+    # 100 and 1000 only, so the stacked solve raises and each point solves
+    # on its own
+    _, sweep = parse_config(json.dumps({
+        "market": {"sigma1": 0.8},
+        "project": {"rho": 0.99},
+        "option": {"gamma": 100.0, "maturity": 2.0},
+        "grid": {"dt": 0.02, "p_tol": 1e-3},
+        "sweep": {"name": "gamma", "values": [0.1, 1.0, 10.0, 100.0, 1000.0]},
+    }))
+    cfg = experiments._point_config(sweep, sweep.values[0])
+    grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    with pytest.raises(ValueError, match="certainty equivalent undefined"):
+        lattice.solve_gammas(cfg.market, cfg.option, grid, sweep.values, cfg.p_tol)
+    alone = _separate_runs(sweep)
+    assert [r.anomaly_flags for r in alone] == ["", "", "", "error:ValueError", "error:ValueError"]
+    for workers in (1, 2):
+        results = run_sweep(sweep, workers=workers)
+        assert len(results) == len(alone)
+        assert all(_same_result(a, b) for a, b in zip(results, alone))
+
+
 _START_METHODS = [
     m for m in ("fork", "forkserver", "spawn") if m in multiprocessing.get_all_start_methods()
 ]

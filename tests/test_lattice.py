@@ -119,6 +119,9 @@ def test_half_height_clears_the_largest_discounted_strike():
         k_max = option.cost * math.exp(max(0.0, option.cost_growth - market.r) * option.maturity)
         m = choose_half_height(market, option, dt)
         assert market.v0 * math.exp(market.sigma2 * math.sqrt(dt)) ** m > k_max
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            choose_half_height(market, option, dt)
 
 
 def test_ladder_above_v0_matches_doubled_ladder():
@@ -240,15 +243,6 @@ def test_rejects_grid_with_negative_top_boundary():
         backward_induce(grid, cal, option)
 
 
-def test_continuation_operator_name_is_checked():
-    market = base_market(rho=0.5)
-    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
-    grid = build_grid(market, option, 0.1, 5)
-    cal = calibrate(market, grid.dt)
-    with pytest.raises(ValueError, match="continuation"):
-        backward_induce(grid, cal, option, continuation="euler")
-
-
 def plain_summary(mask):
     """(exercise depth, anomalous) of one column's exercise mask, row by
     row: the length of the run of exercised rows from the top, and whether
@@ -338,14 +332,14 @@ def test_recorded_exercise_summary_matches_the_grid(cost, grid_recorder):
     assert [a for _, a in summaries] == vg.anomalous.tolist()
 
 
-def reference_column_loop(grid, cal, option, continuation):
+def reference_column_loop(grid, cal, option):
     """The column loop without the in-the-money cut-off, in plain numpy:
     every column clamps the exercise value at 0 and tests each row for a
-    positive exercise value."""
-    if continuation == "utility":
-        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, option.gamma)
-    else:
+    positive exercise value.  Gamma 0 takes the linear limit of g."""
+    if option.gamma == 0.0:
         cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
+    else:
+        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, option.gamma)
     n_steps, rows, v = grid.n_steps, grid.n_rows, grid.row_values
     t = np.arange(n_steps + 1) * grid.dt
     strike = option.cost * np.exp((option.cost_growth - cal.r) * t)
@@ -471,20 +465,26 @@ def _case_degenerate_complete():
     return build_grid(base_market(rho=1.0), option, 0.02, 30), cal, option
 
 
+def _linear(case):
+    """``case`` at gamma 0, the linear limit."""
+    grid, cal, option = case
+    return grid, cal, dataclasses.replace(option, gamma=0.0)
+
+
 @pytest.mark.parametrize(
-    "case,continuation",
+    "case",
     [
-        (lambda: _case_growth(0.1), "utility"),
-        (lambda: _case_growth(-0.05), "utility"),
-        (_case_strike_on_a_row, "utility"),
-        (_case_strike_overtakes_the_rows, "utility"),
-        (_case_top_row_at_the_largest_strike, "utility"),
-        (_case_cost_below_the_ladder, "utility"),
-        (lambda: _case_growth(0.1), "linear"),
-        (_case_cost_below_the_ladder, "linear"),
-        (_case_signed_weights, "utility"),
-        (_case_signed_weights_below_zero, "utility"),
-        (_case_degenerate_complete, "utility"),
+        lambda: _case_growth(0.1),
+        lambda: _case_growth(-0.05),
+        _case_strike_on_a_row,
+        _case_strike_overtakes_the_rows,
+        _case_top_row_at_the_largest_strike,
+        _case_cost_below_the_ladder,
+        lambda: _linear(_case_growth(0.1)),
+        lambda: _linear(_case_cost_below_the_ladder()),
+        _case_signed_weights,
+        _case_signed_weights_below_zero,
+        _case_degenerate_complete,
     ],
     ids=[
         "growth-above-r", "growth-below-r", "strike-on-a-row", "strike-overtakes-rows",
@@ -492,12 +492,10 @@ def _case_degenerate_complete():
         "signed-weights", "signed-weights-below-zero", "degenerate-complete",
     ],
 )
-def test_induction_is_bit_identical_to_the_reference_column_loop(
-    case, continuation, grid_recorder
-):
+def test_induction_is_bit_identical_to_the_reference_column_loop(case, grid_recorder):
     grid, cal, option = case()
-    vg, recorded = grid_recorder.induce(grid, cal, option, continuation=continuation)
-    values, depth, anomalous = reference_column_loop(grid, cal, option, continuation)
+    vg, recorded = grid_recorder.induce(grid, cal, option)
+    values, depth, anomalous = reference_column_loop(grid, cal, option)
     assert np.array_equal(recorded, values)
     assert np.array_equal(vg.values_t0, values[:, 0])
     assert np.array_equal(vg.exercise_depth, depth)
@@ -594,8 +592,6 @@ def test_stacked_gammas_are_checked():
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
     grid = build_grid(market, option, 0.1, 5)
     cal = calibrate(market, grid.dt)
-    with pytest.raises(ValueError, match="utility continuation"):
-        backward_induce(grid, cal, option, continuation="linear", gammas=(1.0, 2.0))
     for gammas, match in (
         ((), "gammas must hold"),
         ([[1.0, 2.0], [3.0, 4.0]], "gammas must hold"),
@@ -692,6 +688,28 @@ def test_option_spec_validation():
     with pytest.raises(ValueError):
         OptionSpec(cost=1.0, maturity=-1.0, gamma=1.0)
     with pytest.raises(ValueError):
-        OptionSpec(cost=1.0, maturity=1.0, gamma=0.0)
+        OptionSpec(cost=1.0, maturity=1.0, gamma=-1.0)
+    with pytest.raises(ValueError):
+        OptionSpec(cost=1.0, maturity=1.0, gamma=math.nan)
     with pytest.raises(ValueError):
         OptionSpec(cost=1.0, maturity=1.0, gamma=1.0, cost_growth=math.inf)
+
+
+def test_zero_gamma_is_valued_in_the_linear_limit(monkeypatch):
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=2.0, gamma=0.0)
+    grid = build_grid(market, option, 0.02)
+    cal = calibrate(market, grid.dt)
+    small = [
+        backward_induce(grid, cal, dataclasses.replace(option, gamma=gamma)).values_t0
+        for gamma in (1e-4, 1e-6)
+    ]
+
+    def no_g(*args):
+        raise AssertionError("gamma 0 called g")
+
+    monkeypatch.setattr(reopt.lattice, "g_values", no_g)
+    limit = backward_induce(grid, cal, option).values_t0
+    # g approaches the limit at first order in gamma
+    gap_4, gap_6 = (np.abs(values - limit).max() for values in small)
+    assert gap_4 < 1e-5 and gap_6 < gap_4 / 50.0

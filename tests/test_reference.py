@@ -9,7 +9,6 @@ from scipy.optimize import brentq
 from reopt import (
     DivergentThreshold,
     OptionSpec,
-    PerpetualParams,
     build_grid,
     perpetual_beta,
     perpetual_threshold,
@@ -26,12 +25,12 @@ def beta_by_root_finder(sigma, r, delta):
 
 
 def test_textbook_case_is_exactly_two():
-    assert perpetual_threshold(PerpetualParams(sigma=0.2, r=0.04, delta=0.04, cost=1.0)) == 2.0
+    assert perpetual_threshold(sigma=0.2, r=0.04, delta=0.04, cost=1.0) == 2.0
     assert perpetual_beta(0.2, 0.04, 0.04) == 2.0
 
 
 def test_higher_shortfall_case_against_root_finder():
-    value = perpetual_threshold(PerpetualParams(sigma=0.2, r=0.04, delta=0.08, cost=1.0))
+    value = perpetual_threshold(sigma=0.2, r=0.04, delta=0.08, cost=1.0)
     beta = perpetual_beta(0.2, 0.04, 0.08)
     assert beta == pytest.approx((3.0 + math.sqrt(17.0)) / 2.0, rel=1e-14)
     assert beta == pytest.approx(beta_by_root_finder(0.2, 0.04, 0.08), rel=1e-12)
@@ -39,14 +38,14 @@ def test_higher_shortfall_case_against_root_finder():
 
 
 def test_threshold_scales_with_cost():
-    one = perpetual_threshold(PerpetualParams(sigma=0.3, r=0.05, delta=0.02, cost=1.0))
-    two = perpetual_threshold(PerpetualParams(sigma=0.3, r=0.05, delta=0.02, cost=2.0))
+    one = perpetual_threshold(sigma=0.3, r=0.05, delta=0.02, cost=1.0)
+    two = perpetual_threshold(sigma=0.3, r=0.05, delta=0.02, cost=2.0)
     assert two == pytest.approx(2.0 * one, rel=1e-15)
 
 
 def test_divergence_for_nonpositive_shortfall():
     with pytest.raises(DivergentThreshold):
-        perpetual_threshold(PerpetualParams(sigma=0.2, r=0.04, delta=0.0, cost=1.0))
+        perpetual_threshold(sigma=0.2, r=0.04, delta=0.0, cost=1.0)
     with pytest.raises(DivergentThreshold):
         perpetual_beta(0.2, 0.04, -0.01)
 
@@ -67,12 +66,25 @@ def test_stable_branch_matches_root_finder():
 
 
 def test_perpetual_params_validation():
-    with pytest.raises(ValueError):
-        PerpetualParams(sigma=0.0, r=0.04, delta=0.04)
-    with pytest.raises(ValueError):
-        PerpetualParams(sigma=0.2, r=-0.01, delta=0.04)
-    with pytest.raises(ValueError):
-        PerpetualParams(sigma=0.2, r=0.04, delta=0.04, cost=0.0)
+    # both entry points check every input; only delta <= 0 diverges
+    for sigma, r, delta, match in (
+        (0.0, 0.04, 0.04, "sigma"),
+        (-0.2, 0.04, 0.04, "sigma"),
+        (math.nan, 0.04, 0.04, "sigma"),
+        (math.inf, 0.04, 0.04, "sigma"),
+        (0.2, -0.01, 0.04, "r must"),
+        (0.2, math.nan, 0.04, "r must"),
+        (0.2, 0.04, math.inf, "delta"),
+        (0.2, 0.04, -math.inf, "delta"),
+        (0.2, 0.04, math.nan, "delta"),
+    ):
+        for benchmark in (perpetual_beta, perpetual_threshold):
+            with pytest.raises(ValueError, match=match) as exc:
+                benchmark(sigma, r, delta)
+            assert exc.type is ValueError
+    for cost in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cost"):
+            perpetual_threshold(0.2, 0.04, 0.04, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +95,7 @@ def test_perpetual_params_validation():
 def test_limit_threshold_below_perpetual_and_increasing_in_maturity():
     dt = 1.0 / 300.0
     market = base_market(rho=0.9)
-    perpetual = perpetual_threshold(PerpetualParams(sigma=0.2, r=0.04, delta=0.04))
+    perpetual = perpetual_threshold(sigma=0.2, r=0.04, delta=0.04)
     thresholds = []
     for maturity in (5.0, 10.0, 20.0, 40.0):
         option = OptionSpec(cost=1.0, maturity=maturity, gamma=1.0)
