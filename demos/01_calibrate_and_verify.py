@@ -6,24 +6,26 @@ prints the resulting parameters, verifies the moment match against the
 continuous-time targets, and shows where feasibility breaks down.
 """
 
-from dataclasses import replace
-
 from reopt import (
     CalibrationInfeasible,
     MarketParams,
     calibrate,
     capm_equilibrium_rate,
-    mu2_from_shortfall,
     verify_moments,
 )
 
 # Base market: traded asset with drift 11.5% and volatility 25%, project
 # volatility 20%, riskless rate 4%.  The project drift comes from the
 # equilibrium return minus a fixed 4% rate-of-return shortfall.
-shell = MarketParams(mu1=0.115, sigma1=0.25, mu2=0.0, sigma2=0.2, rho=0.5, r=0.04)
-market = replace(shell, mu2=mu2_from_shortfall(shell, delta=0.04))
+def base_market(rho, delta=0.04):
+    rate = capm_equilibrium_rate(mu1=0.115, sigma1=0.25, sigma2=0.2, rho=rho, r=0.04)
+    return MarketParams(mu1=0.115, sigma1=0.25, mu2=rate - delta, sigma2=0.2, rho=rho, r=0.04)
 
-print("equilibrium project return :", capm_equilibrium_rate(market))
+
+market = base_market(rho=0.5)
+
+rate = capm_equilibrium_rate(market.mu1, market.sigma1, market.sigma2, market.rho, market.r)
+print("equilibrium project return :", rate)
 print("project drift (delta 0.04) :", market.mu2)
 print()
 
@@ -45,8 +47,7 @@ print()
 # Feasibility: at high correlation the four probabilities can only stay
 # inside (0, 1) if the step is fine enough.  With these drifts, rho = 0.99
 # needs dt below roughly 1/317.
-extreme_shell = replace(shell, rho=0.99)
-extreme = replace(extreme_shell, mu2=mu2_from_shortfall(extreme_shell, delta=0.04))
+extreme = base_market(rho=0.99)
 for dt in (0.01, 1.0 / 300.0, 1.0 / 400.0):
     try:
         calibrate(extreme, dt)

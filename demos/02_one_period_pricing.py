@@ -12,15 +12,15 @@ from reopt import (
     PayoffPair,
     UtilityParams,
     calibrate,
+    capm_equilibrium_rate,
     g_value,
-    gamma_limits,
-    mu2_from_shortfall,
+    linear_limit_values,
     numeric_indifference_price,
 )
-from dataclasses import replace
 
-shell = MarketParams(mu1=0.115, sigma1=0.25, mu2=0.0, sigma2=0.2, rho=0.5, r=0.04)
-market = replace(shell, mu2=mu2_from_shortfall(shell, delta=0.04))
+# Base market; the project drift is the equilibrium return less a 4% shortfall.
+rate = capm_equilibrium_rate(mu1=0.115, sigma1=0.25, sigma2=0.2, rho=0.5, r=0.04)
+market = MarketParams(mu1=0.115, sigma1=0.25, mu2=rate - 0.04, sigma2=0.2, rho=0.5, r=0.04)
 cal = calibrate(market, dt=1.0)
 util = UtilityParams(gamma=1.0)
 
@@ -42,7 +42,7 @@ print()
 # Risk aversion moves the price between two limits: the linear
 # certainty equivalent (gamma -> 0) and the worst-case payoff
 # (gamma -> infinity).
-low, high = gamma_limits(pay, cal)
+low, high = float(linear_limit_values(pay.x_h, pay.x_l, cal)), min(pay)
 print(f"gamma -> 0 limit        : {low:.6f}")
 print(f"gamma -> infinity limit : {high:.6f}")
 for gamma in (0.01, 0.1, 1.0, 10.0, 100.0):

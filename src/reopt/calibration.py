@@ -39,7 +39,6 @@ __all__ = [
     "calibrate",
     "verify_moments",
     "capm_equilibrium_rate",
-    "mu2_from_shortfall",
 ]
 
 # Containers tolerate this much structural slack (floating point dust plus
@@ -267,24 +266,13 @@ def verify_moments(cal: LatticeCalibration, market: MarketParams) -> MomentRepor
     )
 
 
-def capm_equilibrium_rate(market: MarketParams) -> float:
-    """Equilibrium expected return of the project given its market beta.
+def capm_equilibrium_rate(mu1: float, sigma1: float, sigma2: float, rho: float, r: float) -> float:
+    """Equilibrium expected return ``r + rho * (mu1 - r) / sigma1 * sigma2``
+    of a project with volatility ``sigma2`` and correlation ``rho`` to a
+    traded asset of drift ``mu1`` and volatility ``sigma1``.
 
-    Returns ``r + rho * (mu1 - r) / sigma1 * sigma2``.  The ``mu2`` field
-    of ``market`` plays no role here.
+    A project drift mu2 below this rate by a shortfall delta, the
+    incomplete-market analogue of a dividend yield, is
+    ``capm_equilibrium_rate(...) - delta``.
     """
-    return market.r + market.rho * (market.mu1 - market.r) / market.sigma1 * market.sigma2
-
-
-def mu2_from_shortfall(market: MarketParams, delta: float) -> float:
-    """Project drift implied by a below-equilibrium rate-of-return shortfall.
-
-    ``delta`` is the gap between the equilibrium return and the actual
-    project drift, the incomplete-market analogue of a dividend yield.
-    The ``mu2`` field of ``market`` is ignored; parameter studies that
-    hold ``delta`` fixed while varying ``rho`` recompute ``mu2`` through
-    this function at every point.
-    """
-    if not math.isfinite(delta):
-        raise ValueError("delta must be finite")
-    return capm_equilibrium_rate(market) - delta
+    return r + rho * (mu1 - r) / sigma1 * sigma2

@@ -236,4 +236,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

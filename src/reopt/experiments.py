@@ -32,12 +32,12 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .calibration import MarketParams, capm_equilibrium_rate, mu2_from_shortfall
+from .calibration import MarketParams, capm_equilibrium_rate
 from .lattice import (
     GridSpec,
     OptionSpec,
@@ -262,15 +262,12 @@ def _resolve(val: dict[str, Any], delta_fixed: bool) -> RunConfig:
     derived from it, unless ``val`` gives a ``mu2``, which must then agree
     with it; otherwise ``mu2`` is held and ``delta`` is derived.
     """
-    shell = MarketParams(
-        mu1=val["mu1"], sigma1=val["sigma1"], mu2=0.0, sigma2=val["sigma2"], rho=val["rho"],
-        r=val["r"], v0=val["v0"],
-    )
+    rate = capm_equilibrium_rate(val["mu1"], val["sigma1"], val["sigma2"], val["rho"], val["r"])
     mu2, delta = val["mu2"], val["delta"]
     if not delta_fixed:
-        delta = capm_equilibrium_rate(shell) - mu2
+        delta = rate - mu2
     else:
-        implied = mu2_from_shortfall(shell, delta)
+        implied = rate - delta
         if mu2 is None:
             mu2 = implied
         elif abs(implied - mu2) > 1e-12:
@@ -278,8 +275,17 @@ def _resolve(val: dict[str, Any], delta_fixed: bool) -> RunConfig:
                 f"project.mu2={mu2} and project.delta={delta} are inconsistent "
                 f"(delta implies mu2={implied})"
             )
+    if not (math.isfinite(mu2) and math.isfinite(delta)):
+        raise ConfigError(
+            f"project.mu2={mu2} and project.delta={delta} must be finite: the equilibrium "
+            f"return at mu1={val['mu1']}, sigma1={val['sigma1']}, sigma2={val['sigma2']}, "
+            f"rho={val['rho']}, r={val['r']} is {rate}"
+        )
     return RunConfig(
-        market=replace(shell, mu2=mu2),
+        market=MarketParams(
+            mu1=val["mu1"], sigma1=val["sigma1"], mu2=mu2, sigma2=val["sigma2"], rho=val["rho"],
+            r=val["r"], v0=val["v0"],
+        ),
         option=OptionSpec(
             cost=val["cost"], maturity=val["maturity"], gamma=val["gamma"],
             cost_growth=val["cost_growth"],

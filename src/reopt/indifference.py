@@ -10,8 +10,9 @@ who can trade the correlated asset values the claim at
 
 with q = (1 - d)/(u - d).  The module also provides an independent
 numeric oracle that recovers the same price straight from the defining
-utility-maximization problems, and the gamma -> 0 / gamma -> infinity
-limits of g.
+utility-maximization problems, and g's gamma -> 0 limit, the linear
+certainty equivalent :func:`linear_limit_values`.  The gamma -> infinity
+limit is the subhedge value min(x_h, x_l) and needs no function.
 
 All exponentials are shifted so that |gamma * payoff| of several hundred
 causes no overflow; the naive form is never used here.  In general each
@@ -46,7 +47,6 @@ __all__ = [
     "g_values",
     "linear_limit_values",
     "numeric_indifference_price",
-    "gamma_limits",
 ]
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,8 +61,8 @@ class UtilityParams:
     """Exponential-utility risk aversion, applied to discounted wealth.
 
     ``gamma`` must be strictly positive; the gamma -> 0 and
-    gamma -> infinity behaviours are limit properties exposed through
-    :func:`gamma_limits`, not admissible inputs.
+    gamma -> infinity limits of g are not admissible inputs but plain
+    values: :func:`linear_limit_values` and ``min(x_h, x_l)``.
     """
 
     gamma: float
@@ -195,19 +195,6 @@ def linear_limit_values(x_up, x_dn, cal: LatticeCalibration):
     up = (cal.p1 * x_up + cal.p2 * x_dn) / (cal.p1 + cal.p2)
     dn = (cal.p3 * x_up + cal.p4 * x_dn) / (cal.p3 + cal.p4)
     return cal.q * up + cal.q_down * dn
-
-
-def gamma_limits(pay: PayoffPair, cal: LatticeCalibration) -> tuple[float, float]:
-    """(gamma -> 0, gamma -> infinity) limits of g for this payoff.
-
-    The low limit is the linear certainty equivalent above; the high
-    limit is the subhedge value min(x_h, x_l).
-    """
-    if not (math.isfinite(pay.x_h) and math.isfinite(pay.x_l)):
-        raise ValueError("payoffs must be finite")
-    low = float(linear_limit_values(pay.x_h, pay.x_l, cal))
-    high = min(pay.x_h, pay.x_l)
-    return low, high
 
 
 def numeric_indifference_price(

@@ -1,14 +1,13 @@
 """Shared fixtures and helpers for the test suite."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
 import reopt.lattice
-from reopt import LatticeCalibration, MarketParams, mu2_from_shortfall
+from reopt import LatticeCalibration, MarketParams, capm_equilibrium_rate
 
 # Base parameter set used throughout the parameter studies.
 BASE = dict(mu1=0.115, sigma1=0.25, r=0.04, v0=1.0)
@@ -18,8 +17,8 @@ BASE_DELTA = 0.04
 
 def base_market(rho: float, delta: float = BASE_DELTA, sigma2: float = BASE_SIGMA2) -> MarketParams:
     """Base market with the project drift derived from the shortfall rate."""
-    shell = MarketParams(mu2=0.0, sigma2=sigma2, rho=rho, **BASE)
-    return replace(shell, mu2=mu2_from_shortfall(shell, delta))
+    mu2 = capm_equilibrium_rate(BASE["mu1"], BASE["sigma1"], sigma2, rho, BASE["r"]) - delta
+    return MarketParams(mu2=mu2, sigma2=sigma2, rho=rho, **BASE)
 
 
 def degenerate_complete_calibration(

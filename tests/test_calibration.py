@@ -1,5 +1,6 @@
 """Calibration: moment matching, feasibility, equilibrium relations."""
 
+import json
 import math
 import pickle
 from dataclasses import replace
@@ -14,7 +15,7 @@ from reopt import (
     MarketParams,
     calibrate,
     capm_equilibrium_rate,
-    mu2_from_shortfall,
+    parse_config,
     verify_moments,
 )
 
@@ -261,13 +262,19 @@ def test_moment_report_zero_correlation_covariance():
 
 
 def test_capm_equilibrium_examples():
-    assert capm_equilibrium_rate(base_market(rho=1.0)) == pytest.approx(0.10, abs=1e-15)
-    assert capm_equilibrium_rate(base_market(rho=0.0)) == pytest.approx(0.04, abs=1e-15)
-    assert capm_equilibrium_rate(base_market(rho=0.5)) == pytest.approx(0.07, abs=1e-15)
+    rate = lambda rho: capm_equilibrium_rate(mu1=0.115, sigma1=0.25, sigma2=0.2, rho=rho, r=0.04)
+    assert rate(1.0) == pytest.approx(0.10, abs=1e-15)
+    assert rate(0.0) == pytest.approx(0.04, abs=1e-15)
+    assert rate(0.5) == pytest.approx(0.07, abs=1e-15)
 
 
 def test_mu2_from_shortfall_examples():
-    assert mu2_from_shortfall(base_market(rho=1.0), 0.04) == pytest.approx(0.06, abs=1e-15)
-    assert mu2_from_shortfall(base_market(rho=0.0), 0.04) == pytest.approx(0.0, abs=1e-15)
-    m = base_market(rho=0.7)
-    assert mu2_from_shortfall(m, 0.0) == capm_equilibrium_rate(m)
+    # a config given by its shortfall gets the equilibrium return less delta
+    def market(rho, delta):
+        doc = {"project": {"rho": rho, "delta": delta}, "option": {"gamma": 1.0}}
+        return parse_config(json.dumps(doc))[0].market
+
+    assert market(1.0, 0.04).mu2 == pytest.approx(0.06, abs=1e-15)
+    assert market(0.0, 0.04).mu2 == pytest.approx(0.0, abs=1e-15)
+    m = market(0.7, 0.0)
+    assert m.mu2 == capm_equilibrium_rate(m.mu1, m.sigma1, m.sigma2, m.rho, m.r)

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,29 @@ def test_domain_violation_is_config_error(config_file, capsys):
     doc = {"project": {"rho": 1.5}, "option": {"gamma": 1.0}}
     assert main(["price", "--config", config_file(doc)]) == 2
     assert "rho" in capsys.readouterr().err
+
+
+# sigma1 so small that the equilibrium return, and so the derived mu2, is infinite
+OVERFLOWING_DRIFT = dict(BASE_DOC, market={"sigma1": 1e-310})
+
+
+def test_derived_drift_that_overflows_is_config_error(config_file, capsys):
+    assert main(["price", "--config", config_file(OVERFLOWING_DRIFT)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: project.mu2=inf")
+    assert "sigma1=1e-310" in err
+
+
+def test_module_entry_point_exits_with_the_command_code(config_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for doc, code in ((BASE_DOC, 0), (OVERFLOWING_DRIFT, 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "reopt.cli", "price", "--config", config_file(doc)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("text, message", [

@@ -118,6 +118,21 @@ def test_mu2_given_directly_reports_shortfall():
     assert not cfg.delta_fixed
 
 
+def test_derived_drift_that_overflows_is_config_error():
+    # (mu1 - r) / sigma1 overflows, so the equilibrium return is infinite
+    tiny = {"sigma1": 1e-310}
+    with pytest.raises(ConfigError, match="mu2=inf and project.delta=0.04 must be finite"):
+        parse_config(cfg_text(market=tiny))
+    with pytest.raises(ConfigError, match="mu2=0.03 and project.delta=inf must be finite"):
+        parse_config(cfg_text(market=tiny, project={"mu2": 0.03}))
+    # at rho 0 the return is finite; the swept rho 0.5 is not
+    _, sweep = parse_config(cfg_text(
+        market=tiny, project={"rho": 0.0}, sweep={"name": "rho", "values": [0.0, 0.5]},
+    ))
+    with pytest.raises(ConfigError, match="sigma1=1e-310, sigma2=0.2, rho=0.5"):
+        run_sweep(sweep)
+
+
 def test_sweep_parsing_values_and_range():
     _, sweep = parse_config(cfg_text(sweep={"name": "gamma", "values": [0.5, 1.0, 2.0]}))
     assert sweep.name == "gamma"

@@ -14,7 +14,6 @@ from reopt import (
     calibrate,
     g_value,
     g_values,
-    gamma_limits,
     indifference,
     linear_limit_values,
     numeric_indifference_price,
@@ -91,7 +90,7 @@ def test_monotone_in_each_payoff(x_h, x_l, gamma):
 @settings(max_examples=200, deadline=None)
 def test_bounded_by_subhedge_and_linear_limit(x_h, x_l, gamma):
     util = UtilityParams(gamma)
-    low, high = gamma_limits(PayoffPair(x_h, x_l), CAL)
+    low, high = float(linear_limit_values(x_h, x_l, CAL)), min(x_h, x_l)
     value = g_value(PayoffPair(x_h, x_l), CAL, util)
     assert high - 1e-12 <= value <= low + 1e-12
     if abs(x_h - x_l) > 1e-3:
@@ -217,8 +216,6 @@ def test_rejects_nonfinite_payoffs():
         g_value(PayoffPair(math.nan, 0.0), CAL, GAMMA1)
     with pytest.raises(ValueError):
         g_value(PayoffPair(0.0, math.inf), CAL, GAMMA1)
-    with pytest.raises(ValueError):
-        gamma_limits(PayoffPair(math.nan, 0.0), CAL)
 
 
 def test_gamma_must_be_positive():
@@ -236,14 +233,12 @@ def test_gamma_must_be_positive():
 
 
 def test_limits_collapse_for_constant_payoff():
-    low, high = gamma_limits(PayoffPair(0.37, 0.37), CAL)
-    assert low == pytest.approx(0.37, abs=1e-15)
-    assert high == 0.37
+    assert linear_limit_values(0.37, 0.37, CAL) == pytest.approx(0.37, abs=1e-15)
 
 
 def test_small_gamma_approaches_linear_limit():
     pay = PayoffPair(0.6, -0.4)
-    low, _ = gamma_limits(pay, CAL)
+    low = float(linear_limit_values(pay.x_h, pay.x_l, CAL))
     assert g_value(pay, CAL, UtilityParams(1e-8)) == pytest.approx(low, abs=1e-6)
 
 
@@ -251,7 +246,7 @@ def test_large_gamma_approaches_subhedge_value():
     # The gap decays like 1/gamma with a log(1/p) coefficient of order one,
     # so 1e4 leaves a few 1e-5 and 1e6 is comfortably inside 1e-5.
     pay = PayoffPair(0.02, 0.01)
-    _, high = gamma_limits(pay, CAL_YEAR)
+    high = min(pay)
     gap4 = g_value(pay, CAL_YEAR, UtilityParams(1e4)) - high
     gap6 = g_value(pay, CAL_YEAR, UtilityParams(1e6)) - high
     assert 0.0 < gap4 < 1e-4

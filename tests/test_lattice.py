@@ -119,9 +119,10 @@ def test_half_height_clears_the_largest_discounted_strike():
         k_max = option.cost * math.exp(max(0.0, option.cost_growth - market.r) * option.maturity)
         m = choose_half_height(market, option, dt)
         assert market.v0 * math.exp(market.sigma2 * math.sqrt(dt)) ** m > k_max
-    for dt in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="dt must be positive and finite"):
-            choose_half_height(market, option, dt)
+    for dt in (0.0, -1.0, math.nan, math.inf):
+        for sized in (choose_half_height, build_grid):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                sized(market, option, dt)
 
 
 def test_ladder_above_v0_matches_doubled_ladder():
@@ -143,6 +144,9 @@ def test_grid_ladder_minimal():
     h = math.exp(0.2 * 1.0)
     assert grid.row_values == pytest.approx([h, 1.0, 1.0 / h], abs=1e-15)
     assert grid.row_values[1] == 1.0
+    for half_height in (0, -1):
+        with pytest.raises(ValueError, match="half_height must be at least 1"):
+            build_grid(market, option, dt=1.0, half_height=half_height)
 
 
 def test_grid_ladder_geometry():
@@ -511,6 +515,14 @@ def test_induction_rejects_a_ladder_that_does_not_fall():
     bad = GridSpec(n_steps=grid.n_steps, half_height=5, dt=grid.dt, row_values=rows)
     with pytest.raises(ValueError, match="strictly decreasing"):
         backward_induce(bad, calibrate(market, grid.dt), option)
+
+
+def test_induction_rejects_a_calibration_at_another_step():
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
+    grid = build_grid(market, option, 0.1, 5)
+    with pytest.raises(ValueError, match="different time steps"):
+        backward_induce(grid, calibrate(market, 2.0 * grid.dt), option)
 
 
 def test_induction_without_steps_values_the_payoff(grid_recorder):

@@ -12,7 +12,6 @@ from reopt import (
     build_grid,
     perpetual_beta,
     perpetual_threshold,
-    risk_neutral_idiosyncratic_limit,
     solve,
 )
 
@@ -72,6 +71,7 @@ def test_perpetual_params_validation():
         (-0.2, 0.04, 0.04, "sigma"),
         (math.nan, 0.04, 0.04, "sigma"),
         (math.inf, 0.04, 0.04, "sigma"),
+        (1e-200, 0.04, 0.04, "sigma"),  # positive, but its square underflows
         (0.2, -0.01, 0.04, "r must"),
         (0.2, math.nan, 0.04, "r must"),
         (0.2, 0.04, math.inf, "delta"),
@@ -88,8 +88,13 @@ def test_perpetual_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# risk-neutral idiosyncratic limit
+# risk-neutral idiosyncratic limit: the lattice at gamma 0
 # ---------------------------------------------------------------------------
+
+
+def linear_limit_curve(market, maturity, dt):
+    option = OptionSpec(cost=1.0, maturity=maturity, gamma=0.0)
+    return solve(market, option, build_grid(market, option, dt)).curve
 
 
 def test_limit_threshold_below_perpetual_and_increasing_in_maturity():
@@ -98,9 +103,7 @@ def test_limit_threshold_below_perpetual_and_increasing_in_maturity():
     perpetual = perpetual_threshold(sigma=0.2, r=0.04, delta=0.04)
     thresholds = []
     for maturity in (5.0, 10.0, 20.0, 40.0):
-        option = OptionSpec(cost=1.0, maturity=maturity, gamma=1.0)
-        curve = risk_neutral_idiosyncratic_limit(market, option, dt)
-        thresholds.append(curve.spot_t0)
+        thresholds.append(linear_limit_curve(market, maturity, dt).spot_t0)
     assert all(t < perpetual for t in thresholds)
     assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
 
@@ -109,7 +112,7 @@ def test_limit_consistent_with_small_gamma_lattice():
     dt = 1.0 / 300.0
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=10.0, gamma=1e-4)
-    limit_curve = risk_neutral_idiosyncratic_limit(market, option, dt)
+    limit_curve = linear_limit_curve(market, option.maturity, dt)
     gamma_curve = solve(market, option, build_grid(market, option, dt)).curve
     assert limit_curve.spot_t0 == pytest.approx(gamma_curve.spot_t0, abs=1e-3)
 
@@ -118,9 +121,8 @@ def test_limit_threshold_is_rho_insensitive_under_fixed_shortfall():
     # With the drift tied to the equilibrium shortfall, the linear-limit
     # pricing measure gives the project the drift r - delta for every rho.
     dt = 1.0 / 200.0
-    option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
-    a = risk_neutral_idiosyncratic_limit(base_market(rho=0.0), option, dt).spot_t0
-    b = risk_neutral_idiosyncratic_limit(base_market(rho=0.8), option, dt).spot_t0
+    a = linear_limit_curve(base_market(rho=0.0), 10.0, dt).spot_t0
+    b = linear_limit_curve(base_market(rho=0.8), 10.0, dt).spot_t0
     assert a == pytest.approx(b, rel=2e-2)
 
 
