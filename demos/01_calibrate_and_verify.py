@@ -36,12 +36,10 @@ print(f"joint probabilities      = ({cal.p1:.6f}, {cal.p2:.6f}, {cal.p3:.6f}, {c
 print()
 
 # The one-period means and the covariance are matched exactly, not just
-# to leading order; the report recomputes them by brute force over the
+# to leading order; verify_moments recomputes them by brute force over the
 # four states.
-report = verify_moments(cal, market)
-print(f"E[S1/S0]   = {report.mean_traded:.12f}   error = {report.mean_traded_error:+.2e}")
-print(f"E[V1/V0]   = {report.mean_project:.12f}   error = {report.mean_project_error:+.2e}")
-print(f"Cov        = {report.covariance:.12f}   error = {report.covariance_error:+.2e}")
+for name, (got, want) in zip(("E[S1/S0]", "E[V1/V0]", "Cov"), verify_moments(cal, market)):
+    print(f"{name:<10} = {got:.12f}   error = {got - want:+.2e}")
 print()
 
 # Feasibility: at high correlation the four probabilities can only stay

@@ -35,7 +35,6 @@ __all__ = [
     "CalibrationInfeasible",
     "MarketParams",
     "LatticeCalibration",
-    "MomentReport",
     "calibrate",
     "verify_moments",
     "capm_equilibrium_rate",
@@ -219,36 +218,16 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
     return LatticeCalibration(u=u, h=h, p1=p1, p2=p2, p3=p3, p4=p4, dt=dt, r=market.r)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact one-period lattice moments next to their continuous targets."""
-
-    mean_traded: float
-    mean_project: float
-    covariance: float
-    target_mean_traded: float
-    target_mean_project: float
-    target_covariance: float
-
-    @property
-    def mean_traded_error(self) -> float:
-        return self.mean_traded - self.target_mean_traded
-
-    @property
-    def mean_project_error(self) -> float:
-        return self.mean_project - self.target_mean_project
-
-    @property
-    def covariance_error(self) -> float:
-        return self.covariance - self.target_covariance
-
-
-def verify_moments(cal: LatticeCalibration, market: MarketParams) -> MomentReport:
+def verify_moments(
+    cal: LatticeCalibration, market: MarketParams
+) -> tuple[tuple[float, float], ...]:
     """Recompute E[S1/S0], E[V1/V0] and their covariance over the four states.
 
-    This is a direct expectation over the joint states, independent of the
-    closed-form solution path, so it doubles as a self-check: the mean and
-    covariance deviations are zero to machine precision by construction.
+    Returns the three (lattice value, continuous target) pairs, in that
+    order.  This is a direct expectation over the joint states, independent
+    of the closed-form solution path, so it doubles as a self-check: the
+    mean and covariance deviations are zero to machine precision by
+    construction.
     """
     p = cal.probabilities
     x = np.array([cal.u, cal.u, cal.d, cal.d])
@@ -256,13 +235,10 @@ def verify_moments(cal: LatticeCalibration, market: MarketParams) -> MomentRepor
     mean_x = float(p @ x)
     mean_y = float(p @ y)
     cov = float(p @ (x * y)) - mean_x * mean_y
-    return MomentReport(
-        mean_traded=mean_x,
-        mean_project=mean_y,
-        covariance=cov,
-        target_mean_traded=math.exp((market.mu1 - market.r) * cal.dt),
-        target_mean_project=math.exp((market.mu2 - market.r) * cal.dt),
-        target_covariance=market.rho * market.sigma1 * market.sigma2 * cal.dt,
+    return (
+        (mean_x, math.exp((market.mu1 - market.r) * cal.dt)),
+        (mean_y, math.exp((market.mu2 - market.r) * cal.dt)),
+        (cov, market.rho * market.sigma1 * market.sigma2 * cal.dt),
     )
 
 

@@ -23,13 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .calibration import (
-    CalibrationInfeasible,
-    LatticeCalibration,
-    MarketParams,
-    calibrate,
-    verify_moments,
-)
+from .calibration import CalibrationInfeasible, calibrate, verify_moments
 from .experiments import (
     ConfigError,
     RunConfig,
@@ -179,7 +173,15 @@ def _cmd_validate(args) -> int:
         cal = calibrate(cfg.market, grid.dt, cfg.p_tol)
     except ValueError as exc:
         raise _not_valued(type(exc).__name__, str(exc)) from exc
-    print(moment_report_text(cal, cfg.market))
+    print(f"dt        = {cal.dt:.10g}")
+    print(f"u, d      = {cal.u:.10g}, {cal.d:.10g}")
+    print(f"h, l      = {cal.h:.10g}, {cal.l:.10g}")
+    print(f"q         = {cal.q:.10g}")
+    print(f"p         = ({cal.p1:.10g}, {cal.p2:.10g}, {cal.p3:.10g}, {cal.p4:.10g})")
+    print(f"sum p - 1 = {cal.p1 + cal.p2 + cal.p3 + cal.p4 - 1.0:.3e}")
+    moments = zip(("E[S1/S0]", "E[V1/V0]", "Cov"), verify_moments(cal, cfg.market))
+    for name, (got, want) in moments:
+        print(f"{name:<9} = {got:.12g}  (target {want:.12g}, error {got - want:.3e})")
     return EXIT_OK
 
 
@@ -190,26 +192,6 @@ def preset_hash(name: str, dt: float | None = None) -> str:
         [config_hash(s.base, s) for s in specs], sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def moment_report_text(cal: LatticeCalibration, market: MarketParams) -> str:
-    """Human-readable calibration + moment check for one configuration."""
-    rep = verify_moments(cal, market)
-    lines = [
-        f"dt        = {cal.dt:.10g}",
-        f"u, d      = {cal.u:.10g}, {cal.d:.10g}",
-        f"h, l      = {cal.h:.10g}, {cal.l:.10g}",
-        f"q         = {cal.q:.10g}",
-        f"p         = ({cal.p1:.10g}, {cal.p2:.10g}, {cal.p3:.10g}, {cal.p4:.10g})",
-        f"sum p - 1 = {cal.p1 + cal.p2 + cal.p3 + cal.p4 - 1.0:.3e}",
-        f"E[S1/S0]  = {rep.mean_traded:.12g}  (target {rep.target_mean_traded:.12g}, "
-        f"error {rep.mean_traded_error:.3e})",
-        f"E[V1/V0]  = {rep.mean_project:.12g}  (target {rep.target_mean_project:.12g}, "
-        f"error {rep.mean_project_error:.3e})",
-        f"Cov       = {rep.covariance:.12g}  (target {rep.target_covariance:.12g}, "
-        f"error {rep.covariance_error:.3e})",
-    ]
-    return "\n".join(lines)
 
 
 def _write(writer, payload, path, root) -> None:

@@ -16,6 +16,10 @@ where K_n = exp((alpha - r) t_n) * I is the discounted investment cost
 project-up successor.  The top row is always exercised, the bottom row
 is worthless.  All quantities are discounted; spot conversions happen
 only in reporting helpers.
+
+:func:`build_grid` sizes both axes in one place: N steps of the exact
+size T / N, and M rows above and below V0, enough for the drift, four
+standard deviations and the largest discounted strike over the horizon.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "GridSpec",
     "ValueGrid",
     "ThresholdCurve",
-    "choose_half_height",
     "build_grid",
     "backward_induce",
     "extract_thresholds",
@@ -94,30 +97,6 @@ class GridSpec:
         return float(self.row_values[m - 1] / self.row_values[m])
 
 
-def choose_half_height(market: MarketParams, option: OptionSpec, dt: float) -> int:
-    """Pick M so the ladder spans four standard deviations of log V above
-    the largest discounted strike.
-
-    M = ceil[ (|mu2 - r - sigma2^2/2| T + 4 sigma2 sqrt(T)
-               + max(0, log(K_max / V0))) / (sigma2 sqrt(dt)) ],
-    i.e. the drift plus four diffusion standard deviations of the log
-    project value over the horizon, plus the distance from V0 up to
-    K_max = cost exp(max(0, alpha - r) T), measured in grid steps.  The
-    last term is zero whenever cost <= V0 and alpha <= r.
-    """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be positive and finite")
-    drift = abs(market.mu2 - market.r - market.sigma2**2 / 2.0) * option.maturity
-    spread = 4.0 * market.sigma2 * math.sqrt(option.maturity)
-    growth = max(0.0, option.cost_growth - market.r) * option.maturity
-    strike = max(0.0, math.log(option.cost / market.v0) + growth)
-    cell = max(market.sigma2 * math.sqrt(dt), math.ulp(0.0))  # > 0 even if it underflows
-    m = (drift + spread + strike) / cell
-    if not m <= _MAX_AXIS:
-        raise ValueError(f"the ladder needs M = {m:.3g} rows above V0, over {_MAX_AXIS:.0e}")
-    return max(math.ceil(m), 1)
-
-
 def build_grid(
     market: MarketParams,
     option: OptionSpec,
@@ -126,11 +105,22 @@ def build_grid(
 ) -> GridSpec:
     """Size and lay out the grid for a requested time step.
 
-    N = max(1, round(maturity / dt)) steps of the exact size maturity / N;
-    the half height M comes from :func:`choose_half_height` at that step
-    unless ``half_height`` pins it.  Calibration feasibility is checked
-    later, by :func:`solve`, so an infeasible grid still reports its size.
-    A grid too large to lay out raises ValueError.
+    N = max(1, round(maturity / dt)) steps of the exact size step =
+    maturity / N.  Unless ``half_height`` pins it, M is chosen so the
+    ladder spans four standard deviations of log V above the largest
+    discounted strike:
+
+    M = ceil[ (|mu2 - r - sigma2^2/2| T + 4 sigma2 sqrt(T)
+               + max(0, log(K_max / V0))) / (sigma2 sqrt(step)) ],
+
+    i.e. the drift plus four diffusion standard deviations of the log
+    project value over the horizon, plus the distance from V0 up to
+    K_max = cost exp(max(0, alpha - r) T), measured in grid steps.  The
+    last term is zero whenever cost <= V0 and alpha <= r.
+
+    Calibration feasibility is checked later, by :func:`solve`, so an
+    infeasible grid still reports its size.  A grid too large to lay out
+    raises ValueError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
@@ -140,7 +130,15 @@ def build_grid(
     n_steps = max(1, round(n_steps))
     step = option.maturity / n_steps
     if half_height is None:
-        half_height = choose_half_height(market, option, step)
+        drift = abs(market.mu2 - market.r - market.sigma2**2 / 2.0) * option.maturity
+        spread = 4.0 * market.sigma2 * math.sqrt(option.maturity)
+        growth = max(0.0, option.cost_growth - market.r) * option.maturity
+        strike = max(0.0, math.log(option.cost / market.v0) + growth)
+        cell = max(market.sigma2 * math.sqrt(step), math.ulp(0.0))  # > 0 even if it underflows
+        m = (drift + spread + strike) / cell
+        if not m <= _MAX_AXIS:
+            raise ValueError(f"the ladder needs M = {m:.3g} rows above V0, over {_MAX_AXIS:.0e}")
+        half_height = max(math.ceil(m), 1)
     if half_height < 1:
         raise ValueError("half_height must be at least 1")
     h = math.exp(market.sigma2 * math.sqrt(step))

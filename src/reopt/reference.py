@@ -32,8 +32,9 @@ def perpetual_beta(sigma: float, r: float, delta: float) -> float:
     """Positive root of (sigma^2/2) b(b-1) + (r - delta) b - r = 0, always > 1.
 
     Needs sigma^2/2 > 0 (a positive sigma whose square underflows is
-    rejected too), r >= 0 and delta finite (ValueError otherwise); a
-    nonpositive shortfall rate delta raises :class:`DivergentThreshold`.
+    rejected too), r >= 0 and delta finite, and a sigma large enough that
+    beta does not overflow (ValueError otherwise); a nonpositive shortfall
+    rate delta raises :class:`DivergentThreshold`.
     Uses the cancellation-free form of the quadratic formula: when the
     linear coefficient is large and positive the textbook numerator
     -b + sqrt(D) loses precision, so that branch is rewritten as
@@ -55,6 +56,8 @@ def perpetual_beta(sigma: float, r: float, delta: float) -> float:
         beta = 2.0 * r / (lin + root)
     else:
         beta = (root - lin) / (2.0 * half_var)
+    if not math.isfinite(beta):
+        raise ValueError("beta overflows: sigma is too small for this r and delta")
     return beta
 
 

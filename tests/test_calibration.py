@@ -247,18 +247,18 @@ def test_calibration_container_rejects(changes, message):
 def test_moment_report_fields():
     market = base_market(rho=0.5)
     cal = calibrate(market, dt=0.01)
-    rep = verify_moments(cal, market)
-    assert abs(rep.mean_traded_error) < 1e-14
-    assert abs(rep.mean_project_error) < 1e-14
-    assert abs(rep.covariance_error) < 1e-15
-    assert rep.target_covariance == pytest.approx(0.00025, abs=1e-18)
+    (mean_x, target_x), (mean_y, target_y), (cov, target_cov) = verify_moments(cal, market)
+    assert abs(mean_x - target_x) < 1e-14
+    assert abs(mean_y - target_y) < 1e-14
+    assert abs(cov - target_cov) < 1e-15
+    assert target_cov == pytest.approx(0.00025, abs=1e-18)
 
 
 def test_moment_report_zero_correlation_covariance():
     market = base_market(rho=0.0)
-    rep = verify_moments(calibrate(market, dt=0.01), market)
-    assert abs(rep.covariance) < 1e-15
-    assert rep.target_covariance == 0.0
+    _, _, (cov, target_cov) = verify_moments(calibrate(market, dt=0.01), market)
+    assert abs(cov) < 1e-15
+    assert target_cov == 0.0
 
 
 def test_capm_equilibrium_examples():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,9 +45,15 @@ def test_price_dt_override(config_file, capsys):
 
 def test_validate_reports_moments(config_file, capsys):
     assert main(["validate", "--config", config_file(BASE_DOC)]) == 0
-    out = capsys.readouterr().out
-    assert "E[S1/S0]" in out
-    assert "Cov" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    general, error = r"-?\d+(?:\.\d+)?(?:e[+-]\d+)?", r"-?\d\.\d{3}e[+-]\d{2}"
+    for label, line in zip(("E[S1/S0]  = ", "E[V1/V0]  = ", "Cov       = "), lines[-3:]):
+        shape = rf"{re.escape(label)}({general})  \(target ({general}), error ({error})\)"
+        match = re.fullmatch(shape, line)
+        assert match, line
+        got, want, err = map(float, match.groups())
+        assert got == pytest.approx(want, rel=1e-11) and abs(err) < 1e-15, line
 
 
 def test_threshold_writes_curve(config_file, tmp_path, capsys):

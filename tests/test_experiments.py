@@ -600,6 +600,14 @@ def test_empty_sweep_writes_header_only(tmp_path):
     assert len(lines) == 2
 
 
+def test_sweep_csv_without_hash_comment_is_rejected(tmp_path):
+    path = tmp_path / "bare.csv"
+    path.write_text(",".join(SWEEP_COLUMNS) + "\n")
+    with pytest.raises(ValueError, match="missing config hash comment") as exc:
+        read_sweep_csv(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_single_row_sweep_roundtrip(tmp_path):
     _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0]}))
     results = run_sweep(sweep)

@@ -17,7 +17,6 @@ from reopt import (
     backward_induce,
     build_grid,
     calibrate,
-    choose_half_height,
     extract_thresholds,
     g_value,
     g_values,
@@ -85,13 +84,13 @@ def mpmath_reference_grid(market, option, n_steps, half_height):
 def test_half_height_base_parameters():
     market = base_market(rho=0.0)
     option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
-    assert choose_half_height(market, option, 1.0 / 900.0) == 470
+    assert build_grid(market, option, 1.0 / 900.0).half_height == 470
 
 
 def test_half_height_short_horizon_is_small_but_positive():
     market = base_market(rho=0.0)
     option = OptionSpec(cost=1.0, maturity=0.01, gamma=1.0)
-    m = choose_half_height(market, option, 0.01)
+    m = build_grid(market, option, 0.01).half_height
     assert 1 <= m <= 10
 
 
@@ -103,7 +102,7 @@ def test_half_height_diffusion_term_scales_with_sigma2():
         drift = abs(market.mu2 - market.r - sigma2**2 / 2) * 10.0
         spread = 4.0 * sigma2 * math.sqrt(10.0)
         expected = max(1, math.ceil((drift + spread) / (sigma2 * math.sqrt(dt))))
-        assert choose_half_height(market, option, dt) == expected
+        assert build_grid(market, option, dt).half_height == expected
     # the four-standard-deviation summand itself is linear in sigma2
     assert 4.0 * 0.4 * math.sqrt(10.0) == pytest.approx(2 * 4.0 * 0.2 * math.sqrt(10.0))
 
@@ -117,12 +116,11 @@ def test_half_height_clears_the_largest_discounted_strike():
         OptionSpec(cost=1.0, maturity=10.0, gamma=1.0, cost_growth=0.5),
     ):
         k_max = option.cost * math.exp(max(0.0, option.cost_growth - market.r) * option.maturity)
-        m = choose_half_height(market, option, dt)
+        m = build_grid(market, option, dt).half_height
         assert market.v0 * math.exp(market.sigma2 * math.sqrt(dt)) ** m > k_max
     for dt in (0.0, -1.0, math.nan, math.inf):
-        for sized in (choose_half_height, build_grid):
-            with pytest.raises(ValueError, match="dt must be positive and finite"):
-                sized(market, option, dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            build_grid(market, option, dt)
 
 
 def test_ladder_above_v0_matches_doubled_ladder():

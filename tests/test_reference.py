@@ -72,6 +72,8 @@ def test_perpetual_params_validation():
         (math.nan, 0.04, 0.04, "sigma"),
         (math.inf, 0.04, 0.04, "sigma"),
         (1e-200, 0.04, 0.04, "sigma"),  # positive, but its square underflows
+        (1e-161, 0.04, 0.08, "beta overflows"),  # its square is positive, but beta overflows
+        (1e-155, 0.0, 0.04, "beta overflows"),
         (0.2, -0.01, 0.04, "r must"),
         (0.2, math.nan, 0.04, "r must"),
         (0.2, 0.04, math.inf, "delta"),
