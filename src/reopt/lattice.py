@@ -17,6 +17,10 @@ project-up successor.  The top row is always exercised, the bottom row
 is worthless.  All quantities are discounted; spot conversions happen
 only in reporting helpers.
 
+High rows exercise in every column, so :func:`backward_induce` runs g
+only on the rows below a bound (about 60% of a base lattice's rows) and
+induces every row again if a column's exercise boundary reaches it.
+
 :func:`build_grid` sizes both axes in one place: N steps of the exact
 size T / N, and M rows above and below V0, enough for the drift, four
 standard deviations and the largest discounted strike over the horizon.
@@ -32,6 +36,7 @@ import numpy as np
 
 from .calibration import LatticeCalibration, MarketParams, calibrate
 from .indifference import g_values, linear_limit_values
+from .reference import perpetual_threshold
 
 __all__ = [
     "OptionSpec",
@@ -48,6 +53,7 @@ __all__ = [
 ]
 
 _MAX_AXIS = 10**9  # most time steps, or rows above V0: a 10**9-row column takes 8 GB
+_MIN_GAMMA_COST = 1e-7  # least gamma * cost g values: there its rounding is ~1e-5 of a base value
 
 
 @dataclass(frozen=True)
@@ -186,9 +192,30 @@ def backward_induce(
     The certainty-equivalent operator is the exponential-utility g at
     ``option.gamma``; at gamma 0 it is g's analytically evaluated
     gamma -> 0 limit, ``linear_limit_values`` (the risk-neutral benchmark,
-    where a vanishing gamma would be numerically fragile in g).  Either is
-    called once per column, through this module's global, on views of the
-    rows of the column one step later.
+    where a vanishing gamma would be numerically fragile in g).  A positive
+    gamma with gamma * cost below 1e-7 raises ValueError: there g's rounding
+    (about 1.6e-13 / gamma at dt = 1/900) outweighs what risk aversion
+    changes, and at gamma * (x_up - x_dn) below float64 resolution g returns
+    x_dn, the gamma -> infinity value.  Either operator is called once per
+    column, through this module's global, on contiguous views of the rows
+    of the column one step later.
+
+    Rows high on the ladder exercise in every column, so the operator runs
+    only on rows ``top`` .. 2M-1, counting from 0 at the top: its views
+    are rows top-1 .. 2M-2 and top+1 .. 2M of the column one step later,
+    and the rows above ``top`` take V - K_n.  ``top`` is the next to last
+    row whose V exceeds both the perpetual threshold B =
+    ``perpetual_threshold(sigma2, r, delta, max K_n)`` of the lattice's
+    own one-step growth m of V (sigma2 = log(h) / sqrt(dt), delta =
+    -log(m) / dt), above which no boundary is expected, and
+    (K_n - K_{n+1}) / (1 - m), which makes the skip exact: with
+    nonnegative weights g never exceeds its linear limit, so where rows
+    i-1 and i+1 exercise one step later, g at row i is at most
+    m V - K_{n+1} <= V - K_n, and row i exercises too.  So every column
+    n < N must exercise down to row ``top`` itself; if one does not, the
+    induction runs again on every row.  Either way the result is that of
+    inducing every row.  Without a bound (delta <= 0, r < 0 or a signed
+    weight) every row is induced from the start.
 
     ``gammas``, a non-empty 1-D sequence of K risk aversions, takes the
     place of ``option.gamma``: neither the grid nor the calibration depends
@@ -215,6 +242,12 @@ def backward_induce(
         cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
     else:
         cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, gamma)
+        if 0.0 < np.min(gamma) * option.cost < _MIN_GAMMA_COST:
+            raise ValueError(
+                f"gamma * cost = {np.min(gamma) * option.cost:.3g} is below "
+                f"{_MIN_GAMMA_COST:.0e}, where g's rounding outweighs risk aversion; "
+                "gamma 0 values the option in its linear limit"
+            )
 
     n_steps, rows, v = grid.n_steps, grid.n_rows, grid.row_values
     if not np.all(v[1:] < v[:-1]):
@@ -230,6 +263,25 @@ def backward_induce(
     # V - K_n > 0, are exactly the first above[n] rows, those with V > K_n.
     above = np.searchsorted(-v, -strike)
 
+    # The rows above ``top`` exercise in every column (see the docstring).
+    # The window does not depend on gamma, so a stack shares it.
+    top = 1
+    if min(cal.p1, cal.p2, cal.p3, cal.p4) >= 0.0:
+        # m, g's linear limit at (h, l), written out: this module's global
+        # operator is called once per column and for nothing else
+        m = (
+            cal.q * (cal.p1 * cal.h + cal.p2 * cal.l) / (cal.p1 + cal.p2)
+            + cal.q_down * (cal.p3 * cal.h + cal.p4 * cal.l) / (cal.p3 + cal.p4)
+        )
+        try:
+            sigma2, delta = math.log(cal.h) / math.sqrt(cal.dt), -math.log(m) / cal.dt
+            bound = perpetual_threshold(sigma2, cal.r, delta, strike.max())
+        except ValueError:  # delta <= 0 or r < 0: no perpetual bound
+            pass
+        else:
+            bound = max(bound, np.max(strike[:-1] - strike[1:], initial=0.0) / (1.0 - m))
+            top = max(1, int(np.searchsorted(-v, -bound)) - 2)
+
     # Per column, a row per lattice: the first row that does not exercise,
     # and how many rows below the last one that does.  At maturity the
     # in-the-money rows exercise, a run of above[N] from the top.
@@ -239,38 +291,44 @@ def backward_induce(
     # The terminal column is the payoff, the same for every gamma.
     terminal = np.broadcast_to(np.maximum(v - strike[n_steps], 0.0), lattices + (rows,))
 
-    # Fixed per induction: the work buffers and their views.  ``ex`` holds
-    # the exercise value, which no gamma changes.  One column buffer, a row
-    # per lattice, is refilled at every column: g returns a new array, never
-    # a view of its inputs, so the previous column is read in full first.
-    # Its bottom row, the worthless boundary, is zeroed once; the terminal
-    # column, whose bottom row may be in the money, keeps its own array.
-    # The mask's top row always exercises, its bottom row never.  Each
-    # lattice's row of the buffers stays contiguous, so g's exp and log
-    # round as they do for one lattice alone.
+    # Fixed per induction: the work buffers.  ``ex`` holds the exercise
+    # value, which no gamma changes.  One column buffer, a row per lattice,
+    # is refilled at every column: g returns a new array, never a view of
+    # its inputs, so the previous column is read first.  Its bottom row,
+    # the worthless boundary, is zeroed once; the terminal column, whose
+    # bottom row may be in the money, keeps its own array.  The mask's
+    # bottom row never exercises.  Each lattice's row of the buffers stays
+    # contiguous, so g's exp and log round as they do for one lattice alone.
     ex = np.empty(rows)
-    ex_inner = ex[1:-1]
     col = np.zeros(lattices + (rows,))
-    inner, next_up, next_dn = col[..., 1:-1], col[..., :-2], col[..., 2:]
-    up, dn = terminal[..., :-2], terminal[..., 2:]
     mask = np.zeros(lattices + (rows,), dtype=bool)
-    mask[..., 0] = True
-    exercised, mask_from_bottom = mask[..., 1:-1], mask[..., ::-1]
-    # The transposes index the ladder first for any K, as cheaply as 1-D.
-    col_by_row, exercised_by_row = col.T, exercised.T
-    for n in range(n_steps - 1, -1, -1):
-        cont = cont_of(up, dn)
-        k = above.item(n)
-        np.subtract(v, strike[n], out=ex)
-        col_by_row[0] = ex[0]
-        ex[k:] = 0.0  # (V - K_n)^+
-        np.maximum(ex_inner, cont, out=inner)
-        np.greater_equal(ex_inner, cont, out=exercised)
-        exercised_by_row[max(k - 1, 0):] = False  # exercise needs V - K_n > 0
-        # the top row exercises and the bottom row does not, so both exist
-        first[n] = mask.argmin(-1)
-        from_bottom[n] = mask_from_bottom.argmax(-1)
-        up, dn = next_up, next_dn
+    mask_from_bottom = mask[..., ::-1]
+    while True:
+        # Fixed per window: the views.  The mask's rows above ``top`` exercise.
+        head, ex_inner = ex[:top], ex[top:-1]
+        col_head, inner = col[..., :top], col[..., top:-1]
+        next_up, next_dn = col[..., top - 1 : -2], col[..., top + 1 :]
+        up, dn = terminal[..., top - 1 : -2], terminal[..., top + 1 :]
+        mask[..., :top] = True
+        exercised = mask[..., top:-1]
+        # The transpose indexes the ladder first for any K, as cheaply as 1-D.
+        exercised_by_row = exercised.T
+        for n in range(n_steps - 1, -1, -1):
+            cont = cont_of(up, dn)
+            k = above.item(n)
+            np.subtract(v, strike[n], out=ex)
+            col_head[...] = head
+            ex[k:] = 0.0  # (V - K_n)^+
+            np.maximum(ex_inner, cont, out=inner)
+            np.greater_equal(ex_inner, cont, out=exercised)
+            exercised_by_row[max(k - top, 0) :] = False  # exercise needs V - K_n > 0
+            # the top row exercises and the bottom row does not, so both exist
+            first[n] = mask.argmin(-1)
+            from_bottom[n] = mask_from_bottom.argmax(-1)
+            up, dn = next_up, next_dn
+        if top == 1 or (first[:-1] > top).all():
+            break
+        top = 1  # the boundary reached the window: induce every row
 
     if not n_steps:  # with no step, the payoff itself
         col[...] = terminal

@@ -38,6 +38,8 @@ from reopt import (
     calibrate,
 )
 
+from conftest import exercise_window_top
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -91,27 +93,37 @@ def test_price_induces_on_a_positional_grid_and_extracts(tmp_path, monkeypatch):
     assert len(grids) == 1 and isinstance(grids[0], GridSpec)
 
 
-def _check_one_call_per_column_on_the_interior_rows(monkeypatch, operator, gamma):
+def _check_one_call_per_column_on_the_window(monkeypatch, operator, gamma, gammas=None):
+    # the rows g runs on are those below the window top, rows - 1 - top of
+    # them per lattice: a pinned M = 30 ladder reaches well above the top
     market = MarketParams(mu1=0.115, sigma1=0.25, mu2=0.03, sigma2=0.2, rho=0.5, r=0.04)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=gamma)
-    grid = build_grid(market, option, 0.05, 6)
+    grid = build_grid(market, option, 0.05, 30)
+    cal = calibrate(market, grid.dt)
+    top = exercise_window_top(grid, cal, option)
+    assert top > 1
     calls, first_args = [], []
     _record(monkeypatch, calls, reopt.lattice, operator, first_args)
-    reopt.lattice.backward_induce(grid, calibrate(market, grid.dt), option)
+    reopt.lattice.backward_induce(grid, cal, option, gammas=gammas)
     assert len(calls) == grid.n_steps == 20
+    lattices = 1 if gammas is None else len(gammas)
     for x_up in first_args:
-        assert isinstance(x_up, np.ndarray) and x_up.size == 2 * grid.half_height - 1
+        assert isinstance(x_up, np.ndarray) and x_up.size == lattices * (grid.n_rows - 1 - top)
 
 
 def test_induction_calls_g_once_per_column_on_the_interior_rows(monkeypatch):
     # the indifference.g.* metrics count these calls and their args[0].size
-    _check_one_call_per_column_on_the_interior_rows(monkeypatch, "g_values", 1.0)
+    _check_one_call_per_column_on_the_window(monkeypatch, "g_values", 1.0)
+
+
+def test_stacked_induction_calls_g_once_per_column_on_every_lattice(monkeypatch):
+    _check_one_call_per_column_on_the_window(monkeypatch, "g_values", 1.0, (1.0, 2.0, 5.0))
 
 
 def test_linear_induction_calls_linear_limit_values_once_per_column(monkeypatch):
     # the same for the linear limit at gamma 0, on which the tests' grid
     # recorder relies
-    _check_one_call_per_column_on_the_interior_rows(monkeypatch, "linear_limit_values", 0.0)
+    _check_one_call_per_column_on_the_window(monkeypatch, "linear_limit_values", 0.0)
 
 
 def test_preset_sweep_calls_value_curve(tmp_path, monkeypatch):
@@ -193,7 +205,7 @@ def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch):
 
     monkeypatch.setattr(reopt.lattice, "g_values", recording_g)
     monkeypatch.setattr(reopt.experiments, "run_single", tagged)
-    specs = []
+    specs, windows = [], []
     for rho in (0.0, 0.5):
         doc = {
             "project": {"rho": rho},
@@ -201,12 +213,17 @@ def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch):
             "grid": {"dt": 0.05},
             "sweep": {"name": "gamma", "values": [1.0, 2.0, 5.0]},
         }
-        specs.append(reopt.experiments.parse_config(json.dumps(doc))[1])
+        cfg, spec = reopt.experiments.parse_config(json.dumps(doc))
+        specs.append(spec)
+        grid = build_grid(cfg.market, cfg.option, cfg.dt)
+        top = exercise_window_top(grid, calibrate(cfg.market, grid.dt), cfg.option)
+        assert top > 1
+        windows.append(grid.n_rows - 1 - top)
     results = reopt.experiments.run_sweep(*specs, workers=2)
     assert [r.swept_value for r in results] == [1.0, 2.0, 5.0] * 2
     assert [getattr(r, "tag", None) for r in results] == ["traced"] * 6
     assert os.getpid() not in {r.pid for r in results}
-    for first, *rest in (results[:3], results[3:]):
+    for (first, *rest), window in zip((results[:3], results[3:]), windows):
         # the first point of a stack runs the shared induction
-        assert first.n == 20 and first.g_sizes == [3 * (2 * first.m - 1)] * 20
+        assert first.n == 20 and first.g_sizes == [3 * window] * 20
         assert all(r.g_sizes == [] for r in rest)

@@ -416,6 +416,15 @@ def test_undefined_certainty_equivalent_exits_3_without_infeasible(
     assert float(weights.split(", ")[1]) < 0.0
 
 
+def test_gamma_too_small_for_g_exits_3(config_file, capsys):
+    doc = dict(BASE_DOC, option={"gamma": 1e-10})
+    assert main(["price", "--config", config_file(doc)]) == 3
+    assert capsys.readouterr().err == (
+        "cannot value: gamma * cost = 1e-10 is below 1e-07, where g's rounding "
+        "outweighs risk aversion; gamma 0 values the option in its linear limit\n"
+    )
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_point_whose_grid_cannot_be_laid_out_is_an_error_row(
     config_file, tmp_path, capsys, workers

@@ -429,6 +429,44 @@ def test_gamma_stack_that_fails_at_some_gammas_matches_separate_runs():
         assert all(_same_result(a, b) for a, b in zip(results, alone))
 
 
+def test_gamma_stack_with_a_gamma_too_small_for_g_matches_separate_runs():
+    # gamma 1e-10 is below g's floor, so the stacked solve raises and each
+    # point solves on its own: an error row, and the other gamma's result
+    _, sweep = parse_config(cfg_text(
+        grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1e-10, 1.0]},
+    ))
+    alone = _separate_runs(sweep)
+    assert [r.anomaly_flags for r in alone] == ["error:ValueError", ""]
+    assert "is below 1e-07" in alone[0].error
+    for workers in (1, 2):
+        results = run_sweep(sweep, workers=workers)
+        assert all(_same_result(a, b) for a, b in zip(results, alone))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the counting induction only when the pool forks",
+)
+def test_fig1_right_stays_three_stacked_inductions_on_a_pool(tmp_path, monkeypatch):
+    # a stacked solve that raises falls back to one induction per gamma
+    # with the same numbers, so only the count of inductions shows it: 3
+    # stacks of 7 gammas, not 21 (or 24) inductions.  The workers log
+    # them to a file; test_one_induction_per_base_config counts them on
+    # one worker.
+    log = tmp_path / "inductions"
+    inner = lattice.backward_induce
+
+    def counting(*args, gammas=None, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{len(gammas or ())}\n")
+        return inner(*args, gammas=gammas, **kwargs)
+
+    monkeypatch.setattr(lattice, "backward_induce", counting)
+    results = run_preset("fig1-right", workers=2, dt=0.05)
+    assert not any(r.error for r in results)
+    assert log.read_text().split() == ["7"] * 3
+
+
 _START_METHODS = [
     m for m in ("fork", "forkserver", "spawn") if m in multiprocessing.get_all_start_methods()
 ]

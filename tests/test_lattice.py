@@ -26,8 +26,9 @@ from reopt import (
     value_curve,
 )
 from reopt.calibration import CalibrationInfeasible
+from reopt.reference import DivergentThreshold
 
-from conftest import base_market, degenerate_complete_calibration
+from conftest import base_market, degenerate_complete_calibration, exercise_window_top
 
 
 def induce(market, option, dt, m=None, **kw):
@@ -268,16 +269,24 @@ INTERIOR_MASKS = {
 }
 
 
+def _no_bound(*args):
+    raise DivergentThreshold("no perpetual bound")
+
+
 def _one_step_forcing(monkeypatch, masks):
     """One step on a five-row ladder that is in the money throughout, with
     a continuation that forces the time-0 exercise masks ``masks`` (a row
-    per lattice): 0 lets a row exercise, 1e9 keeps it from exercising."""
+    per lattice): 0 lets a row exercise, 1e9 keeps it from exercising.  A
+    forced continuation need not keep to the bound that lets the induction
+    skip the rows above its window, so the bound is taken away and every
+    row is induced."""
     market = base_market(rho=0.5)
     option = OptionSpec(cost=0.1, maturity=0.1, gamma=1.0)
     grid = build_grid(market, option, 0.1, 2)
     assert grid.n_steps == 1 and (grid.row_values > option.cost).all()
     interior = np.array(masks)[..., 1:-1]
     monkeypatch.setattr(reopt.lattice, "g_values", lambda *args: np.where(interior, 0.0, 1e9))
+    monkeypatch.setattr(reopt.lattice, "perpetual_threshold", _no_bound)
     return grid, calibrate(market, grid.dt), option
 
 
@@ -388,7 +397,7 @@ def _case_growth(alpha):
 def _case_strike_on_a_row():
     # cost_growth = r keeps K_n = cost, a ladder row: V - K is exactly 0 there
     market = base_market(rho=0.5)
-    grid = build_grid(market, OptionSpec(cost=1.0, maturity=1.0, gamma=1.0), 0.02)
+    grid = build_grid(market, OptionSpec(cost=1.0, maturity=1.0, gamma=1.0), 0.02, 60)
     option = OptionSpec(cost=float(grid.row_values[grid.half_height - 4]), maturity=1.0,
                         gamma=1.0, cost_growth=market.r)
     assert (grid.row_values == option.cost).sum() == 1
@@ -401,7 +410,7 @@ def _case_strike_overtakes_the_rows():
     # and g is exactly 0 at the row where V - K_0 is exactly 0
     market = base_market(rho=0.5)
     option = OptionSpec(cost=market.v0, maturity=0.2, gamma=1.0, cost_growth=1.0)
-    grid = build_grid(market, option, 0.1)
+    grid = build_grid(market, option, 0.1, 20)
     assert grid.row_values[grid.half_height] == option.cost
     return grid, calibrate(market, grid.dt), option
 
@@ -461,6 +470,15 @@ def _case_anomalous():
     return build_grid(base_market(rho=0.5), option, dt, 30), cal, option
 
 
+def _case_delta_nonpositive():
+    # a project drift above the riskless rate: the lattice's one-step growth
+    # of V exceeds 1, so there is no perpetual bound
+    market = base_market(rho=0.5, delta=-0.02)
+    option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0)
+    grid = build_grid(market, option, 0.02)
+    return grid, calibrate(market, grid.dt), option
+
+
 def _case_degenerate_complete():
     cal = degenerate_complete_calibration(dt=0.02)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=3.0, cost_growth=-0.05)
@@ -474,34 +492,85 @@ def _linear(case):
 
 
 @pytest.mark.parametrize(
-    "case",
+    "case,windowed",
     [
-        lambda: _case_growth(0.1),
-        lambda: _case_growth(-0.05),
-        _case_strike_on_a_row,
-        _case_strike_overtakes_the_rows,
-        _case_top_row_at_the_largest_strike,
-        _case_cost_below_the_ladder,
-        lambda: _linear(_case_growth(0.1)),
-        lambda: _linear(_case_cost_below_the_ladder()),
-        _case_signed_weights,
-        _case_signed_weights_below_zero,
-        _case_degenerate_complete,
-    ],
-    ids=[
-        "growth-above-r", "growth-below-r", "strike-on-a-row", "strike-overtakes-rows",
-        "top-row-at-strike", "cost-below-ladder", "linear", "linear-cost-below-ladder",
-        "signed-weights", "signed-weights-below-zero", "degenerate-complete",
+        pytest.param(lambda: _case_growth(0.1), True, id="growth-above-r"),
+        pytest.param(lambda: _case_growth(-0.05), True, id="growth-below-r"),
+        pytest.param(_case_strike_on_a_row, True, id="strike-on-a-row"),
+        pytest.param(_case_strike_overtakes_the_rows, True, id="strike-overtakes-rows"),
+        # the cost is the top row, so no row lies above the bound
+        pytest.param(_case_top_row_at_the_largest_strike, False, id="top-row-at-strike"),
+        pytest.param(_case_cost_below_the_ladder, True, id="cost-below-ladder"),
+        pytest.param(lambda: _linear(_case_growth(0.1)), True, id="linear"),
+        pytest.param(
+            lambda: _linear(_case_cost_below_the_ladder()), True, id="linear-cost-below-ladder"
+        ),
+        # with a signed weight g may exceed its linear limit: no bound
+        pytest.param(_case_signed_weights, False, id="signed-weights"),
+        pytest.param(_case_signed_weights_below_zero, False, id="signed-weights-below-zero"),
+        # a growth of V just below 1 and a falling strike put the bound
+        # above the ladder
+        pytest.param(_case_degenerate_complete, False, id="degenerate-complete"),
+        pytest.param(_case_delta_nonpositive, False, id="delta-nonpositive"),
     ],
 )
-def test_induction_is_bit_identical_to_the_reference_column_loop(case, grid_recorder):
+def test_induction_is_bit_identical_to_the_reference_column_loop(case, windowed, grid_recorder):
     grid, cal, option = case()
+    top = exercise_window_top(grid, cal, option)
+    assert (top > 1) == windowed
     vg, recorded = grid_recorder.induce(grid, cal, option)
+    # the operator ran once per column on the rows below the window top
+    assert grid_recorder.widths == [grid.n_rows - 1 - top] * grid.n_steps
     values, depth, anomalous = reference_column_loop(grid, cal, option)
     assert np.array_equal(recorded, values)
     assert np.array_equal(vg.values_t0, values[:, 0])
     assert np.array_equal(vg.exercise_depth, depth)
     assert np.array_equal(vg.anomalous, anomalous)
+
+
+@pytest.mark.parametrize(
+    "gamma,gammas", [(1.0, None), (1.0, (0.1, 1.0, 10.0)), (0.0, None)],
+    ids=["lattice", "stack", "linear"],
+)
+def test_a_window_the_boundary_reaches_is_induced_again_on_every_row(
+    gamma, gammas, grid_recorder, monkeypatch
+):
+    # a bound far below the boundary puts the window top, rows - 2, under
+    # it in the first columns, so the induction runs again on every row
+    # and gives the reference's result
+    grid, cal, option = _case_growth(0.1)
+    option = dataclasses.replace(option, gamma=gamma)
+    monkeypatch.setattr(reopt.lattice, "perpetual_threshold", lambda *args: 1e-300)
+    vg, recorded = grid_recorder.induce(grid, cal, option, gammas=gammas)
+    assert grid_recorder.widths == [1] * grid.n_steps + [grid.n_rows - 2] * grid.n_steps
+    for k, gamma_k in enumerate(gammas or (gamma,)):
+        values, depth, anomalous = reference_column_loop(
+            grid, cal, dataclasses.replace(option, gamma=gamma_k)
+        )
+        lattice = (k,) if gammas else ()
+        assert np.array_equal(recorded[lattice], values)
+        assert np.array_equal(vg.values_t0[lattice], values[:, 0])
+        assert np.array_equal(vg.exercise_depth[lattice], depth)
+        assert np.array_equal(vg.anomalous[lattice], anomalous)
+
+
+def test_a_gamma_too_small_for_g_is_rejected():
+    # below gamma * cost = 1e-7, g's rounding (~1.6e-13 / gamma at dt =
+    # 1/900) outweighs what risk aversion changes; at gamma 1e-14 g gave
+    # the gamma -> infinity value
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0)
+    grid = build_grid(market, option, 0.02)
+    cal = calibrate(market, grid.dt)
+    for gamma, cost in ((1e-10, 1.0), (1e-14, 1.0), (1e-6, 0.05)):
+        tiny = dataclasses.replace(option, gamma=gamma, cost=cost)
+        with pytest.raises(ValueError, match=r"gamma \* cost = .* is below 1e-07"):
+            backward_induce(grid, cal, tiny)
+    with pytest.raises(ValueError, match="is below 1e-07"):
+        backward_induce(grid, cal, option, gammas=(1.0, 1e-10))
+    # at and above the floor, and at gamma 0, the induction runs
+    for gamma, cost in ((1e-6, 1.0), (2e-7, 0.5), (0.0, 1.0)):
+        backward_induce(grid, cal, dataclasses.replace(option, gamma=gamma, cost=cost))
 
 
 def test_induction_rejects_a_ladder_that_does_not_fall():
