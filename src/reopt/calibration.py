@@ -177,7 +177,8 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
     CalibrationInfeasible
         If a branch mass or a probability falls outside the admissible
         range, which signals that dt is too large or |rho| too extreme
-        for the given drifts.
+        for the given drifts; or if dt is so small that u or h rounds
+        to 1, leaving the lattice no step.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
@@ -189,6 +190,10 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
     d = 1.0 / u
     h = math.exp(market.sigma2 * sq)
     l = 1.0 / h
+    if not (u > 1.0 and h > 1.0):  # u - d or h - l would be 0
+        raise CalibrationInfeasible(
+            f"dt={dt:.6g} too small: exp(sigma sqrt(dt)) rounds to 1, no step up or down"
+        )
 
     a = (math.exp((market.mu1 - market.r) * dt) - d) / (u - d)
     b = (math.exp((market.mu2 - market.r) * dt) - l) / (h - l)

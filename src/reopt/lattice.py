@@ -20,6 +20,10 @@ only in reporting helpers.
 High rows exercise in every column, so :func:`backward_induce` runs g
 only on the rows below a bound (about 60% of a base lattice's rows) and
 induces every row again if a column's exercise boundary reaches it.
+Each column costs g and one ``np.maximum``; the exercise values, the
+rows above the bound and the exercise summaries are worked out once per
+block of columns, on a ring of column slots that never holds the full
+grid.
 
 :func:`build_grid` sizes both axes in one place: N steps of the exact
 size T / N, and M rows above and below V0, enough for the drift, four
@@ -54,6 +58,7 @@ __all__ = [
 
 _MAX_AXIS = 10**9  # most time steps, or rows above V0: a 10**9-row column takes 8 GB
 _MIN_GAMMA_COST = 1e-7  # least gamma * cost g values: there its rounding is ~1e-5 of a base value
+_BLOCK = 32  # columns per block of backward_induce, whose ring holds two blocks
 
 
 @dataclass(frozen=True)
@@ -157,9 +162,10 @@ def build_grid(
 class ValueGrid:
     """Result of the backward induction.
 
-    ``values_t0`` is the time-0 column; the induction keeps just two
-    adjacent columns, never the full grid.  Per-column exercise summaries
-    are recorded so thresholds can be extracted:
+    ``values_t0`` is the time-0 column; the induction keeps a ring of
+    2B columns, two blocks of B = 32 (see :func:`backward_induce`), never
+    the full grid.  Per-column exercise summaries are recorded so
+    thresholds can be extracted:
 
     ``exercise_depth[n]``  number of consecutive exercised rows from the top;
     ``anomalous[n]``       an exercised node exists below that run, i.e. the
@@ -224,6 +230,19 @@ def backward_induce(
     grid then gains a leading axis of length K, one row per gamma, and
     each row is bit for bit the single lattice at that gamma.  A stack is
     always g, so every gamma in it must be positive.
+
+    Columns run in blocks of 32, column n in slot n mod 64 of a ring of
+    64 column slots, so a block fills one half of the ring while its
+    first column reads the last column of the other.  Per column only two
+    numpy calls run: the operator, and an ``np.maximum`` of its result
+    and the exercise value straight into the column's slot.  Per block
+    a handful run: the exercise values (V - K_n)^+ of the block's
+    columns, on the band of rows that are ever in the money (the rows
+    below it stay 0); the rows above ``top`` in every slot, V - K_n, so
+    that each slot holds its whole column when the operator reads it;
+    and the block's exercise masks and summaries, with one ``argmin``
+    and one reversed ``argmax``.  These are the same IEEE operations as
+    column by column, so the bits do not depend on the block size.
 
     Time columns are processed sequentially (hard data dependency); rows
     within a column are vectorized.  The whole routine is pure, so
@@ -290,52 +309,69 @@ def backward_induce(
 
     # The terminal column is the payoff, the same for every gamma.
     terminal = np.broadcast_to(np.maximum(v - strike[n_steps], 0.0), lattices + (rows,))
-
-    # Fixed per induction: the work buffers.  ``ex`` holds the exercise
-    # value, which no gamma changes.  One column buffer, a row per lattice,
-    # is refilled at every column: g returns a new array, never a view of
-    # its inputs, so the previous column is read first.  Its bottom row,
-    # the worthless boundary, is zeroed once; the terminal column, whose
-    # bottom row may be in the money, keeps its own array.  The mask's
-    # bottom row never exercises.  Each lattice's row of the buffers stays
-    # contiguous, so g's exp and log round as they do for one lattice alone.
-    ex = np.empty(rows)
-    col = np.zeros(lattices + (rows,))
-    mask = np.zeros(lattices + (rows,), dtype=bool)
-    mask_from_bottom = mask[..., ::-1]
+    # shapes that broadcast over the lattices
+    each = (1,) * len(lattices)
+    strike_of = strike.reshape((-1,) + each + (1,))  # K_n against a block's slots
+    # before maturity no row from k_max down is in the money
+    k_max = int(above[:-1].max(initial=0))
     while True:
-        # Fixed per window: the views.  The mask's rows above ``top`` exercise.
-        head, ex_inner = ex[:top], ex[top:-1]
-        col_head, inner = col[..., :top], col[..., top:-1]
-        next_up, next_dn = col[..., top - 1 : -2], col[..., top + 1 :]
+        # Fixed per window: the buffers and their views.  Column n lives in
+        # slot n mod 2B of a ring, B = _BLOCK, a row per lattice, each
+        # contiguous so that g's exp and log round as they do for one
+        # lattice alone.  A block of B columns fills one half of the ring
+        # while its first column reads the other half.  The bottom row, the
+        # worthless boundary, stays 0; the terminal column, whose bottom
+        # row may be in the money, keeps its own array.  ``ex`` holds a
+        # block's exercise values (V - K_n)^+ on rows top .. 2M-1, which no
+        # gamma changes; only rows above ``low`` are ever in the money, the
+        # rest stay 0.  The mask covers rows top-1 .. low, whose end rows
+        # are sentinels: row top-1 exercises like every row above the
+        # window, and row ``low`` never does.
+        low = min(max(k_max, top), rows - 1)
+        ring = np.zeros((2 * _BLOCK,) + lattices + (rows,))
+        ex = np.zeros((_BLOCK,) + each + (rows - 1 - top,))
+        ex_band = ex[..., : low - top]
+        mask = np.empty((_BLOCK,) + lattices + (low - top + 2,), dtype=bool)
+        mask[..., 0], mask[..., -1] = True, False
+        mask_from_bottom = mask[..., ::-1]
+        ex_rows, inner = list(ex), list(ring[..., top:-1])
+        ups, dns = list(ring[..., top - 1 : -2]), list(ring[..., top + 1 :])
         up, dn = terminal[..., top - 1 : -2], terminal[..., top + 1 :]
-        mask[..., :top] = True
-        exercised = mask[..., top:-1]
-        # The transpose indexes the ladder first for any K, as cheaply as 1-D.
-        exercised_by_row = exercised.T
-        for n in range(n_steps - 1, -1, -1):
-            cont = cont_of(up, dn)
-            k = above.item(n)
-            np.subtract(v, strike[n], out=ex)
-            col_head[...] = head
-            ex[k:] = 0.0  # (V - K_n)^+
-            np.maximum(ex_inner, cont, out=inner)
-            np.greater_equal(ex_inner, cont, out=exercised)
-            exercised_by_row[max(k - top, 0) :] = False  # exercise needs V - K_n > 0
-            # the top row exercises and the bottom row does not, so both exist
-            first[n] = mask.argmin(-1)
-            from_bottom[n] = mask_from_bottom.argmax(-1)
-            up, dn = next_up, next_dn
+        hi = n_steps
+        while hi:
+            lo = (hi - 1) // _BLOCK * _BLOCK
+            base, size = lo % (2 * _BLOCK), hi - lo
+            block = ring[base : base + size]
+            # Per block: the exercise values, and the rows above the window
+            # take V - K_n, so that every slot holds its whole column.
+            np.subtract(v[top:low], strike_of[lo:hi], out=ex_band[:size])
+            np.maximum(ex_band[:size], 0.0, out=ex_band[:size])
+            np.subtract(v[:top], strike_of[lo:hi], out=block[..., :top])
+            for j in range(size - 1, -1, -1):
+                cont = cont_of(up, dn)
+                np.maximum(ex_rows[j], cont, out=inner[base + j])
+                up, dn = ups[base + j], dns[base + j]
+            # A node exercises where the maximum is its exercise value and
+            # that is positive: (ex >= cont) & (V > K_n), NaN included.
+            body = mask[:size, ..., 1:-1]
+            np.equal(block[..., top:low], ex_band[:size], out=body)
+            body &= ex_band[:size] > 0.0
+            first[lo:hi] = mask[:size].argmin(-1)
+            from_bottom[lo:hi] = mask_from_bottom[:size].argmax(-1)
+            hi = lo
+        # the masks start at row top-1 and end at row ``low``
+        first[:-1] += top - 1
+        from_bottom[:-1] += rows - 1 - low
         if top == 1 or (first[:-1] > top).all():
             break
         top = 1  # the boundary reached the window: induce every row
 
-    if not n_steps:  # with no step, the payoff itself
-        col[...] = terminal
+    # with no step, the payoff itself
+    values_t0 = ring[0].copy() if n_steps else np.array(terminal)
     # the last exercised row, rows - 1 - from_bottom, lies below the first
     # that does not: the exercise region is not an up-set
     anomalous = from_bottom < rows - 1 - first
-    return ValueGrid(values_t0=col, exercise_depth=first.T, anomalous=anomalous.T)
+    return ValueGrid(values_t0=values_t0, exercise_depth=first.T, anomalous=anomalous.T)
 
 
 @dataclass(frozen=True)

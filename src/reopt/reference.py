@@ -29,7 +29,8 @@ class DivergentThreshold(ValueError):
 
 
 def perpetual_beta(sigma: float, r: float, delta: float) -> float:
-    """Positive root of (sigma^2/2) b(b-1) + (r - delta) b - r = 0, always > 1.
+    """Positive root of (sigma^2/2) b(b-1) + (r - delta) b - r = 0, > 1
+    (but it may round to 1).
 
     Needs sigma^2/2 > 0 (a positive sigma whose square underflows is
     rejected too), r >= 0 and delta finite, and a sigma large enough that
@@ -63,9 +64,13 @@ def perpetual_beta(sigma: float, r: float, delta: float) -> float:
 
 def perpetual_threshold(sigma: float, r: float, delta: float, cost: float = 1.0) -> float:
     """Perpetual investment threshold beta / (beta - 1) * cost, with beta
-    from :func:`perpetual_beta`; ``cost`` must be positive."""
+    from :func:`perpetual_beta`; ``cost`` must be positive.  A beta that
+    rounds to 1 (r and delta tiny against sigma^2) raises ValueError: the
+    threshold overflows."""
     if not (math.isfinite(cost) and cost > 0.0):
         raise ValueError("cost must be positive")
     beta = perpetual_beta(sigma, r, delta)
+    if not beta > 1.0:
+        raise ValueError("threshold overflows: beta rounds to 1 for this r and delta")
     return beta / (beta - 1.0) * cost
 

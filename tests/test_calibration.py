@@ -206,6 +206,13 @@ def test_calibrate_rejects_bad_dt():
         calibrate(base_market(rho=0.0), dt=-0.5)
 
 
+def test_calibrate_rejects_a_step_that_rounds_away():
+    # sigma sqrt(dt) below half an ulp of 1 leaves u = h = 1.0: u - d = 0
+    for dt in (1e-300, 1e-40):
+        with pytest.raises(CalibrationInfeasible, match="too small"):
+            calibrate(base_market(rho=0.5), dt=dt)
+
+
 def test_calibrate_rejects_negative_p_tol():
     with pytest.raises(ValueError, match="p_tol must be nonnegative"):
         calibrate(base_market(rho=0.0), dt=0.01, p_tol=-1e-6)

@@ -265,6 +265,15 @@ def test_infeasible_calibration_exit_code(config_file, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_a_step_too_small_to_move_is_infeasible(config_file, capsys):
+    # at dt = 1e-300, exp(sigma sqrt(dt)) rounds to 1: the lattice has no step
+    doc = {"project": {"rho": 0.5}, "option": {"gamma": 1.0, "maturity": 1e-300}}
+    assert main(["price", "--config", config_file(doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible calibration: ") and "too small" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_config_file_is_io_error(capsys):
     assert main(["price", "--config", "/nonexistent/cfg.json"]) == 4
     assert "cannot read" in capsys.readouterr().err

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 import reopt.lattice
+import reopt.reference
 from reopt import (
     GridSpec,
     LatticeCalibration,
@@ -541,17 +543,97 @@ def test_a_window_the_boundary_reaches_is_induced_again_on_every_row(
     grid, cal, option = _case_growth(0.1)
     option = dataclasses.replace(option, gamma=gamma)
     monkeypatch.setattr(reopt.lattice, "perpetual_threshold", lambda *args: 1e-300)
-    vg, recorded = grid_recorder.induce(grid, cal, option, gammas=gammas)
+    _assert_induces_the_reference(grid_recorder, grid, cal, option, gammas)
     assert grid_recorder.widths == [1] * grid.n_steps + [grid.n_rows - 2] * grid.n_steps
-    for k, gamma_k in enumerate(gammas or (gamma,)):
+
+
+def _assert_induces_the_reference(grid_recorder, grid, cal, option, gammas=None):
+    """The induction at ``option.gamma``, or at each of ``gammas`` stacked,
+    gives the reference column loop's grid, depths and flags bit for bit."""
+    vg, recorded = grid_recorder.induce(grid, cal, option, gammas=gammas)
+    for k, gamma in enumerate(gammas or (option.gamma,)):
         values, depth, anomalous = reference_column_loop(
-            grid, cal, dataclasses.replace(option, gamma=gamma_k)
+            grid, cal, dataclasses.replace(option, gamma=gamma)
         )
         lattice = (k,) if gammas else ()
         assert np.array_equal(recorded[lattice], values)
         assert np.array_equal(vg.values_t0[lattice], values[:, 0])
         assert np.array_equal(vg.exercise_depth[lattice], depth)
         assert np.array_equal(vg.anomalous[lattice], anomalous)
+
+
+SMALL_BLOCK = 3
+
+
+def _case_steps(n_steps):
+    """A strike outgrowing r, as in ``_case_growth(0.1)``, on ``n_steps`` columns."""
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=0.02 * n_steps, gamma=1.0, cost_growth=0.1)
+    grid = build_grid(market, option, 0.02)
+    assert grid.n_steps == n_steps
+    return grid, calibrate(market, grid.dt), option
+
+
+BLOCK_EDGES = {
+    "one-column": (lambda: _case_steps(1), None),
+    "one-block": (lambda: _case_steps(SMALL_BLOCK), None),
+    "one-block-and-a-column": (lambda: _case_steps(SMALL_BLOCK + 1), None),
+    "several-blocks": (lambda: _case_steps(3 * SMALL_BLOCK + 2), None),
+    "stack": (lambda: _case_growth(0.1), (0.1, 1.0, 10.0)),
+    "linear": (lambda: _linear(_case_growth(0.1)), None),
+    # the in-the-money count grows toward t = 0
+    "growth-above-r": (lambda: _case_growth(0.1), None),
+    # every row is in the money: the band reaches the bottom row, and
+    # every column exercises down to any window top
+    "cost-below-ladder": (_case_cost_below_the_ladder, None),
+}
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["window", "forced-rerun"])
+@pytest.mark.parametrize("case,gammas", BLOCK_EDGES.values(), ids=BLOCK_EDGES.keys())
+def test_blocks_of_columns_match_the_reference_at_their_edges(
+    case, gammas, forced, grid_recorder, monkeypatch
+):
+    # blocks of 3 columns: a first block that is full or partial, a lone
+    # column, and with ``forced`` a window top of rows - 2 that the
+    # boundary reaches, so that the induction starts again on every row
+    # from a fresh ring
+    monkeypatch.setattr(reopt.lattice, "_BLOCK", SMALL_BLOCK)
+    grid, cal, option = case()
+    if forced:
+        monkeypatch.setattr(reopt.lattice, "perpetual_threshold", lambda *args: 1e-300)
+    _assert_induces_the_reference(grid_recorder, grid, cal, option, gammas)
+    reruns = forced and case is not _case_cost_below_the_ladder
+    assert len(grid_recorder.widths) == (2 if reruns else 1) * grid.n_steps
+
+
+def test_a_threshold_that_overflows_leaves_no_bound(grid_recorder, monkeypatch):
+    # a perpetual beta that rounds to 1 has no threshold: every row is induced
+    grid, cal, option = _case_growth(0.1)
+    monkeypatch.setattr(reopt.reference, "perpetual_beta", lambda *args: 1.0)
+    _assert_induces_the_reference(grid_recorder, grid, cal, option)
+    assert grid_recorder.widths == [grid.n_rows - 2] * grid.n_steps
+
+
+def test_induction_memory_does_not_grow_with_the_steps():
+    # a ring of columns, never the full grid: ten times the columns on the
+    # same ladder, whose full grid would take 19 MB, peak at about the same
+    market = base_market(rho=0.5)
+
+    def peak(n_steps):
+        option = OptionSpec(cost=1.0, maturity=n_steps / 900.0, gamma=1.0)
+        grid = build_grid(market, option, 1.0 / 900.0, half_height=300)
+        assert grid.n_steps == n_steps
+        cal = calibrate(market, grid.dt)
+        tracemalloc.start()
+        try:
+            backward_induce(grid, cal, option)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(400), peak(4000)
+    assert large < 2 * small < 2e6
 
 
 def test_a_gamma_too_small_for_g_is_rejected():

@@ -89,6 +89,15 @@ def test_perpetual_params_validation():
             perpetual_threshold(0.2, 0.04, 0.04, cost)
 
 
+def test_threshold_of_a_beta_that_rounds_to_one_overflows():
+    # beta = 1 + delta / (sigma^2 / 2) at r = 0, and near 1 for tiny r and delta
+    for sigma, r, delta in ((0.2, 0.0, 1e-20), (0.2, 1e-18, 1e-18)):
+        assert perpetual_beta(sigma, r, delta) == 1.0
+        with pytest.raises(ValueError, match="threshold overflows") as exc:
+            perpetual_threshold(sigma, r, delta)
+        assert exc.type is ValueError
+
+
 # ---------------------------------------------------------------------------
 # risk-neutral idiosyncratic limit: the lattice at gamma 0
 # ---------------------------------------------------------------------------
