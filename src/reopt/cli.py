@@ -21,8 +21,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .calibration import CalibrationInfeasible, calibrate, verify_moments
 from .experiments import (
     ConfigError,
@@ -135,7 +133,7 @@ def _side_path(out: str, kind: str, res: RunResult) -> str:
     """``<out stem>_<kind>_<name>=<value>.csv``, the value in its shortest
     round-trip form so that distinct sweep points never share a file."""
     stem = out[:-4] if out.endswith(".csv") else out
-    value = np.format_float_positional(res.swept_value, trim="-")
+    value = repr(float(res.swept_value)).removesuffix(".0")
     return f"{stem}_{kind}_{res.swept_name}={value}.csv"
 
 

@@ -341,8 +341,8 @@ def parse_config(text: str) -> tuple[RunConfig, SweepSpec | None]:
         rng = _section(sec["range"], "sweep.range", _RANGE_KEYS)
         _require([f"sweep.range.{key}" for key in _RANGE_KEYS if key not in rng])
         count = rng["count"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ConfigError("sweep.range.count must be a positive integer")
+        if not isinstance(count, int) or isinstance(count, bool) or not 1 <= count <= 10**6:
+            raise ConfigError("sweep.range.count must be an integer from 1 to 10**6")
         start = _number(rng["start"], "sweep.range.start")
         values = np.linspace(start, _number(rng["stop"], "sweep.range.stop"), count).tolist()
     return base, SweepSpec(sec["name"], values, base, sec.get("outputs", ()))

@@ -21,9 +21,10 @@ High rows exercise in every column, so :func:`backward_induce` runs g
 only on the rows below a bound (about 60% of a base lattice's rows) and
 induces every row again if a column's exercise boundary reaches it.
 Each column costs g and one ``np.maximum``; the exercise values, the
-rows above the bound and the exercise summaries are worked out once per
-block of columns, on a ring of column slots that never holds the full
-grid.
+rows above the bound and the exercise summaries (the first row that does
+not exercise, and how many rows do) are worked out once per block of
+columns.  The ring of column slots holds one block and the column that
+block reads, never the full grid.
 
 :func:`build_grid` sizes both axes in one place: N steps of the exact
 size T / N, and M rows above and below V0, enough for the drift, four
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import indifference
 from .calibration import LatticeCalibration, MarketParams, calibrate
 from .indifference import g_values, linear_limit_values
 from .reference import perpetual_threshold
@@ -58,7 +60,7 @@ __all__ = [
 
 _MAX_AXIS = 10**9  # most time steps, or rows above V0: a 10**9-row column takes 8 GB
 _MIN_GAMMA_COST = 1e-7  # least gamma * cost g values: there its rounding is ~1e-5 of a base value
-_BLOCK = 32  # columns per block of backward_induce, whose ring holds two blocks
+_BLOCK = 32  # columns per block of backward_induce, whose ring holds B + 1 columns
 
 
 @dataclass(frozen=True)
@@ -163,12 +165,13 @@ class ValueGrid:
     """Result of the backward induction.
 
     ``values_t0`` is the time-0 column; the induction keeps a ring of
-    2B columns, two blocks of B = 32 (see :func:`backward_induce`), never
-    the full grid.  Per-column exercise summaries are recorded so
-    thresholds can be extracted:
+    B + 1 columns, one block of B = 32 and the column it reads (see
+    :func:`backward_induce`), never the full grid.  Per-column exercise
+    summaries are recorded so thresholds can be extracted:
 
     ``exercise_depth[n]``  number of consecutive exercised rows from the top;
-    ``anomalous[n]``       an exercised node exists below that run, i.e. the
+    ``anomalous[n]``       an exercised node exists below that run, i.e. more
+                           rows exercise than the run holds and the
                            exercise region is not an up-set in V (flagged,
                            never repaired).
 
@@ -202,9 +205,11 @@ def backward_induce(
     gamma with gamma * cost below 1e-7 raises ValueError: there g's rounding
     (about 1.6e-13 / gamma at dt = 1/900) outweighs what risk aversion
     changes, and at gamma * (x_up - x_dn) below float64 resolution g returns
-    x_dn, the gamma -> infinity value.  Either operator is called once per
-    column, through this module's global, on contiguous views of the rows
-    of the column one step later.
+    x_dn, the gamma -> infinity value.  A gamma whose product with the
+    largest payoff g is given, V - min K_n at row ``top`` - 1, overflows
+    raises ValueError before g runs, where g would return NaN.  Either
+    operator is called once per column, through this module's global, on
+    contiguous views of the rows of the column one step later.
 
     Rows high on the ladder exercise in every column, so the operator runs
     only on rows ``top`` .. 2M-1, counting from 0 at the top: its views
@@ -231,18 +236,22 @@ def backward_induce(
     each row is bit for bit the single lattice at that gamma.  A stack is
     always g, so every gamma in it must be positive.
 
-    Columns run in blocks of 32, column n in slot n mod 64 of a ring of
-    64 column slots, so a block fills one half of the ring while its
-    first column reads the last column of the other.  Per column only two
-    numpy calls run: the operator, and an ``np.maximum`` of its result
-    and the exercise value straight into the column's slot.  Per block
-    a handful run: the exercise values (V - K_n)^+ of the block's
-    columns, on the band of rows that are ever in the money (the rows
-    below it stay 0); the rows above ``top`` in every slot, V - K_n, so
-    that each slot holds its whole column when the operator reads it;
-    and the block's exercise masks and summaries, with one ``argmin``
-    and one reversed ``argmax``.  These are the same IEEE operations as
-    column by column, so the bits do not depend on the block size.
+    Columns run in blocks of B = 32 on a ring of B + 1 column slots: the
+    block of columns lo .. hi-1 fills slots B - (hi - lo) .. B-1, and
+    slot B holds column hi, the one the block's last column reads: the
+    payoff at first, then a copy of each block's first column, so the
+    time-0 column ends there.  Per column only two numpy calls run: the
+    operator, and an ``np.maximum`` of its result and the exercise value
+    straight into the column's slot.  Per block a handful run: the
+    exercise values (V - K_n)^+ of the block's columns, on the band of
+    rows that are ever in the money (the rows below it stay 0); the rows
+    above ``top`` in every slot, V - K_n, so that each slot holds its
+    whole column when the operator reads it; and the block's exercise
+    masks, with one ``argmin`` for the first row that does not exercise
+    and one ``sum`` for how many rows do, so a column is anomalous where
+    more rows exercise than lie above that first one.  These are the same
+    IEEE operations as column by column, so the bits do not depend on
+    the block size.
 
     Time columns are processed sequentially (hard data dependency); rows
     within a column are vectorized.  The whole routine is pure, so
@@ -256,6 +265,8 @@ def backward_induce(
         gamma = np.array(gammas, dtype=float)
         if gamma.ndim != 1 or not gamma.size:
             raise ValueError(f"gammas must hold a non-empty 1-D list of risk aversions: {gammas}")
+        if not 0.0 < gamma.min() <= gamma.max() < math.inf:  # also rejects NaN
+            raise ValueError("gamma must be positive and finite")
         gamma, lattices = gamma.reshape(-1, 1), gamma.shape  # a row per lattice
     if not lattices and gamma == 0.0:
         cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
@@ -286,12 +297,9 @@ def backward_induce(
     # The window does not depend on gamma, so a stack shares it.
     top = 1
     if min(cal.p1, cal.p2, cal.p3, cal.p4) >= 0.0:
-        # m, g's linear limit at (h, l), written out: this module's global
-        # operator is called once per column and for nothing else
-        m = (
-            cal.q * (cal.p1 * cal.h + cal.p2 * cal.l) / (cal.p1 + cal.p2)
-            + cal.q_down * (cal.p3 * cal.h + cal.p4 * cal.l) / (cal.p3 + cal.p4)
-        )
+        # m, g's linear limit at (h, l), called through its module: this
+        # module's global operator is called once per column and for nothing else
+        m = float(indifference.linear_limit_values(cal.h, cal.l, cal))
         try:
             sigma2, delta = math.log(cal.h) / math.sqrt(cal.dt), -math.log(m) / cal.dt
             bound = perpetual_threshold(sigma2, cal.r, delta, strike.max())
@@ -302,76 +310,70 @@ def backward_induce(
             top = max(1, int(np.searchsorted(-v, -bound)) - 2)
 
     # Per column, a row per lattice: the first row that does not exercise,
-    # and how many rows below the last one that does.  At maturity the
-    # in-the-money rows exercise, a run of above[N] from the top.
-    first, from_bottom = np.empty((2, n_steps + 1) + lattices, dtype=int)
-    first[n_steps], from_bottom[n_steps] = above[n_steps], rows - above[n_steps]
+    # and how many rows do.  At maturity the in-the-money rows exercise, a
+    # run of above[N] from the top.
+    first, count = counts = np.empty((2, n_steps + 1) + lattices, dtype=int)
+    counts[:, n_steps] = above[n_steps]
 
-    # The terminal column is the payoff, the same for every gamma.
-    terminal = np.broadcast_to(np.maximum(v - strike[n_steps], 0.0), lattices + (rows,))
     # shapes that broadcast over the lattices
     each = (1,) * len(lattices)
     strike_of = strike.reshape((-1,) + each + (1,))  # K_n against a block's slots
     # before maturity no row from k_max down is in the money
     k_max = int(above[:-1].max(initial=0))
     while True:
-        # Fixed per window: the buffers and their views.  Column n lives in
-        # slot n mod 2B of a ring, B = _BLOCK, a row per lattice, each
-        # contiguous so that g's exp and log round as they do for one
-        # lattice alone.  A block of B columns fills one half of the ring
-        # while its first column reads the other half.  The bottom row, the
-        # worthless boundary, stays 0; the terminal column, whose bottom
-        # row may be in the money, keeps its own array.  ``ex`` holds a
-        # block's exercise values (V - K_n)^+ on rows top .. 2M-1, which no
-        # gamma changes; only rows above ``low`` are ever in the money, the
-        # rest stay 0.  The mask covers rows top-1 .. low, whose end rows
-        # are sentinels: row top-1 exercises like every row above the
-        # window, and row ``low`` never does.
+        # g scales the values it is given, at most v[top-1] - min K_n, by gamma
+        largest, payoff = float(np.max(gamma)), float(v[top - 1]) - float(strike.min())
+        if not math.isfinite(largest * payoff):
+            raise ValueError(f"gamma {largest:.3g} times the payoff {payoff:.3g} overflows")
+        # Fixed per window: the buffers and their views.  The block of
+        # columns lo .. hi-1 fills slots B - (hi - lo) .. B-1 of a ring of
+        # B + 1 slots, B = _BLOCK, a row per lattice, each contiguous so
+        # that g's exp and log round as they do for one lattice alone; slot
+        # B holds the column the block's last column reads, the payoff at
+        # first.  The bottom row, the worthless boundary, stays 0 before
+        # maturity.  ``ex`` holds a block's exercise values (V - K_n)^+ on
+        # rows top .. 2M-1, which no gamma changes; only rows above ``low``
+        # are ever in the money, the rest stay 0.  The mask covers rows
+        # top-1 .. low, whose end rows are sentinels: row top-1 exercises
+        # like every row above the window, and row ``low`` never does.
         low = min(max(k_max, top), rows - 1)
-        ring = np.zeros((2 * _BLOCK,) + lattices + (rows,))
+        ring = np.zeros((_BLOCK + 1,) + lattices + (rows,))
+        ring[_BLOCK] = np.maximum(v - strike[n_steps], 0.0)
         ex = np.zeros((_BLOCK,) + each + (rows - 1 - top,))
         ex_band = ex[..., : low - top]
         mask = np.empty((_BLOCK,) + lattices + (low - top + 2,), dtype=bool)
         mask[..., 0], mask[..., -1] = True, False
-        mask_from_bottom = mask[..., ::-1]
         ex_rows, inner = list(ex), list(ring[..., top:-1])
         ups, dns = list(ring[..., top - 1 : -2]), list(ring[..., top + 1 :])
-        up, dn = terminal[..., top - 1 : -2], terminal[..., top + 1 :]
         hi = n_steps
         while hi:
             lo = (hi - 1) // _BLOCK * _BLOCK
-            base, size = lo % (2 * _BLOCK), hi - lo
-            block = ring[base : base + size]
+            start = _BLOCK - (hi - lo)
+            block, band, marks = ring[start:_BLOCK], ex_band[start:], mask[start:]
             # Per block: the exercise values, and the rows above the window
             # take V - K_n, so that every slot holds its whole column.
-            np.subtract(v[top:low], strike_of[lo:hi], out=ex_band[:size])
-            np.maximum(ex_band[:size], 0.0, out=ex_band[:size])
+            np.subtract(v[top:low], strike_of[lo:hi], out=band)
+            np.maximum(band, 0.0, out=band)
             np.subtract(v[:top], strike_of[lo:hi], out=block[..., :top])
-            for j in range(size - 1, -1, -1):
-                cont = cont_of(up, dn)
-                np.maximum(ex_rows[j], cont, out=inner[base + j])
-                up, dn = ups[base + j], dns[base + j]
+            for j in range(_BLOCK - 1, start - 1, -1):
+                np.maximum(ex_rows[j], cont_of(ups[j + 1], dns[j + 1]), out=inner[j])
             # A node exercises where the maximum is its exercise value and
             # that is positive: (ex >= cont) & (V > K_n), NaN included.
-            body = mask[:size, ..., 1:-1]
-            np.equal(block[..., top:low], ex_band[:size], out=body)
-            body &= ex_band[:size] > 0.0
-            first[lo:hi] = mask[:size].argmin(-1)
-            from_bottom[lo:hi] = mask_from_bottom[:size].argmax(-1)
+            body = marks[..., 1:-1]
+            np.equal(block[..., top:low], band, out=body)
+            body &= band > 0.0
+            first[lo:hi], count[lo:hi] = marks.argmin(-1), marks.sum(-1)
+            ring[_BLOCK] = ring[start]  # the column the next block reads
             hi = lo
-        # the masks start at row top-1 and end at row ``low``
-        first[:-1] += top - 1
-        from_bottom[:-1] += rows - 1 - low
+        # the masks start at row top-1; the rows above it all exercise
+        counts[:, :-1] += top - 1
         if top == 1 or (first[:-1] > top).all():
             break
         top = 1  # the boundary reached the window: induce every row
 
-    # with no step, the payoff itself
-    values_t0 = ring[0].copy() if n_steps else np.array(terminal)
-    # the last exercised row, rows - 1 - from_bottom, lies below the first
-    # that does not: the exercise region is not an up-set
-    anomalous = from_bottom < rows - 1 - first
-    return ValueGrid(values_t0=values_t0, exercise_depth=first.T, anomalous=anomalous.T)
+    # an exercised row below the first that does not: not an up-set
+    anomalous = count > first
+    return ValueGrid(values_t0=ring[_BLOCK].copy(), exercise_depth=first.T, anomalous=anomalous.T)
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,8 @@ def test_bad_dt_override_is_config_error(config_file, capsys, command, dt):
     ({"name": "gamma", "values": [1.0, 1.0, 2.0]}, "sweep.values"),
     ({"name": "gamma", "range": {"start": 1.0, "stop": 1.0, "count": 2}}, "sweep.values"),
     ({"name": "gamma", "values": [1.0], "outputs": ["spot_curve"]}, "sweep.outputs"),
+    # refused before any array is laid out
+    ({"name": "gamma", "range": {"start": 1.0, "stop": 2.0, "count": 10**15}}, "sweep.range.count"),
 ])
 def test_malformed_sweep_section_is_config_error(config_file, tmp_path, capsys, sweep, field):
     out = tmp_path / "sweep.csv"
@@ -211,14 +213,19 @@ def test_derived_drift_that_overflows_is_config_error(config_file, capsys):
     assert "sigma1=1e-310" in err
 
 
-def test_module_entry_point_exits_with_the_command_code(config_file):
+def _price_in_subprocess(config, *python_flags):
+    """``python <flags> -m reopt.cli price --config <config>``, run on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "reopt.cli", "price", "--config", config],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_exits_with_the_command_code(config_file):
     for doc, code in ((BASE_DOC, 0), (OVERFLOWING_DRIFT, 2)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "reopt.cli", "price", "--config", config_file(doc)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = _price_in_subprocess(config_file(doc))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -296,17 +303,22 @@ def test_unknown_preset_rejected_by_argparse(tmp_path):
 
 
 def test_sweep_side_files_are_unique_per_point(config_file, tmp_path):
-    # the two values agree to six significant digits
-    doc = {
-        "project": {"rho": 0.5},
-        "option": {"gamma": 1.0, "maturity": 1.0},
-        "grid": {"dt": 0.1},
-        "sweep": {"name": "gamma", "values": [1.0000001, 1.0000002], "outputs": ["threshold_curve"]},
-    }
-    out = tmp_path / "s.csv"
-    assert main(["sweep", "--config", config_file(doc), "--out", str(out)]) == 0
-    curves = sorted(p.name for p in tmp_path.glob("s_curve_*.csv"))
-    assert curves == ["s_curve_gamma=1.0000001.csv", "s_curve_gamma=1.0000002.csv"]
+    for stem, name, values, files in (
+        # the two values agree to six significant digits
+        ("g", "gamma", [1.0000001, 1.0000002], ["gamma=1.0000001", "gamma=1.0000002"]),
+        # 1e-300 written positionally would make a name too long to create
+        ("d", "delta", [1e-300, 0.04], ["delta=0.04", "delta=1e-300"]),
+    ):
+        doc = {
+            "project": {"rho": 0.5},
+            "option": {"gamma": 1.0, "maturity": 1.0},
+            "grid": {"dt": 0.1},
+            "sweep": {"name": name, "values": values, "outputs": ["threshold_curve"]},
+        }
+        out = tmp_path / f"{stem}.csv"
+        assert main(["sweep", "--config", config_file(doc), "--out", str(out)]) == 0
+        curves = sorted(p.name for p in tmp_path.glob(f"{stem}_curve_*.csv"))
+        assert curves == [f"{stem}_curve_{name_value}.csv" for name_value in files]
 
 
 @pytest.mark.parametrize("command", ["price", "validate"])
@@ -432,6 +444,54 @@ def test_gamma_too_small_for_g_exits_3(config_file, capsys):
         "cannot value: gamma * cost = 1e-10 is below 1e-07, where g's rounding "
         "outweighs risk aversion; gamma 0 values the option in its linear limit\n"
     )
+
+
+# gamma times the payoff g is given overflows: in the window of a
+# shortfall-specified project, and on every row when a negative shortfall
+# leaves no window
+OVERFLOWING_GAMMA = {
+    "windowed": {"project": {"rho": 0.5}, "option": {"gamma": 1.7e308}, "grid": {"dt": 0.01}},
+    "every-row": {
+        "project": {"rho": 0.5, "sigma2": 3.0, "delta": -0.02},
+        "option": {"gamma": 1e300, "maturity": 40},
+        "grid": {"dt": 0.05},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", OVERFLOWING_GAMMA.values(), ids=OVERFLOWING_GAMMA.keys())
+def test_gamma_times_payoff_that_overflows_exits_3(config_file, doc):
+    proc = _price_in_subprocess(config_file(doc), "-W", "error")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot value: gamma ") and "overflows" in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_huge_gamma_within_the_window_is_valued(config_file):
+    # the every-row config with a positive shortfall: the window's rows
+    # keep gamma times the payoff finite
+    doc = {
+        "project": {"rho": 0.5, "sigma2": 3.0},
+        "option": {"gamma": 1e300, "maturity": 40},
+        "grid": {"dt": 0.05},
+    }
+    proc = _price_in_subprocess(config_file(doc), "-W", "error")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "option_value_v0   = 1.31289013879e-300"
+    assert proc.stderr == ""
+
+
+def test_gamma_stack_with_an_overflowing_gamma_solves_each_point(config_file, tmp_path, capsys):
+    doc = dict(BASE_DOC, sweep={"name": "gamma", "values": [1.0, 1.7e308]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", config_file(doc), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (2 rows, 1 failed)\n"
+    _, (good, bad) = read_sweep_csv(out)
+    assert bad["anomaly_flags"] == "error:ValueError" and bad["option_value_v0"] == ""
+    assert main(["price", "--config", config_file(BASE_DOC)]) == 0
+    alone = capsys.readouterr().out.splitlines()[0]
+    assert alone == f"option_value_v0   = {float(good['option_value_v0']):.12g}"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

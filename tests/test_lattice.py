@@ -655,6 +655,21 @@ def test_a_gamma_too_small_for_g_is_rejected():
         backward_induce(grid, cal, dataclasses.replace(option, gamma=gamma, cost=cost))
 
 
+def test_a_gamma_whose_product_with_the_payoff_overflows_is_rejected(grid_recorder):
+    # g would return NaN; the induction refuses before g runs
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.7e308)
+    grid = build_grid(market, option, 0.02)
+    cal = calibrate(market, grid.dt)
+    for gammas in (None, (1.0, 1.7e308)):
+        with pytest.raises(ValueError, match=r"gamma 1\.7e\+308 times the payoff .* overflows"):
+            grid_recorder.induce(grid, cal, option, gammas=gammas)
+        assert grid_recorder.columns == []
+    # gamma 1e300 times the payoffs in the window stays finite
+    vg = backward_induce(grid, cal, dataclasses.replace(option, gamma=1e300))
+    assert np.isfinite(vg.values_t0).all()
+
+
 def test_induction_rejects_a_ladder_that_does_not_fall():
     market = base_market(rho=0.5)
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
