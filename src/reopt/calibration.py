@@ -177,8 +177,9 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
     CalibrationInfeasible
         If a branch mass or a probability falls outside the admissible
         range, which signals that dt is too large or |rho| too extreme
-        for the given drifts; or if dt is so small that u or h rounds
-        to 1, leaving the lattice no step.
+        for the given drifts; or if u or h rounds to 1 (dt too small,
+        the lattice has no step) or a one-step factor overflows (dt too
+        large).
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
@@ -186,17 +187,21 @@ def calibrate(market: MarketParams, dt: float, p_tol: float = 0.0) -> LatticeCal
         raise ValueError("p_tol must be nonnegative")
 
     sq = math.sqrt(dt)
-    u = math.exp(market.sigma1 * sq)
-    d = 1.0 / u
-    h = math.exp(market.sigma2 * sq)
-    l = 1.0 / h
+    try:
+        u, h = math.exp(market.sigma1 * sq), math.exp(market.sigma2 * sq)
+        growth1, growth2 = (math.exp((mu - market.r) * dt) for mu in (market.mu1, market.mu2))
+    except OverflowError:
+        raise CalibrationInfeasible(
+            f"dt={dt:.6g} too large: exp(sigma sqrt(dt)) or exp((mu - r) dt) overflows"
+        ) from None
+    d, l = 1.0 / u, 1.0 / h
     if not (u > 1.0 and h > 1.0):  # u - d or h - l would be 0
         raise CalibrationInfeasible(
             f"dt={dt:.6g} too small: exp(sigma sqrt(dt)) rounds to 1, no step up or down"
         )
 
-    a = (math.exp((market.mu1 - market.r) * dt) - d) / (u - d)
-    b = (math.exp((market.mu2 - market.r) * dt) - l) / (h - l)
+    a = (growth1 - d) / (u - d)
+    b = (growth2 - l) / (h - l)
     if not (0.0 < a < 1.0):
         raise CalibrationInfeasible(
             f"traded-asset branch mass a={a:.6g} outside (0, 1); dt too large"

@@ -611,17 +611,6 @@ def write_sweep_csv(results: list[RunResult], path, cfg_hash: str) -> None:
     _write_rows(path, cfg_hash, SWEEP_COLUMNS, map(row, results))
 
 
-def read_sweep_csv(path) -> tuple[str, list[dict[str, str]]]:
-    """Read back a sweep CSV: (config hash, rows as string dicts)."""
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# config_sha256="):
-            raise ValueError(f"{path}: missing config hash comment")
-        root = first.split("=", 1)[1]
-        reader = csv.DictReader(fh)
-        return root, list(reader)
-
-
 def write_threshold_curve_csv(curve: ThresholdCurve, path, cfg_hash: str) -> None:
     rows = zip(*(getattr(curve, column) for column in THRESHOLD_CURVE_COLUMNS))
     _write_rows(path, cfg_hash, THRESHOLD_CURVE_COLUMNS, rows)

@@ -21,10 +21,10 @@ High rows exercise in every column, so :func:`backward_induce` runs g
 only on the rows below a bound (about 60% of a base lattice's rows) and
 induces every row again if a column's exercise boundary reaches it.
 Each column costs g and one ``np.maximum``; the exercise values, the
-rows above the bound and the exercise summaries (the first row that does
-not exercise, and how many rows do) are worked out once per block of
-columns.  The ring of column slots holds one block and the column that
-block reads, never the full grid.
+row above the bound that g reads and the exercise summaries (the first
+row that does not exercise, and how many rows do) are worked out once
+per block of columns.  The ring of column slots holds one block and the
+column that block reads, never the full grid.
 
 :func:`build_grid` sizes both axes in one place: N steps of the exact
 size T / N, and M rows above and below V0, enough for the drift, four
@@ -132,8 +132,8 @@ def build_grid(
     last term is zero whenever cost <= V0 and alpha <= r.
 
     Calibration feasibility is checked later, by :func:`solve`, so an
-    infeasible grid still reports its size.  A grid too large to lay out
-    raises ValueError.
+    infeasible grid still reports its size.  A grid too large to lay out,
+    or a ladder whose rows overflow or underflow, raises ValueError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
@@ -154,7 +154,14 @@ def build_grid(
         half_height = max(math.ceil(m), 1)
     if half_height < 1:
         raise ValueError("half_height must be at least 1")
-    h = math.exp(market.sigma2 * math.sqrt(step))
+    try:
+        h = math.exp(market.sigma2 * math.sqrt(step))
+        top, bottom = market.v0 * h**half_height, market.v0 * h**-half_height
+    except OverflowError:
+        h = top = bottom = math.inf
+    if not (math.isfinite(top) and bottom > 0.0):
+        raise ValueError(f"the ladder's rows V0 h^(+-M) overflow or underflow: h = {h:.6g}, "
+                         f"M = {half_height}")
     exponents = np.arange(half_height, -half_height - 1, -1, dtype=float)
     rows = market.v0 * h**exponents
     return GridSpec(n_steps=n_steps, half_height=half_height, dt=step, row_values=rows)
@@ -244,14 +251,15 @@ def backward_induce(
     operator, and an ``np.maximum`` of its result and the exercise value
     straight into the column's slot.  Per block a handful run: the
     exercise values (V - K_n)^+ of the block's columns, on the band of
-    rows that are ever in the money (the rows below it stay 0); the rows
-    above ``top`` in every slot, V - K_n, so that each slot holds its
-    whole column when the operator reads it; and the block's exercise
-    masks, with one ``argmin`` for the first row that does not exercise
-    and one ``sum`` for how many rows do, so a column is anomalous where
-    more rows exercise than lie above that first one.  These are the same
-    IEEE operations as column by column, so the bits do not depend on
-    the block size.
+    rows that are ever in the money (the rows below it stay 0); V - K_n on
+    row top-1, the one row above ``top`` that the operator reads; and the
+    block's exercise masks, with one ``argmin`` for the first row that
+    does not exercise and one ``sum`` for how many rows do, so a column is
+    anomalous where more rows exercise than lie above that first one.  So
+    a slot holds rows top-1 .. 2M of its column; the rows above take
+    V - K_0 in the time-0 column alone, after the last block.  These are
+    the same IEEE operations as column by column, so the bits do not
+    depend on the block size.
 
     Time columns are processed sequentially (hard data dependency); rows
     within a column are vectorized.  The whole routine is pure, so
@@ -330,10 +338,11 @@ def backward_induce(
         # B + 1 slots, B = _BLOCK, a row per lattice, each contiguous so
         # that g's exp and log round as they do for one lattice alone; slot
         # B holds the column the block's last column reads, the payoff at
-        # first.  The bottom row, the worthless boundary, stays 0 before
-        # maturity.  ``ex`` holds a block's exercise values (V - K_n)^+ on
-        # rows top .. 2M-1, which no gamma changes; only rows above ``low``
-        # are ever in the money, the rest stay 0.  The mask covers rows
+        # first.  A block writes rows top-1 .. 2M-1 of its slots; the rows
+        # above them, and the bottom row, the worthless boundary, stay 0.
+        # ``ex`` holds a block's exercise values (V - K_n)^+ on rows
+        # top .. 2M-1, which no gamma changes; only rows above ``low`` are
+        # ever in the money, the rest stay 0.  The mask covers rows
         # top-1 .. low, whose end rows are sentinels: row top-1 exercises
         # like every row above the window, and row ``low`` never does.
         low = min(max(k_max, top), rows - 1)
@@ -350,11 +359,10 @@ def backward_induce(
             lo = (hi - 1) // _BLOCK * _BLOCK
             start = _BLOCK - (hi - lo)
             block, band, marks = ring[start:_BLOCK], ex_band[start:], mask[start:]
-            # Per block: the exercise values, and the rows above the window
-            # take V - K_n, so that every slot holds its whole column.
+            # Per block: the exercise values, and V - K_n on row top-1, which g reads
             np.subtract(v[top:low], strike_of[lo:hi], out=band)
             np.maximum(band, 0.0, out=band)
-            np.subtract(v[:top], strike_of[lo:hi], out=block[..., :top])
+            np.subtract(v[top - 1 : top], strike_of[lo:hi], out=block[..., top - 1 : top])
             for j in range(_BLOCK - 1, start - 1, -1):
                 np.maximum(ex_rows[j], cont_of(ups[j + 1], dns[j + 1]), out=inner[j])
             # A node exercises where the maximum is its exercise value and
@@ -370,6 +378,8 @@ def backward_induce(
         if top == 1 or (first[:-1] > top).all():
             break
         top = 1  # the boundary reached the window: induce every row
+    # the time-0 column's rows above the window, which no block writes
+    np.subtract(v[:top], strike[0], out=ring[_BLOCK][..., :top])
 
     # an exercised row below the first that does not: not an up-set
     anomalous = count > first

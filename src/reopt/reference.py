@@ -18,14 +18,9 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "DivergentThreshold",
     "perpetual_beta",
     "perpetual_threshold",
 ]
-
-
-class DivergentThreshold(ValueError):
-    """The perpetual threshold diverges (nonpositive shortfall rate)."""
 
 
 def perpetual_beta(sigma: float, r: float, delta: float) -> float:
@@ -33,9 +28,9 @@ def perpetual_beta(sigma: float, r: float, delta: float) -> float:
     (but it may round to 1).
 
     Needs sigma^2/2 > 0 (a positive sigma whose square underflows is
-    rejected too), r >= 0 and delta finite, and a sigma large enough that
-    beta does not overflow (ValueError otherwise); a nonpositive shortfall
-    rate delta raises :class:`DivergentThreshold`.
+    rejected too), r >= 0, a positive finite delta (at a nonpositive
+    shortfall rate the threshold diverges) and a sigma large enough that
+    beta does not overflow; ValueError otherwise.
     Uses the cancellation-free form of the quadratic formula: when the
     linear coefficient is large and positive the textbook numerator
     -b + sqrt(D) loses precision, so that branch is rewritten as
@@ -49,7 +44,7 @@ def perpetual_beta(sigma: float, r: float, delta: float) -> float:
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
     if delta <= 0.0:
-        raise DivergentThreshold("perpetual threshold diverges for delta <= 0")
+        raise ValueError("perpetual threshold diverges for delta <= 0")
     lin = r - delta - half_var
     disc = lin * lin + 4.0 * half_var * r
     root = math.sqrt(disc)

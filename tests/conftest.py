@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import csv
 import math
 
 import numpy as np
@@ -47,16 +48,15 @@ class GridRecorder:
     column.  The lattice calls its continuation operator once per column,
     through the module global, on two views of the column one step later,
     both in its buffer: rows top-1 .. 2M-2 and, two rows further on, rows
-    top+1 .. 2M, which end where the column ends.  So the column is the
-    2M+1 entries of that buffer that end where the second view ends, read
-    from memory, whatever the lattice assumes of the rows above ``top``.
-    An induction that reruns on every row calls the operator N more times;
-    the last N calls are the result's columns.  ``widths`` holds the rows
-    each call valued, per lattice."""
+    top+1 .. 2M, which end where the column ends.  ``columns`` holds a copy
+    of the memory the two views span, rows top-1 .. 2M, and ``induce``
+    puts V - K_n above it: those rows exercise in every column, and the
+    lattice never reads them.  An induction that reruns on every row calls
+    the operator N more times; the last N calls are the result's columns.
+    ``widths`` holds the rows each call valued, per lattice."""
 
     def __init__(self, monkeypatch):
         self.columns, self.widths = [], []
-        self.rows = None
         for name in ("g_values", "linear_limit_values"):
             inner = getattr(reopt.lattice, name)
             monkeypatch.setattr(reopt.lattice, name, self._recording(inner))
@@ -64,7 +64,8 @@ class GridRecorder:
     def _recording(self, inner):
         def recording(x_up, x_dn, *args, **kwargs):
             assert _address(x_dn) == _address(x_up) + 2 * x_up.strides[-1]
-            self.columns.append(_column_ending_with(x_dn, self.rows))
+            span = x_up.shape[:-1] + (x_up.shape[-1] + 2,)
+            self.columns.append(np.lib.stride_tricks.as_strided(x_up, span).copy())
             self.widths.append(x_up.shape[-1])
             return inner(x_up, x_dn, *args, **kwargs)
 
@@ -74,23 +75,17 @@ class GridRecorder:
         """(ValueGrid, values): the induction and its (..., 2M+1, N+1) grid."""
         self.columns.clear()
         self.widths.clear()
-        self.rows = grid.n_rows
         vg = reopt.lattice.backward_induce(grid, cal, option, **kw)
-        assert len(self.columns) in (grid.n_steps, 2 * grid.n_steps)
-        columns = self.columns[len(self.columns) - grid.n_steps :]
-        return vg, np.stack([vg.values_t0, *reversed(columns)], -1)
-
-
-def _column_ending_with(view, rows):
-    """A copy of the ``rows`` entries of ``view``'s buffer, along its last
-    axis, that end where ``view`` ends."""
-    owner = view
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    step = view.strides[-1]
-    offset = _address(view) + (view.shape[-1] - rows) * step - _address(owner)
-    shape = view.shape[:-1] + (rows,)
-    return np.ndarray(shape, view.dtype, owner, offset, view.strides).copy()
+        n_steps = grid.n_steps
+        assert len(self.columns) in (n_steps, 2 * n_steps)
+        t = np.arange(n_steps + 1) * grid.dt
+        strike = option.cost * np.exp((option.cost_growth - cal.r) * t)
+        columns = [vg.values_t0]
+        for n, span in enumerate(reversed(self.columns[len(self.columns) - n_steps :]), 1):
+            head = grid.row_values[: grid.n_rows - span.shape[-1]] - strike[n]
+            head = np.broadcast_to(head, span.shape[:-1] + head.shape)
+            columns.append(np.concatenate((head, span), -1))
+        return vg, np.stack(columns, -1)
 
 
 def _address(array):
@@ -115,6 +110,15 @@ def exercise_window_top(grid, cal, option):
         return 1
     bound = max(bound, np.max(strike[:-1] - strike[1:], initial=0.0) / (1.0 - m))
     return max(1, int((grid.row_values > bound).sum()) - 2)
+
+
+def read_sweep_csv(path):
+    """(config hash, rows as string dicts) of a sweep CSV, whose first
+    line is the hash comment."""
+    with open(path, newline="") as fh:
+        first = fh.readline().strip()
+        assert first.startswith("# config_sha256="), first
+        return first.split("=", 1)[1], list(csv.DictReader(fh))
 
 
 @pytest.fixture

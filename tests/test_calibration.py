@@ -213,6 +213,13 @@ def test_calibrate_rejects_a_step_that_rounds_away():
             calibrate(base_market(rho=0.5), dt=dt)
 
 
+def test_calibrate_rejects_a_step_that_overflows():
+    # sigma sqrt(dt) or (mu - r) dt above log(float max) ~ 709.8
+    for changes in ({"sigma1": 800.0}, {"sigma2": 800.0}, {"mu1": 800.0}):
+        with pytest.raises(CalibrationInfeasible, match="too large: exp"):
+            calibrate(replace(base_market(rho=0.5), **changes), dt=1.0)
+
+
 def test_calibrate_rejects_negative_p_tol():
     with pytest.raises(ValueError, match="p_tol must be nonnegative"):
         calibrate(base_market(rho=0.0), dt=0.01, p_tol=-1e-6)

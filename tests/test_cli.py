@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from reopt.cli import main, preset_hash
-from reopt.experiments import read_sweep_csv
+
+from conftest import read_sweep_csv
 
 
 @pytest.fixture
@@ -213,12 +214,12 @@ def test_derived_drift_that_overflows_is_config_error(config_file, capsys):
     assert "sigma1=1e-310" in err
 
 
-def _price_in_subprocess(config, *python_flags):
-    """``python <flags> -m reopt.cli price --config <config>``, run on this checkout."""
+def _price_in_subprocess(config, *python_flags, command="price"):
+    """``python <flags> -m reopt.cli <command> --config <config>``, run on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *python_flags, "-m", "reopt.cli", "price", "--config", config],
+        [sys.executable, *python_flags, "-m", "reopt.cli", command, "--config", config],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -466,6 +467,64 @@ def test_gamma_times_payoff_that_overflows_exits_3(config_file, doc):
     assert proc.stdout == ""
     assert proc.stderr.startswith("cannot value: gamma ") and "overflows" in proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# a lattice step, a one-step growth or a ladder whose rows overflow
+# float64: exp(sigma sqrt(dt)) itself for the project and for the market,
+# the market's exp((mu1 - r) dt), and V0 h^M on a ladder that a large
+# sigma2 or a fast-growing cost makes tall
+OVERFLOWING_LADDER = {
+    "project-step": (
+        {"project": {"rho": 0.5, "sigma2": 800}, "option": {"gamma": 1}, "grid": {"dt": 1}},
+        "cannot value: the ladder's rows V0 h^(+-M) overflow",
+    ),
+    "market-step": (
+        {"market": {"sigma1": 800}, "project": {"rho": 0.5}, "option": {"gamma": 1},
+         "grid": {"dt": 1}},
+        "infeasible calibration: dt=1 too large: exp(sigma sqrt(dt)) or exp((mu - r) dt)",
+    ),
+    "market-drift": (
+        {"market": {"mu1": 800}, "project": {"rho": 0.0}, "option": {"gamma": 1},
+         "grid": {"dt": 1}},
+        "infeasible calibration: dt=1 too large: exp(sigma sqrt(dt)) or exp((mu - r) dt)",
+    ),
+    "tall-ladder": (
+        {"project": {"rho": 0.5, "sigma2": 30}, "option": {"gamma": 1}, "grid": {"dt": 1}},
+        "cannot value: the ladder's rows V0 h^(+-M) overflow",
+    ),
+    "growing-cost": (
+        {"project": {"rho": 0.5}, "option": {"gamma": 1, "cost_growth": 100},
+         "grid": {"dt": 0.05}},
+        "cannot value: the ladder's rows V0 h^(+-M) overflow",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["price", "validate"])
+@pytest.mark.parametrize(
+    "doc, message", OVERFLOWING_LADDER.values(), ids=OVERFLOWING_LADDER.keys()
+)
+def test_step_or_ladder_that_overflows_exits_3(config_file, command, doc, message):
+    proc = _price_in_subprocess(config_file(doc), "-W", "error", command=command)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_point_whose_ladder_overflows_is_an_error_row(
+    config_file, tmp_path, capsys, workers
+):
+    sweep = {"name": "sigma2", "values": [0.2, 800]}
+    doc = dict(OVERFLOWING_LADDER["project-step"][0], sweep=sweep)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", config_file(doc), "--out", str(out), "--workers", workers]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {out} (2 rows, 1 failed)\n"
+    _, (good, bad) = read_sweep_csv(out)
+    assert good["anomaly_flags"] == "" and float(good["option_value_v0"]) > 0.0
+    assert bad["anomaly_flags"] == "error:ValueError" and bad["option_value_v0"] == ""
 
 
 def test_huge_gamma_within_the_window_is_valued(config_file):

@@ -24,7 +24,6 @@ from reopt.experiments import (
     config_hash,
     parse_config,
     preset_names,
-    read_sweep_csv,
     run_preset,
     run_single,
     run_sweep,
@@ -33,6 +32,8 @@ from reopt.experiments import (
     write_value_curve_csv,
     SWEEP_COLUMNS,
 )
+
+from conftest import read_sweep_csv
 
 
 def cfg_text(**sections) -> str:
@@ -636,14 +637,6 @@ def test_empty_sweep_writes_header_only(tmp_path):
     assert lines[0] == "# config_sha256=deadbeef"
     assert lines[1].split(",") == SWEEP_COLUMNS
     assert len(lines) == 2
-
-
-def test_sweep_csv_without_hash_comment_is_rejected(tmp_path):
-    path = tmp_path / "bare.csv"
-    path.write_text(",".join(SWEEP_COLUMNS) + "\n")
-    with pytest.raises(ValueError, match="missing config hash comment") as exc:
-        read_sweep_csv(path)
-    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_single_row_sweep_roundtrip(tmp_path):

@@ -28,7 +28,6 @@ from reopt import (
     value_curve,
 )
 from reopt.calibration import CalibrationInfeasible
-from reopt.reference import DivergentThreshold
 
 from conftest import base_market, degenerate_complete_calibration, exercise_window_top
 
@@ -164,6 +163,20 @@ def test_grid_ladder_geometry():
     assert grid.dt * grid.n_steps == pytest.approx(10.0, abs=1e-12)
 
 
+def test_grid_rejects_a_ladder_whose_rows_overflow():
+    # exp(sigma2 sqrt(dt)) itself, h^M on a pinned and on a sized ladder,
+    # and V0 h^-M on a ladder sized up from a tiny V0 to the cost
+    option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
+    for market, half_height in (
+        (base_market(rho=0.5, sigma2=800.0), 1),
+        (base_market(rho=0.5), 10**4),
+        (base_market(rho=0.5, sigma2=30.0), None),
+        (dataclasses.replace(base_market(rho=0.5), v0=1e-300), None),
+    ):
+        with pytest.raises(ValueError, match=r"the ladder's rows V0 h\^\(\+-M\) overflow"):
+            build_grid(market, option, dt=1.0, half_height=half_height)
+
+
 def test_grid_propagates_infeasibility():
     market = base_market(rho=0.99)
     option = OptionSpec(cost=1.0, maturity=10.0, gamma=1.0)
@@ -272,7 +285,7 @@ INTERIOR_MASKS = {
 
 
 def _no_bound(*args):
-    raise DivergentThreshold("no perpetual bound")
+    raise ValueError("no perpetual bound")
 
 
 def _one_step_forcing(monkeypatch, masks):

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "BracketFailure",
     "CalibrationInfeasible",
     "ConfigError",
-    "DivergentThreshold",
     "GridSpec",
     "LatticeCalibration",
     "MarketParams",

@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import brentq
 
 from reopt import (
-    DivergentThreshold,
     OptionSpec,
     build_grid,
     perpetual_beta,
@@ -43,9 +42,9 @@ def test_threshold_scales_with_cost():
 
 
 def test_divergence_for_nonpositive_shortfall():
-    with pytest.raises(DivergentThreshold):
+    with pytest.raises(ValueError, match="diverges for delta <= 0"):
         perpetual_threshold(sigma=0.2, r=0.04, delta=0.0, cost=1.0)
-    with pytest.raises(DivergentThreshold):
+    with pytest.raises(ValueError, match="diverges for delta <= 0"):
         perpetual_beta(0.2, 0.04, -0.01)
 
 
