@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +92,14 @@ class LatticeCalibration:
     the certainty equivalent g reads at every lattice column:
     ``log_up_mass = log(p1 + p2)``, ``log_down_mass = log(p3 + p4)``,
     ``q_down = 1 - q`` and ``positive_weights``, whether all four
-    probabilities are strictly positive.  ``r`` is carried along
-    so downstream consumers can convert between discounted and spot
-    quantities without re-threading the market description.
+    probabilities are strictly positive.  The array kernel of g reads
+    p1 .. p4, the two log masses, q and q_down as 0-d float64 arrays,
+    ``g_operands``, so that numpy does not convert a Python float on each
+    call.  They are built on first use and are not fields: equality,
+    hashing, ``repr`` and :func:`dataclasses.replace` see only the numbers
+    above, and a calibration g never runs on holds no arrays.  ``r`` is
+    carried along so downstream consumers can convert between discounted
+    and spot quantities without re-threading the market description.
 
     The container enforces structural invariants (multipliers above one,
     branch masses, probability sum) but deliberately
@@ -146,6 +152,11 @@ class LatticeCalibration:
         derive(self, "log_down_mass", math.log(self.p3 + self.p4))
         derive(self, "q_down", 1.0 - q)
         derive(self, "positive_weights", min(ps) > 0.0)
+
+    @cached_property
+    def g_operands(self) -> tuple[np.ndarray, ...]:
+        names = ("p1", "p2", "p3", "p4", "log_up_mass", "log_down_mass", "q", "q_down")
+        return tuple(np.array(getattr(self, name)) for name in names)
 
     @property
     def probabilities(self) -> np.ndarray:

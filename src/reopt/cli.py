@@ -159,8 +159,10 @@ def _cmd_sweep(args) -> int:
         if res.threshold_curve is not None:
             side = _side_path(out, "curve", res)
             _write(write_threshold_curve_csv, res.threshold_curve, side, root)
-    errors = sum(1 for r in results if r.error)
-    print(f"wrote {out} ({len(results)} rows, {errors} failed)")
+    failed = [res for res in results if res.error]
+    for res in failed:
+        print(f"{res.swept_name}={float(res.swept_value)!r}: {res.error}", file=sys.stderr)
+    print(f"wrote {out} ({len(results)} rows, {len(failed)} failed)")
     return EXIT_OK
 
 

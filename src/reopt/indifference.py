@@ -22,11 +22,17 @@ the anchor of both branches is then -gamma x_l, and each node needs the
 one exponential exp(-gamma (x_h - x_l)) <= 1 and two logarithms.  Array
 inputs take that path; a column with any node x_h < x_l, a zero or signed
 weight, or scalar inputs take the general path.  Both paths perform the
-same operations in the same order, so they agree bit for bit.
+same operations in the same order, except that the array path folds the
+sign into gamma: it forms b = gamma x_dn and b - gamma x_up where the
+general path forms a_dn = -gamma x_dn and a_up - a_dn, and adds b where
+the general path subtracts a_dn.  Negation is exact in IEEE arithmetic,
+signed zeros included, so the two paths agree bit for bit.
 
 What is fixed per calibration is computed once, by the
 :class:`LatticeCalibration` itself, not once per column: log(p1 + p2),
-log(p3 + p4), 1 - q and whether all four weights are positive.
+log(p3 + p4), 1 - q and whether all four weights are positive.  The array
+path reads p1 .. p4, the two log masses, q and 1 - q from
+``cal.g_operands``, as 0-d float64 arrays built on first use.
 """
 
 from __future__ import annotations
@@ -112,36 +118,40 @@ def _branch_contribution(w_hi: float, w_lo: float, a_hi, a_lo):
 
 def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gamma):
     """g on arrays with every exponent a_up <= a_dn and all weights positive,
-    or None if some node has a_up > a_dn.
+    or None if some node has a_up > a_dn (in any lattice of a gamma stack).
 
     The log-sum-exp anchor of both branches is then a_dn, so each node
     needs one exponential e = exp(a_up - a_dn) and two logarithms.  The
     operations are those of :func:`_branch_contribution` with m = a_dn
-    (where exp(a_dn - m) is exactly 1), in the same order, so the result
-    is bit-identical to the general path.  Works in place on arrays it
-    allocates; the inputs are never written.
+    (where exp(a_dn - m) is exactly 1), in the same order, with the sign
+    folded into gamma: b = gamma x_dn is exactly -a_dn, b - gamma x_up is
+    exactly a_up - a_dn, and log_mass + b is exactly log_mass - a_dn, signed
+    zeros included.  So the result is bit-identical to the general path.
+    The calibration constants come from ``cal.g_operands`` as 0-d arrays.
+    Works in place on arrays it allocates; the inputs are never written.
     """
-    a_dn = np.multiply(x_dn, -gamma)
-    e = np.multiply(x_up, -gamma)
-    e -= a_dn
-    if not e.max() <= 0.0:  # also rejects NaN
+    p1, p2, p3, p4, log_up_mass, log_down_mass, q, q_down = cal.g_operands
+    b = np.multiply(x_dn, gamma)
+    e = np.multiply(x_up, gamma)
+    np.subtract(b, e, out=e)
+    if not np.maximum.reduce(e, None) <= 0.0:  # every axis; also rejects NaN
         return None
     np.exp(e, out=e)
-    up = np.multiply(e, cal.p1)
-    up += cal.p2
+    up = np.multiply(e, p1)
+    up += p2
     np.log(up, out=up)
-    e *= cal.p3
-    e += cal.p4
+    e *= p3
+    e += p4
     np.log(e, out=e)
-    dn = np.subtract(cal.log_down_mass, a_dn)
+    dn = np.add(log_down_mass, b)
     dn -= e
-    np.subtract(cal.log_up_mass, a_dn, out=a_dn)
-    a_dn -= up
-    a_dn *= cal.q
-    dn *= cal.q_down
-    a_dn += dn
-    a_dn /= gamma
-    return a_dn
+    np.add(log_up_mass, b, out=b)
+    b -= up
+    b *= q
+    dn *= q_down
+    b += dn
+    b /= gamma
+    return b
 
 
 def g_values(x_up, x_dn, cal: LatticeCalibration, gamma):

@@ -67,10 +67,11 @@ def test_threshold_writes_curve(config_file, tmp_path, capsys):
     assert len(lines) == 2 + 200 + 1
 
 
-def test_sweep_from_config(config_file, tmp_path):
+def test_sweep_from_config(config_file, tmp_path, capsys):
     doc = dict(BASE_DOC, sweep={"name": "gamma", "values": [0.5, 1.0]})
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", config_file(doc), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     _, rows = read_sweep_csv(out)
     assert len(rows) == 2
     assert [r["swept_value"] for r in rows] == ["0.5", "1"]
@@ -545,7 +546,13 @@ def test_gamma_stack_with_an_overflowing_gamma_solves_each_point(config_file, tm
     doc = dict(BASE_DOC, sweep={"name": "gamma", "values": [1.0, 1.7e308]})
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", config_file(doc), "--out", str(out)]) == 0
-    assert capsys.readouterr().out == f"wrote {out} (2 rows, 1 failed)\n"
+    printed = capsys.readouterr()
+    assert printed.out == f"wrote {out} (2 rows, 1 failed)\n"
+    # the CSV keeps the type; stderr names the point and gives the message
+    assert re.fullmatch(
+        r"gamma=1\.7e\+308: ValueError: gamma 1\.7e\+308 times the payoff \S+ overflows\n",
+        printed.err,
+    ), printed.err
     _, (good, bad) = read_sweep_csv(out)
     assert bad["anomaly_flags"] == "error:ValueError" and bad["option_value_v0"] == ""
     assert main(["price", "--config", config_file(BASE_DOC)]) == 0
@@ -561,7 +568,10 @@ def test_sweep_point_whose_grid_cannot_be_laid_out_is_an_error_row(
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", config_file(doc), "--out", str(out), "--workers", workers]
     assert main(argv) == 0
-    assert capsys.readouterr().out == f"wrote {out} (2 rows, 1 failed)\n"
+    printed = capsys.readouterr()
+    assert printed.out == f"wrote {out} (2 rows, 1 failed)\n"
+    assert printed.err.startswith("sigma2=1e-300: ValueError: the ladder needs M = ")
+    assert printed.err.count("\n") == 1, printed.err
     _, (bad, good) = read_sweep_csv(out)
     assert bad["anomaly_flags"] == "error:ValueError"
     assert bad["M"] == bad["N"] == bad["dt"] == bad["threshold_spot_t0"] == ""

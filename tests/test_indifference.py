@@ -1,6 +1,8 @@
 """The certainty-equivalent operator g and its independent numeric oracle."""
 
 import math
+import pickle
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -147,16 +149,91 @@ def monotone_column(rng, size=400, scale=1.0):
     return x_up, x_dn
 
 
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def with_zero_runs(x_up, x_dn):
+    """The column with runs of 0.0 as on a lattice's bottom rows (both
+    payoffs zero, -0.0 among them) and at the edge of the money (a positive
+    x_up over a zero x_dn)."""
+    x_up, x_dn = x_up.copy(), x_dn.copy()
+    x_up[:40] = x_dn[:40] = 0.0
+    x_up[40:50] = x_dn[40:50] = -0.0
+    x_up[50:60], x_dn[50:60] = 0.0, -0.0
+    x_up[60:80], x_dn[60:80] = np.linspace(0.0, 0.1, 20), 0.0
+    return x_up, x_dn
+
+
 @pytest.mark.parametrize("gamma", [0.01, 0.3, 1.0, 10.0, 100.0])
 def test_monotone_path_is_bit_identical_to_general_path(monkeypatch, gamma):
-    rng = np.random.default_rng(17)
-    x_up, x_dn = monotone_column(rng)
-    up0, dn0 = x_up.copy(), x_dn.copy()
-    got = g_values(x_up, x_dn, CAL, gamma)
-    assert indifference._g_monotone(x_up, x_dn, CAL, gamma) is not None
-    assert np.array_equal(got, general_g_values(monkeypatch, x_up, x_dn, CAL, gamma))
-    assert np.array_equal(x_up, up0) and np.array_equal(x_dn, dn0)
-    assert not np.shares_memory(got, x_up) and not np.shares_memory(got, x_dn)
+    column = monotone_column(np.random.default_rng(17))
+    for x_up, x_dn in (column, with_zero_runs(*column)):
+        up0, dn0 = x_up.copy(), x_dn.copy()
+        got = g_values(x_up, x_dn, CAL, gamma)
+        assert indifference._g_monotone(x_up, x_dn, CAL, gamma) is not None
+        assert_same_bits(got, general_g_values(monkeypatch, x_up, x_dn, CAL, gamma))
+        assert np.array_equal(x_up, up0) and np.array_equal(x_dn, dn0)
+        assert not np.shares_memory(got, x_up) and not np.shares_memory(got, x_dn)
+        # the same columns in a stack, gamma a (K, 1) column
+        gammas = np.array([[gamma], [2.5 * gamma]])
+        ups, dns = np.stack([x_up, x_up[::-1]]), np.stack([x_dn, x_dn[::-1]])
+        stacked = g_values(ups, dns, CAL, gammas)
+        assert indifference._g_monotone(ups, dns, CAL, gammas) is not None
+        assert_same_bits(stacked, general_g_values(monkeypatch, ups, dns, CAL, gammas))
+        assert_same_bits(stacked[0], got)
+
+
+def stacked_columns(rng, k):
+    columns = [monotone_column(rng) for _ in range(k)]
+    return np.stack([up for up, _ in columns]), np.stack([dn for _, dn in columns])
+
+
+STACK_GAMMAS = np.array([0.1, 0.5, 2.0, 10.0, 60.0]).reshape(-1, 1)
+
+
+def test_stacked_kernel_matches_the_general_path_and_each_scalar_gamma(monkeypatch):
+    x_up, x_dn = stacked_columns(np.random.default_rng(29), len(STACK_GAMMAS))
+    got = g_values(x_up, x_dn, CAL, STACK_GAMMAS)
+    assert indifference._g_monotone(x_up, x_dn, CAL, STACK_GAMMAS) is not None
+    assert_same_bits(got, general_g_values(monkeypatch, x_up, x_dn, CAL, STACK_GAMMAS))
+    for k, (gamma,) in enumerate(STACK_GAMMAS):
+        assert_same_bits(got[k], g_values(x_up[k], x_dn[k], CAL, float(gamma)))
+
+
+def test_one_decreasing_node_sends_the_whole_stack_to_the_general_path(monkeypatch):
+    # the monotone test reduces over every axis: one node of one lattice
+    # decides for the stack
+    x_up, x_dn = stacked_columns(np.random.default_rng(31), len(STACK_GAMMAS))
+    x_up[3, 211] = x_dn[3, 211] - 0.01
+    assert indifference._g_monotone(x_up, x_dn, CAL, STACK_GAMMAS) is None
+    got = g_values(x_up, x_dn, CAL, STACK_GAMMAS)
+    assert_same_bits(got, general_g_values(monkeypatch, x_up, x_dn, CAL, STACK_GAMMAS))
+    for k, (gamma,) in enumerate(STACK_GAMMAS):
+        assert_same_bits(got[k], g_values(x_up[k], x_dn[k], CAL, float(gamma)))
+
+
+def test_prepared_operands_do_not_show_outside_the_calibration(monkeypatch):
+    cal, twin = (calibrate(base_market(rho=0.3), dt=0.05) for _ in range(2))
+    shown = repr(cal), hash(cal)
+    x_up, x_dn = monotone_column(np.random.default_rng(37))
+    got = g_values(x_up, x_dn, cal, 2.0)
+    assert "g_operands" in vars(cal) and "g_operands" not in vars(twin)
+    assert cal == twin and (repr(cal), hash(cal)) == shown == (repr(twin), hash(twin))
+    # replace() prepares the moved calibration's own numbers, not cal's
+    moved = replace(cal, u=cal.u * 1.01, p1=cal.p1 + 0.01, p4=cal.p4 - 0.01)
+    names = ("p1", "p2", "p3", "p4", "log_up_mass", "log_down_mass", "q", "q_down")
+    assert [float(x) for x in moved.g_operands] == [getattr(moved, n) for n in names]
+    moved_g = g_values(x_up, x_dn, moved, 2.0)
+    assert_same_bits(moved_g, general_g_values(monkeypatch, x_up, x_dn, moved, 2.0))
+    assert not np.array_equal(moved_g, got)
+    # a pickled calibration, prepared or not, comes back equal with the same g
+    for source in (cal, twin):
+        back = pickle.loads(pickle.dumps(source))
+        assert back == cal and hash(back) == hash(cal) and repr(back) == repr(cal)
+        assert_same_bits(g_values(x_up, x_dn, back, 2.0), got)
 
 
 def test_monotone_path_on_lattice_column_views(monkeypatch):
