@@ -66,7 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     command("validate", "check calibration and moments", _cmd_validate)
     for p in (threshold, sweep):
         p.add_argument("--out", help="output CSV path")
-    sweep.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+    sweep.add_argument(
+        "--workers", type=int, default=1,
+        help="processes that run the sweep: this one and workers - 1 children, "
+        "at most one per job and per usable CPU",
+    )
     sweep.add_argument("--preset", choices=preset_names(), help="named figure preset")
     return parser
 

@@ -15,9 +15,10 @@ mu1 = 0.115, sigma1 = 0.25, V0 = 1, sigma2 = 0.2, delta = 0.04,
 dt = 1/900.  The traded asset enters only through its returns, so it has
 no initial-level field.
 
-Sweep points are independent pure computations; they can run on a worker
-pool, largest lattice first, and the output is deterministic regardless of
-the worker count (results are reassembled in swept-value order).
+Sweep points are independent pure computations; the sweep process and
+forked children can share them out, largest lattice first, and the output
+is deterministic regardless of the worker count (results are reassembled
+in swept-value order).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from typing import Any
 
@@ -465,10 +466,10 @@ def _sweep_job(job: tuple[list[_Point], _GammaStack | None]) -> list[RunResult]:
 
 
 def _exit_with_parent() -> None:
-    """Pool worker initializer: end the worker once the sweep process that
-    started it is gone (e.g. killed by a signal), not its OS parent, which
-    under "forkserver" is the fork server; it outlives the sweep while
-    workers remain.  Otherwise the worker waits for jobs that never come."""
+    """End this sweep child once the sweep process that started it is gone
+    (e.g. killed by a signal), not its OS parent, which under "forkserver"
+    is the fork server; it outlives the sweep.  Otherwise the child would
+    run on to the end of the sweep for nobody."""
     sweep = multiprocessing.parent_process()
 
     def watch():
@@ -486,6 +487,91 @@ def _lattice_nodes(cfg: RunConfig) -> int:
     return grid.n_rows * (grid.n_steps + 1)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+_Done = list[tuple[int, list[RunResult]]]
+
+
+def _claim_jobs(jobs: list, order: list[int], counter) -> _Done:
+    """Run the jobs at the positions of ``order`` that the shared counter
+    hands out, until it has handed out all of them; returns each job run
+    here with its index in ``jobs``."""
+    done = []
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= len(order):
+            return done
+        done.append((order[k], _sweep_job(jobs[order[k]])))
+
+
+def _sweep_child(jobs: list, order: list[int], counter, conn) -> None:
+    """A sweep child: claim jobs until none is left, then send what it ran
+    in one message.  A job that raises ends the claiming in every process
+    and is sent instead, with its traceback."""
+    _exit_with_parent()
+    try:
+        reply = _claim_jobs(jobs, order, counter)
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = len(order)
+        reply = (exc, traceback.format_exc())
+    conn.send(reply)
+
+
+def _run_with_children(jobs: list, order: list[int], children: int) -> _Done:
+    """Run the jobs on this process and ``children`` child processes, all
+    claiming them in ``order`` from one shared counter.  Every child is
+    joined before this returns or raises; if anything raises, the children
+    still running are terminated first."""
+    ctx = multiprocessing.get_context()
+    counter = ctx.Value("i", 0)
+    started = []
+    try:
+        for _ in range(children):
+            recv, send = ctx.Pipe(duplex=False)
+            try:
+                child = ctx.Process(target=_sweep_child, args=(jobs, order, counter, send))
+                child.start()
+            finally:
+                # a later child must not hold this end, or the pipe would
+                # not close when this child dies
+                send.close()
+            started.append((child, recv))
+        done = _claim_jobs(jobs, order, counter)
+        # receive before joining: a child blocks in send until its whole
+        # message is read
+        for child, recv in started:
+            try:
+                reply = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"sweep worker {child.name} (pid {child.pid}) exited with code "
+                    f"{child.exitcode} before sending its results"
+                ) from None
+            if isinstance(reply, tuple):
+                exc, trace = reply
+                raise exc from RuntimeError(f"in sweep worker {child.name}:\n{trace}")
+            done += reply
+    except BaseException:
+        for child, _ in started:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in started:
+            child.join()
+            recv.close()
+    return done
+
+
 def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
     """Run every swept value of every spec; per-point failures become
     error rows.
@@ -493,9 +579,10 @@ def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
     The points of a ``gamma`` sweep of more than one value share a grid and
     a calibration, so they are one job, solved in one induction; every
     other point is a job of its own.  With ``workers > 1`` the jobs of all
-    specs execute on one process pool of at most one worker per job,
-    submitted largest first so that no long job starts last.  Results come
-    back spec by spec, each ordered by swept value, regardless of
+    specs run on the sweep process and on ``workers - 1`` child processes,
+    at most one process per job and per usable CPU; every process takes
+    the next job, largest first, so that no long job starts last.  Results
+    come back spec by spec, each ordered by swept value, regardless of
     scheduling, and the numbers are identical for any worker count.
     """
     if workers < 1:
@@ -507,14 +594,13 @@ def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
             jobs.append((points, _GammaStack(s.values)))
         else:
             jobs.extend(([point], None) for point in points)
-    workers = min(workers, len(jobs))
-    if workers <= 1:
+    processes = min(workers, len(jobs), _usable_cpus())
+    if processes <= 1:
         done = [_sweep_job(job) for job in jobs]
     else:
         size = [_lattice_nodes(points[0][0]) * len(points) for points, _ in jobs]
         order = sorted(range(len(jobs)), key=lambda j: -size[j])
-        with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as pool:
-            by_job = dict(zip(order, pool.map(_sweep_job, [jobs[j] for j in order])))
+        by_job = dict(_run_with_children(jobs, order, processes - 1))
         done = [by_job[j] for j in range(len(jobs))]
     return [result for job_results in done for result in job_results]
 

@@ -9,7 +9,7 @@ the first positional argument of each ``g_values`` call the lattice makes,
 one per column; the tests' grid recorder relies on the same for
 ``linear_limit_values``.  The workloads and gates read
 result fields by name, build markets from six keywords and call the
-numeric oracle with ``x0`` by keyword.  Pool workers of a traced sweep
+numeric oracle with ``x0`` by keyword.  The children of a traced sweep
 must reach the tracer's ``run_single`` wrapper, a closure that does not
 pickle.
 """
@@ -19,6 +19,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -150,14 +151,34 @@ def test_oracle_claims_market_and_oracle_call():
     assert abs(price - reopt.g_value(pay, cal, util)) < 1e-7
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers inherit the tracer's wrappers only when the pool forks",
-)
-def test_pool_sweep_reaches_a_patched_run_single(monkeypatch):
-    # the tracer swaps a closure into reopt.experiments.run_single; a pool
-    # cannot pickle it, so run_sweep must send a module-level function that
-    # looks run_single up in the worker
+def _sweep_children_inherit(monkeypatch, tmp_path, run_single):
+    """Swap ``run_single`` into reopt.experiments for a sweep on two
+    processes.  In the sweep process it first waits until a child has run
+    a point through it, so that at least one point runs in a child."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("sweep children inherit the patched functions only when forked")
+    monkeypatch.setattr(reopt.experiments, "_usable_cpus", lambda: 2)
+    marker, sweep_pid = tmp_path / "child-ran-a-point", os.getpid()
+
+    def first_a_child(*args, **kwargs):
+        if os.getpid() != sweep_pid:
+            marker.touch()
+        else:
+            deadline = time.monotonic() + 30.0
+            while not marker.exists():
+                assert time.monotonic() < deadline, "no point ran in a child"
+                time.sleep(0.01)
+        result = run_single(*args, **kwargs)
+        result.pid = os.getpid()
+        return result
+
+    monkeypatch.setattr(reopt.experiments, "run_single", first_a_child)
+
+
+def test_pool_sweep_reaches_a_patched_run_single(monkeypatch, tmp_path):
+    # the tracer swaps a closure into reopt.experiments.run_single; a child
+    # must look run_single up at call time, and its result must come back
+    # with the attributes the closure set
     inner = reopt.experiments.run_single
 
     def tagged(*args, **kwargs):
@@ -165,7 +186,7 @@ def test_pool_sweep_reaches_a_patched_run_single(monkeypatch):
         result.tag = "traced"
         return result
 
-    monkeypatch.setattr(reopt.experiments, "run_single", tagged)
+    _sweep_children_inherit(monkeypatch, tmp_path, tagged)
     doc = {
         "project": {"rho": 0.5},
         "option": {"gamma": 1.0},
@@ -176,16 +197,14 @@ def test_pool_sweep_reaches_a_patched_run_single(monkeypatch):
     results = reopt.experiments.run_sweep(sweep, workers=2)
     assert [r.swept_value for r in results] == [1.0, 2.0]
     assert [getattr(r, "tag", None) for r in results] == ["traced", "traced"]
+    assert any(r.pid != os.getpid() for r in results)
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers inherit the patched functions only when the pool forks",
-)
-def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch):
-    # two gamma sweeps, two stacked jobs on two workers: every point still
-    # passes through run_single in its worker, and the one induction of
-    # each stack calls g once per column on all K lattices' interior rows
+def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch, tmp_path):
+    # two gamma sweeps, two stacked jobs on two processes: every point
+    # passes through run_single in the process that runs it, and the one
+    # induction of each stack calls g once per column on all K lattices'
+    # interior rows
     sizes = []
     inner_g = reopt.lattice.g_values
 
@@ -200,11 +219,10 @@ def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch):
         result = inner(*args, **kwargs)
         result.tag = "traced"
         result.g_sizes = list(sizes)
-        result.pid = os.getpid()
         return result
 
     monkeypatch.setattr(reopt.lattice, "g_values", recording_g)
-    monkeypatch.setattr(reopt.experiments, "run_single", tagged)
+    _sweep_children_inherit(monkeypatch, tmp_path, tagged)
     specs, windows = [], []
     for rho in (0.0, 0.5):
         doc = {
@@ -222,7 +240,7 @@ def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch):
     results = reopt.experiments.run_sweep(*specs, workers=2)
     assert [r.swept_value for r in results] == [1.0, 2.0, 5.0] * 2
     assert [getattr(r, "tag", None) for r in results] == ["traced"] * 6
-    assert os.getpid() not in {r.pid for r in results}
+    assert any(r.pid != os.getpid() for r in results)
     for (first, *rest), window in zip((results[:3], results[3:]), windows):
         # the first point of a stack runs the shared induction
         assert first.n == 20 and first.g_sizes == [3 * window] * 20

@@ -8,10 +8,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from multiprocessing.connection import Connection
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,41 +217,75 @@ def test_delta_sweep_holds_each_shortfall_on_drift_specified_project():
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Replace the sweep's process pool with an in-process one and record
-    the worker count of every pool started."""
+def children(monkeypatch):
+    """Run the sweep's children as threads of this process, on 64 usable
+    CPUs, and record each one started.  A thread has no sweep process to
+    watch, so the watchdog is off; results still cross a real pipe."""
     started = []
 
-    class RecordingPool:
-        def __init__(self, max_workers, **pool_args):
-            started.append(max_workers)
+    class ThreadChild(threading.Thread):
+        exitcode = pid = None
 
-        def __enter__(self):
-            return self
+        def __init__(self, target, args):
+            *head, conn = args
+            # the sweep closes its end of the pipe once the child starts
+            self.conn = Connection(os.dup(conn.fileno()), readable=False)
+            super().__init__(target=target, args=(*head, self.conn), daemon=True)
+            started.append(self)
 
-        def __exit__(self, *exc):
-            return False
+        def run(self):
+            with self.conn:
+                super().run()
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def terminate(self):
+            pass
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    ctx = multiprocessing.get_context()
+    fake = SimpleNamespace(Process=ThreadChild, Pipe=ctx.Pipe, Value=ctx.Value)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: fake)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(experiments, "_exit_with_parent", lambda: None)
     return started
 
 
-def test_sweep_pool_is_bounded_by_point_count(pools):
-    # a maturity sweep: each point has its own lattice, so its own job
-    _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "maturity", "values": [1.0, 0.5]}))
+def _maturity_sweep(*values: float) -> SweepSpec:
+    # each point has its own lattice, so its own job
+    _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "maturity", "values": list(values)}))
+    return sweep
+
+
+def test_sweep_pool_is_bounded_by_point_count(children):
+    # workers - 1 children, at most one process per job
+    sweep = _maturity_sweep(1.0, 0.5)
     assert [r.swept_value for r in run_sweep(sweep, workers=64)] == [0.5, 1.0]
-    assert pools == [2]
-    run_sweep(SweepSpec("maturity", (1.0,), sweep.base), workers=64)
-    assert pools == [2]
+    assert len(children) == 1
+    run_sweep(_maturity_sweep(0.5, 1.0, 2.0, 3.0), workers=3)
+    assert len(children) == 3
+    run_sweep(_maturity_sweep(1.0), workers=64)
+    run_sweep(sweep, workers=1)
+    _, gammas = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 2.0]}))
+    run_sweep(gammas, workers=64)  # one stacked job
+    assert len(children) == 3
 
 
-def test_preset_runs_on_one_pool(pools):
+def test_sweep_starts_no_more_processes_than_usable_cpus(children, monkeypatch):
+    sweep = _maturity_sweep(0.5, 1.0, 2.0, 3.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert experiments._usable_cpus() == 2
+    run_sweep(sweep, workers=64)
+    assert len(children) == 1
+    # where the affinity mask cannot be read, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert experiments._usable_cpus() == 3
+    run_sweep(sweep, workers=64)
+    assert len(children) == 3
+
+
+def test_preset_runs_on_one_pool(children):
     sequential = run_preset("fig3", workers=1, dt=0.1)
     pooled = run_preset("fig3", workers=2, dt=0.1)
-    assert pools == [2]
+    assert len(children) == 1
     key = lambda r: (r.config, r.swept_value, r.option_value_v0, r.threshold_spot_t0, r.error)
     assert [key(r) for r in pooled] == [key(r) for r in sequential]
     assert [r.swept_value for r in pooled] == [1.0, 2.0, 5.0, 10.0, 20.0, 40.0] * 3
@@ -446,14 +481,14 @@ def test_gamma_stack_with_a_gamma_too_small_for_g_matches_separate_runs():
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="workers inherit the counting induction only when the pool forks",
+    reason="children inherit the counting induction only when forked",
 )
 def test_fig1_right_stays_three_stacked_inductions_on_a_pool(tmp_path, monkeypatch):
     # a stacked solve that raises falls back to one induction per gamma
     # with the same numbers, so only the count of inductions shows it: 3
-    # stacks of 7 gammas, not 21 (or 24) inductions.  The workers log
-    # them to a file; test_one_induction_per_base_config counts them on
-    # one worker.
+    # stacks of 7 gammas, not 21 (or 24) inductions.  The sweep process
+    # and its child log them to a file; test_one_induction_per_base_config
+    # counts them on one worker.
     log = tmp_path / "inductions"
     inner = lattice.backward_induce
 
@@ -475,16 +510,101 @@ _START_METHODS = [
 
 @pytest.mark.parametrize("method", _START_METHODS)
 def test_sweep_pool_runs_under_every_start_method(monkeypatch, method):
-    # the worker watchdog must not take the fork server for a lost parent
-    pool = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
-    _, sweep = parse_config(
-        cfg_text(grid={"dt": 0.05}, sweep={"name": "maturity", "values": [0.5, 1.0]})
-    )
+    # the child's watchdog must not take the fork server for a lost parent
+    ctx = multiprocessing.get_context(method)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: ctx)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    sweep = _maturity_sweep(0.5, 1.0)
     par = run_sweep(sweep, workers=2)
     seq = run_sweep(sweep, workers=1)
     assert not any(r.error for r in par)
     assert [r.option_value_v0 for r in par] == [r.option_value_v0 for r in seq]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Fork the sweep's children, on two usable CPUs.  Returns a function
+    that makes run_single call one hook first in the sweep process and
+    another in a child."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("children inherit the patched run_single only when forked")
+    ctx = multiprocessing.get_context("fork")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: ctx)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    sweep_pid, inner = os.getpid(), experiments.run_single
+
+    def patch(in_sweep, in_child):
+        def run_single(*args, **kwargs):
+            (in_sweep if os.getpid() == sweep_pid else in_child)()
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_single", run_single)
+
+    return patch
+
+
+def _wait_for(path: Path) -> None:
+    """Wait until a child has made ``path``, so that it holds a job."""
+    deadline = time.monotonic() + 30.0
+    while not path.exists():
+        assert time.monotonic() < deadline, f"no child made {path.name}"
+        time.sleep(0.01)
+
+
+def test_an_error_in_the_sweep_process_ends_every_child(forked):
+    def boom():
+        raise RuntimeError("boom in the sweep process")
+
+    forked(boom, lambda: time.sleep(60.0))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="boom in the sweep process"):
+        run_sweep(_maturity_sweep(0.5, 1.0, 2.0, 3.0), workers=2)
+    assert time.monotonic() - start < 10.0  # the sleeping child was terminated
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_a_child_reaches_the_caller(forked, tmp_path):
+    marker = tmp_path / "raised"
+
+    def boom():
+        marker.touch()
+        raise RuntimeError("boom in a child")
+
+    forked(lambda: _wait_for(marker), boom)
+    with pytest.raises(RuntimeError, match="boom in a child") as info:
+        run_sweep(_maturity_sweep(0.5, 1.0, 2.0, 3.0), workers=2)
+    assert "in sweep worker" in str(info.value.__cause__)
+    assert ", in boom\n" in str(info.value.__cause__)  # the child's traceback
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_without_reporting_is_an_error(forked, tmp_path):
+    marker = tmp_path / "exiting"
+
+    def die():
+        marker.touch()
+        os._exit(1)
+
+    forked(lambda: _wait_for(marker), die)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"sweep worker \S+ \(pid \d+\) exited with code 1"):
+        run_sweep(_maturity_sweep(0.5, 1.0, 2.0, 3.0), workers=2)
+    assert time.monotonic() - start < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_sends_more_than_a_pipe_buffer_of_results(forked, tmp_path):
+    # a T = 40 curve at dt 0.02 is 2001 columns, about 100 KB pickled: the
+    # sweep must read a child's message before it joins the child
+    marker = tmp_path / "started"
+    forked(lambda: _wait_for(marker), marker.touch)
+    _, sweep = parse_config(cfg_text(
+        grid={"dt": 0.02},
+        sweep={"name": "maturity", "values": [39.0, 40.0], "outputs": ["threshold_curve"]},
+    ))
+    pooled = run_sweep(sweep, workers=2)
+    assert all(_same_result(a, b) for a, b in zip(pooled, run_sweep(sweep, workers=1)))
 
 
 def _stat(pid) -> list[str]:
@@ -515,27 +635,29 @@ def _descendants(pid: int) -> list[int]:
     return found
 
 
-def _pool_workers(pid: int) -> list[int]:
-    """The live pool workers below ``pid``: the descendants with no child
+def _sweep_children(pid: int) -> list[int]:
+    """The live sweep children below ``pid``: the descendants with no child
     of their own, less multiprocessing's resource tracker (a fork server
-    has the workers below it)."""
+    has the children below it)."""
     tree = _descendants(pid)
 
-    def is_worker(p):
+    def is_child(p):
         try:
             cmdline = Path(f"/proc/{p}/cmdline").read_bytes()
         except OSError:
             return False
         return b"resource_tracker" not in cmdline and not _descendants(p)
 
-    return [p for p in tree if is_worker(p)]
+    return [p for p in tree if is_child(p)]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.skipif(experiments._usable_cpus() < 2, reason="a sweep starts no child on one CPU")
 @pytest.mark.parametrize("method", _START_METHODS)
 def test_killed_sweep_leaves_no_worker(tmp_path, method):
     # four T = 40 points at the paper's step, each its own lattice: seconds
-    # of work per worker, so the sweep is still running when it is killed
+    # of work per process, so the sweep is still running when it is killed;
+    # on 2 workers the sweep process forks one child
     doc = {
         "project": {"rho": 0.5},
         "option": {"gamma": 1.0, "maturity": 40.0},
@@ -553,25 +675,25 @@ def test_killed_sweep_leaves_no_worker(tmp_path, method):
     proc = subprocess.Popen(
         [sys.executable, "-c", cli, method, *argv], env=dict(os.environ, PYTHONPATH=path)
     )
-    workers, started = [], []
+    children, started = [], []
     try:
         deadline = time.monotonic() + 60.0
-        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+        while not children and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.05)
-            workers = _pool_workers(proc.pid)
+            children = _sweep_children(proc.pid)
         started = _descendants(proc.pid)
-        assert len(workers) == 2 and proc.poll() is None
+        assert len(children) == 1 and proc.poll() is None
         deadline = time.monotonic() + 3.0
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=10)
-        while any(map(_alive, workers)) and time.monotonic() < deadline:
+        while any(map(_alive, children)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not any(map(_alive, workers))
+        assert not any(map(_alive, children))
         assert not out.exists()
     finally:
         proc.kill()
         proc.wait(timeout=10)
-        for pid in filter(_alive, started + workers):
+        for pid in filter(_alive, started + children):
             os.kill(pid, signal.SIGKILL)
 
 

@@ -1,5 +1,10 @@
 """The package's public surface is each module's ``__all__``, stated once."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import reopt
 from reopt import calibration, experiments, indifference, lattice, reference
 
@@ -67,3 +72,16 @@ PUBLIC_NAMES = [
 def test_package_exports_the_reviewed_names():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert reopt.__all__ == PUBLIC_NAMES
+
+
+def test_import_leaves_concurrent_futures_out():
+    # the sweep runs its own children; the executor import alone cost about
+    # 9 ms and 1.25 MB at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, reopt; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
