@@ -88,12 +88,10 @@ class LatticeCalibration:
 
     ``d = 1/u``, ``l = 1/h`` and ``q = (1 - d) / (u - d)``, the
     risk-neutral up-probability of the traded asset, are derived from the
-    multipliers and stored once, at construction.  So are the constants
-    the certainty equivalent g reads at every lattice column:
-    ``log_up_mass = log(p1 + p2)``, ``log_down_mass = log(p3 + p4)``,
-    ``q_down = 1 - q`` and ``positive_weights``, whether all four
-    probabilities are strictly positive.  The array kernel of g reads
-    p1 .. p4, the two log masses, q and q_down as 0-d float64 arrays,
+    multipliers and stored once, at construction.  So are ``q_down = 1 - q``
+    and ``positive_weights``, whether all four probabilities are strictly
+    positive.  The array kernel of g reads p1 .. p4, the branch log masses
+    log(p1 + p2) and log(p3 + p4), q and q_down as 0-d float64 arrays,
     ``g_operands``, so that numpy does not convert a Python float on each
     call.  They are built on first use and are not fields: equality,
     hashing, ``repr`` and :func:`dataclasses.replace` see only the numbers
@@ -121,8 +119,6 @@ class LatticeCalibration:
     d: float = field(init=False)
     l: float = field(init=False)
     q: float = field(init=False)
-    log_up_mass: float = field(init=False)
-    log_down_mass: float = field(init=False)
     q_down: float = field(init=False)
     positive_weights: bool = field(init=False)
 
@@ -148,15 +144,14 @@ class LatticeCalibration:
         derive(self, "d", d)
         derive(self, "l", 1.0 / self.h)
         derive(self, "q", q)
-        derive(self, "log_up_mass", math.log(self.p1 + self.p2))
-        derive(self, "log_down_mass", math.log(self.p3 + self.p4))
         derive(self, "q_down", 1.0 - q)
         derive(self, "positive_weights", min(ps) > 0.0)
 
     @cached_property
     def g_operands(self) -> tuple[np.ndarray, ...]:
-        names = ("p1", "p2", "p3", "p4", "log_up_mass", "log_down_mass", "q", "q_down")
-        return tuple(np.array(getattr(self, name)) for name in names)
+        up, down = math.log(self.p1 + self.p2), math.log(self.p3 + self.p4)
+        numbers = (self.p1, self.p2, self.p3, self.p4, up, down, self.q, self.q_down)
+        return tuple(map(np.array, numbers))
 
     @property
     def probabilities(self) -> np.ndarray:

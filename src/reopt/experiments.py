@@ -528,9 +528,12 @@ def _sweep_child(jobs: list, order: list[int], counter, conn) -> None:
 
 def _run_with_children(jobs: list, order: list[int], children: int) -> _Done:
     """Run the jobs on this process and ``children`` child processes, all
-    claiming them in ``order`` from one shared counter.  Every child is
-    joined before this returns or raises; if anything raises, the children
-    still running are terminated first."""
+    claiming them in ``order`` from one shared counter.  Replies are read,
+    child by child, only until every job's rows are in: the counter hands
+    out each job once, so a child still running then (e.g. still starting
+    under "spawn") has nothing to send, and a failure in its start-up goes
+    unreported; a jobless child read before one with a job is waited for.
+    Every child is terminated and joined before this returns or raises."""
     ctx = multiprocessing.get_context()
     counter = ctx.Value("i", 0)
     started = []
@@ -549,6 +552,8 @@ def _run_with_children(jobs: list, order: list[int], children: int) -> _Done:
         # receive before joining: a child blocks in send until its whole
         # message is read
         for child, recv in started:
+            if len(done) == len(order):
+                break
             try:
                 reply = recv.recv()
             except EOFError:
@@ -561,12 +566,9 @@ def _run_with_children(jobs: list, order: list[int], children: int) -> _Done:
                 exc, trace = reply
                 raise exc from RuntimeError(f"in sweep worker {child.name}:\n{trace}")
             done += reply
-    except BaseException:
-        for child, _ in started:
-            child.terminate()
-        raise
     finally:
         for child, recv in started:
+            child.terminate()  # does nothing to a child that has exited
             child.join()
             recv.close()
     return done

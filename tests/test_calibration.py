@@ -48,8 +48,9 @@ def test_reciprocal_multipliers_and_probability_sum():
 
 
 def assert_derived_g_constants(cal):
-    assert cal.log_up_mass == math.log(cal.p1 + cal.p2)
-    assert cal.log_down_mass == math.log(cal.p3 + cal.p4)
+    log_up_mass, log_down_mass = cal.g_operands[4:6]
+    assert log_up_mass == math.log(cal.p1 + cal.p2)
+    assert log_down_mass == math.log(cal.p3 + cal.p4)
     assert cal.q_down == 1.0 - cal.q
     assert cal.positive_weights is (min(cal.p1, cal.p2, cal.p3, cal.p4) > 0.0)
 
@@ -61,7 +62,7 @@ def test_derived_g_constants_follow_their_definitions():
     # replace() re-derives them from the new probabilities and multipliers
     moved = replace(cal, u=cal.u * 1.01, p1=cal.p1 + 0.01, p4=cal.p4 - 0.01)
     assert_derived_g_constants(moved)
-    assert moved.log_up_mass != cal.log_up_mass and moved.q_down != cal.q_down
+    assert moved.g_operands[4] != cal.g_operands[4] and moved.q_down != cal.q_down
     signed = calibrate(base_market(rho=0.99), dt=1.0 / 300.0, p_tol=1e-4)
     assert_derived_g_constants(signed)
     assert not signed.positive_weights

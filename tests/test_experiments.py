@@ -607,6 +607,19 @@ def test_a_child_sends_more_than_a_pipe_buffer_of_results(forked, tmp_path):
     assert all(_same_result(a, b) for a, b in zip(pooled, run_sweep(sweep, workers=1)))
 
 
+def test_the_sweep_does_not_wait_for_a_child_with_no_job(forked, monkeypatch):
+    # the child sleeps before it claims, so the sweep process runs both
+    # jobs; once it holds every row it must end the child, not await it
+    monkeypatch.setattr(experiments, "_exit_with_parent", lambda: time.sleep(60.0))
+    sweep = _maturity_sweep(1.0, 2.0)
+    start = time.monotonic()
+    pooled = run_sweep(sweep, workers=2)
+    assert time.monotonic() - start < 10.0
+    assert [r.swept_value for r in pooled] == [1.0, 2.0]
+    assert all(_same_result(a, b) for a, b in zip(pooled, run_sweep(sweep, workers=1)))
+    assert multiprocessing.active_children() == []
+
+
 def _stat(pid) -> list[str]:
     """Fields of /proc/<pid>/stat after the command name (state first), or
     [] once the process is gone."""

@@ -224,8 +224,9 @@ def test_prepared_operands_do_not_show_outside_the_calibration(monkeypatch):
     assert cal == twin and (repr(cal), hash(cal)) == shown == (repr(twin), hash(twin))
     # replace() prepares the moved calibration's own numbers, not cal's
     moved = replace(cal, u=cal.u * 1.01, p1=cal.p1 + 0.01, p4=cal.p4 - 0.01)
-    names = ("p1", "p2", "p3", "p4", "log_up_mass", "log_down_mass", "q", "q_down")
-    assert [float(x) for x in moved.g_operands] == [getattr(moved, n) for n in names]
+    p1, p2, p3, p4 = moved.p1, moved.p2, moved.p3, moved.p4
+    numbers = (p1, p2, p3, p4, math.log(p1 + p2), math.log(p3 + p4), moved.q, moved.q_down)
+    assert [float(x) for x in moved.g_operands] == list(numbers)
     moved_g = g_values(x_up, x_dn, moved, 2.0)
     assert_same_bits(moved_g, general_g_values(monkeypatch, x_up, x_dn, moved, 2.0))
     assert not np.array_equal(moved_g, got)
@@ -404,6 +405,28 @@ def test_signed_weight_dominating_the_mixture_is_rejected_by_both_routes():
         g_value(pay, SIGNED_CAL, util)
     with pytest.raises(ValueError, match="undefined"):
         numeric_indifference_price(pay, SIGNED_CAL, util)
+
+
+def test_oracle_widens_its_price_bracket_when_the_price_leaves_it():
+    # w3 = p3 / (p3 + p4) < 0 at this signed weight; a down-branch payoff D
+    # just short of where (1 - w3) - |w3| exp(D) turns negative sends g above
+    # max payoff + 1, outside the oracle's first price bracket
+    cal = calibrate(base_market(rho=0.99), dt=1.0 / 300.0, p_tol=1e-3)
+    w3 = cal.p3 / (cal.p3 + cal.p4)
+    assert w3 < 0.0
+    top = math.log(((1.0 - w3) - 1e-6) / abs(w3))
+    pay, util = PayoffPair(0.0, top), UtilityParams(1.0)
+    g = g_value(pay, cal, util)
+    assert g == pytest.approx(11.547, abs=1e-3) and g > top + 1.0
+    assert abs(g - numeric_indifference_price(pay, cal, util)) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "pay, x0", [(PayoffPair(math.nan, 0.0), 0.0), (PayoffPair(0.3, 0.0), math.inf)]
+)
+def test_oracle_rejects_non_finite_inputs(pay, x0):
+    with pytest.raises(ValueError, match="must be finite"):
+        numeric_indifference_price(pay, CAL, GAMMA1, x0=x0)
 
 
 @pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0])
