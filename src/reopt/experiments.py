@@ -15,10 +15,11 @@ mu1 = 0.115, sigma1 = 0.25, V0 = 1, sigma2 = 0.2, delta = 0.04,
 dt = 1/900.  The traded asset enters only through its returns, so it has
 no initial-level field.
 
-Sweep points are independent pure computations; the sweep process and
-forked children can share them out, largest lattice first, and the output
-is deterministic regardless of the worker count (results are reassembled
-in swept-value order).
+Sweep points are independent pure computations; the points of a sweep
+over rho, gamma or delta are induced together, and the sweep process and
+forked children can share the jobs out, largest first.  The output is
+deterministic regardless of the worker count (results are reassembled in
+swept-value order).
 """
 
 from __future__ import annotations
@@ -38,15 +39,16 @@ from typing import Any
 
 import numpy as np
 
-from .calibration import MarketParams, capm_equilibrium_rate
+from .calibration import MarketParams, calibrate, capm_equilibrium_rate
 from .lattice import (
     GridSpec,
+    GridStack,
     OptionSpec,
     Solution,
     ThresholdCurve,
     build_grid,
     solve,
-    solve_gammas,
+    solve_stack,
     value_curve,
 )
 
@@ -196,9 +198,10 @@ class SweepSpec:
 class RunResult:
     """Outcome of one valuation: the resolved configuration it ran, and
     the half height ``m`` and step count ``n`` of its grid (NaN when the
-    grid could not be laid out).  ``wall_ms`` is the time spent on it; the
-    K points of a gamma sweep, solved as one job, each carry 1/K of that
-    job's time."""
+    grid could not be laid out).  ``wall_ms`` is the time spent on it.
+    The points of a job of :func:`run_sweep` that solves K of them in one
+    induction each carry 1/K of that job's time, less what its error
+    rows, which keep their own time, took."""
 
     swept_name: str
     swept_value: float
@@ -385,27 +388,38 @@ def _point_config(spec: SweepSpec, value: float) -> RunConfig:
     return _resolve(val, delta_fixed)
 
 
-class _GammaStack:
-    """The points of a gamma sweep, which share one grid and one
-    calibration: solved together, in one induction, when the first of them
-    asks, and handed out one per point in swept order.  If the stacked
-    solve fails (a signed-weight g can fail at some gammas only), every
-    point solves on its own and so gets its own result or error.
+class _Stack:
+    """The points of a rho, gamma or delta sweep (or of one half of it),
+    solved in one induction when the first whose grid and calibration
+    succeed asks, and handed out by point.  That first point builds and
+    calibrates the points after it; those that fail there, and every point
+    if the stacked solve fails (it raises where its lattices cannot be
+    stacked exactly, or where g fails at some point only), solve on their
+    own and so get their own result or error.
     """
 
-    def __init__(self, gammas: tuple[float, ...]):
-        self.gammas = gammas
-        self.solutions: list[Solution] | None = None
+    def __init__(self, configs: list[RunConfig]):
+        self.configs = configs
+        self.solutions: dict[RunConfig, Solution] | None = None
 
     def solve(self, cfg: RunConfig, grid: GridSpec) -> Solution:
         if self.solutions is None:
+            cal = calibrate(cfg.market, grid.dt, cfg.p_tol)  # an infeasible point fails here
+            lattices = {cfg: (grid, cal, cfg.option)}
+            for later in self.configs[self.configs.index(cfg) + 1 :]:
+                try:
+                    g = build_grid(later.market, later.option, later.dt)
+                    lattices[later] = (g, calibrate(later.market, g.dt, later.p_tol), later.option)
+                except ValueError:  # the point fails on its own
+                    pass
+            grids, cals, options = zip(*lattices.values())
             try:
-                self.solutions = solve_gammas(cfg.market, cfg.option, grid, self.gammas, cfg.p_tol)
+                solved = solve_stack(GridStack(grids), cals, options)
             except ValueError:
-                self.solutions = []
-        if self.solutions:
-            return self.solutions.pop(0)
-        return solve(cfg.market, cfg.option, grid, cfg.p_tol)
+                solved = []
+            self.solutions = dict(zip(lattices, solved))
+        sol = self.solutions.pop(cfg, None)
+        return solve(cfg.market, cfg.option, grid, cfg.p_tol) if sol is None else sol
 
 
 def run_single(
@@ -413,11 +427,11 @@ def run_single(
     outputs: tuple[str, ...] = (),
     swept_name: str = "",
     swept_value: float = math.nan,
-    stack: _GammaStack | None = None,
+    stack: _Stack | None = None,
 ) -> RunResult:
     """Build, solve and summarize one lattice; errors become result rows.
-    ``stack`` is set by :func:`run_sweep` when the point is one of the
-    gammas of a gamma sweep, which share one induction."""
+    ``stack`` is set by :func:`run_sweep` when the point is one of a job's
+    points that share one induction."""
     start = time.perf_counter()
     result = RunResult(swept_name, swept_value, cfg)
     try:
@@ -452,15 +466,20 @@ def run_single(
 _Point = tuple[RunConfig, tuple[str, ...], str, float]
 
 
-def _sweep_job(job: tuple[list[_Point], _GammaStack | None]) -> list[RunResult]:
-    """Run a job's points; the K points of a stack each carry 1/K of the
-    job's time, so a job's rows add up to its real time."""
-    points, stack = job
+def _sweep_job(points: list[_Point]) -> list[RunResult]:
+    """Run a job's points, those of several in one induction; each error
+    row keeps its own time, and the other rows share the rest of the job's
+    time, so a job's rows add up to its real time."""
+    if len(points) == 1:
+        return [run_single(*points[0])]
     start = time.perf_counter()
+    stack = _Stack([point[0] for point in points])
     results = [run_single(*point, stack=stack) for point in points]
-    if stack is not None:
-        each_ms = (time.perf_counter() - start) * 1e3 / len(results)
-        for result in results:
+    solved = [result for result in results if not result.error]
+    if solved:
+        spent_ms = (time.perf_counter() - start) * 1e3
+        each_ms = (spent_ms - sum(r.wall_ms for r in results if r.error)) / len(solved)
+        for result in solved:
             result.wall_ms = each_ms
     return results
 
@@ -574,34 +593,46 @@ def _run_with_children(jobs: list, order: list[int], children: int) -> _Done:
     return done
 
 
+_STACKED = ("rho", "gamma", "delta")  # sweeps whose points share N, h, V0 and the strikes
+
+
 def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
     """Run every swept value of every spec; per-point failures become
     error rows.
 
-    The points of a ``gamma`` sweep of more than one value share a grid and
-    a calibration, so they are one job, solved in one induction; every
-    other point is a job of its own.  With ``workers > 1`` the jobs of all
-    specs run on the sweep process and on ``workers - 1`` child processes,
-    at most one process per job and per usable CPU; every process takes
-    the next job, largest first, so that no long job starts last.  Results
-    come back spec by spec, each ordered by swept value, regardless of
-    scheduling, and the numbers are identical for any worker count.
+    The points of a ``rho``, ``gamma`` or ``delta`` sweep of more than one
+    value share their time steps, row spacing, V0 and strikes, so they are
+    one job, solved in one induction (see :func:`backward_induce`); every
+    other point is a job of its own, and no job mixes specs.  While there
+    are fewer jobs than processes, the largest such job splits into two
+    halves of consecutive swept values.  With ``workers > 1`` the jobs of
+    all specs run on the sweep process and on ``workers - 1`` child
+    processes, at most one process per job and per usable CPU; every
+    process takes the next job, largest first, so that no long job starts
+    last.  Results come back spec by spec, each ordered by swept value,
+    regardless of scheduling, and the numbers are identical for any worker
+    count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     jobs = []
     for s in specs:
         points = [(_point_config(s, v), s.outputs, s.name, v) for v in s.values]
-        if s.name == "gamma" and len(points) > 1:
-            jobs.append((points, _GammaStack(s.values)))
+        if s.name in _STACKED:
+            jobs.append(points)
         else:
-            jobs.extend(([point], None) for point in points)
-    processes = min(workers, len(jobs), _usable_cpus())
+            jobs.extend([point] for point in points)
+    size = lambda job: _lattice_nodes(job[0][0]) * len(job)
+    processes = min(workers, _usable_cpus())
+    while len(jobs) < processes and max(map(len, jobs), default=0) > 1:
+        j = max(range(len(jobs)), key=lambda j: (len(jobs[j]) > 1, size(jobs[j])))
+        half = len(jobs[j]) // 2
+        jobs[j : j + 1] = [jobs[j][:half], jobs[j][half:]]
+    processes = min(processes, len(jobs))
     if processes <= 1:
         done = [_sweep_job(job) for job in jobs]
     else:
-        size = [_lattice_nodes(points[0][0]) * len(points) for points, _ in jobs]
-        order = sorted(range(len(jobs)), key=lambda j: -size[j])
+        order = sorted(range(len(jobs)), key=lambda j: -size(jobs[j]))
         by_job = dict(_run_with_children(jobs, order, processes - 1))
         done = [by_job[j] for j in range(len(jobs))]
     return [result for job_results in done for result in job_results]

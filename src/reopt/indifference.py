@@ -30,14 +30,17 @@ signed zeros included, so the two paths agree bit for bit.
 
 What is fixed per calibration is computed once, by the
 :class:`LatticeCalibration` itself, not once per column: log(p1 + p2),
-log(p3 + p4), 1 - q and whether all four weights are positive.  The array
-path reads p1 .. p4, the two log masses, q and 1 - q from
-``cal.g_operands``, as 0-d float64 arrays built on first use.
+log(p3 + p4), 1 - q and whether all four weights are positive.  Under
+positive weights both paths read p1 .. p4, the two log masses, q and
+1 - q from ``cal.g_operands``, as 0-d float64 arrays built on first use.
+:func:`stack_operands` gives K calibrations' operands in the same form,
+so that one call values K lattices' rows, each under its own weights.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +56,7 @@ __all__ = [
     "g_values",
     "linear_limit_values",
     "numeric_indifference_price",
+    "stack_operands",
 ]
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -118,7 +122,7 @@ def _branch_contribution(w_hi: float, w_lo: float, a_hi, a_lo):
 
 def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gamma):
     """g on arrays with every exponent a_up <= a_dn and all weights positive,
-    or None if some node has a_up > a_dn (in any lattice of a gamma stack).
+    or None if some node has a_up > a_dn (in any lattice of a stack).
 
     The log-sum-exp anchor of both branches is then a_dn, so each node
     needs one exponential e = exp(a_up - a_dn) and two logarithms.  The
@@ -154,17 +158,41 @@ def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gam
     return b
 
 
-def g_values(x_up, x_dn, cal: LatticeCalibration, gamma):
+class StackedOperands(NamedTuple):
+    """What g reads of K calibrations with positive weights, made by
+    :func:`stack_operands`."""
+
+    g_operands: tuple[np.ndarray, ...]
+    positive_weights: bool = True
+
+
+def stack_operands(cals: Sequence[LatticeCalibration]) -> StackedOperands:
+    """The operands of K calibrations with positive weights, for g on
+    (K, n) payoffs whose row k is lattice k's: each of ``g_operands`` is
+    the 0-d array of the first calibration where all K hold the same
+    number, and a (K, 1) column of their numbers where they differ.  So a
+    constant every lattice shares costs what it costs one lattice.  A
+    zero or signed weight raises ValueError."""
+    if not all(cal.positive_weights for cal in cals):
+        raise ValueError("stacked calibrations need positive weights")
+    columns = zip(*(cal.g_operands for cal in cals))
+    return StackedOperands(tuple(
+        k[0] if all(x == k[0] for x in k) else np.array(k).reshape(-1, 1) for k in columns
+    ))
+
+
+def g_values(x_up, x_dn, cal: LatticeCalibration | StackedOperands, gamma):
     """Vectorized certainty-equivalent operator.
 
     ``x_up`` and ``x_dn`` are the payoffs in the project-up and
     project-down states (arrays of equal shape, or scalars).  ``gamma`` is
     a scalar, or an array that broadcasts against them: a (K, 1) column
-    values K lattices' rows, one risk aversion each, in one call.  This is the
-    hot path of the lattice recursion: equal-shape arrays that never
-    decrease from the down to the up state, under positive weights, take
-    the single-exponential :func:`_g_monotone`; anything else takes the
-    general shifted log-sum-exp path, with the same result bit for bit
+    values K lattices' rows, one risk aversion each, in one call; ``cal``
+    may likewise hold K lattices' weights, from :func:`stack_operands`.
+    This is the hot path of the lattice recursion: equal-shape arrays that
+    never decrease from the down to the up state, under positive weights,
+    take the single-exponential :func:`_g_monotone`; anything else takes
+    the general shifted log-sum-exp path, with the same result bit for bit
     where both apply.
     """
     try:
@@ -181,9 +209,17 @@ def g_values(x_up, x_dn, cal: LatticeCalibration, gamma):
             return out
     a_up = -gamma * x_up
     a_dn = -gamma * x_dn
-    branch_up = _branch_contribution(cal.p1, cal.p2, a_up, a_dn)
-    branch_dn = _branch_contribution(cal.p3, cal.p4, a_up, a_dn)
-    return (cal.q * branch_up + cal.q_down * branch_dn) / gamma
+    if not cal.positive_weights:
+        branch_up = _branch_contribution(cal.p1, cal.p2, a_up, a_dn)
+        branch_dn = _branch_contribution(cal.p3, cal.p4, a_up, a_dn)
+        return (cal.q * branch_up + cal.q_down * branch_dn) / gamma
+    # both branches anchored at m, as _branch_contribution anchors them
+    p1, p2, p3, p4, log_up_mass, log_down_mass, q, q_down = cal.g_operands
+    m = np.maximum(a_up, a_dn)
+    e_up, e_dn = np.exp(a_up - m), np.exp(a_dn - m)
+    branch_up = log_up_mass - m - np.log(p1 * e_up + p2 * e_dn)
+    branch_dn = log_down_mass - m - np.log(p3 * e_up + p4 * e_dn)
+    return (q * branch_up + q_down * branch_dn) / gamma
 
 
 def g_value(pay: PayoffPair, cal: LatticeCalibration, util: UtilityParams) -> float:

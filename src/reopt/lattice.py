@@ -41,12 +41,13 @@ import numpy as np
 
 from . import indifference
 from .calibration import LatticeCalibration, MarketParams, calibrate
-from .indifference import g_values, linear_limit_values
+from .indifference import g_values, linear_limit_values, stack_operands
 from .reference import perpetual_threshold
 
 __all__ = [
     "OptionSpec",
     "GridSpec",
+    "GridStack",
     "ValueGrid",
     "ThresholdCurve",
     "build_grid",
@@ -54,7 +55,7 @@ __all__ = [
     "extract_thresholds",
     "Solution",
     "solve",
-    "solve_gammas",
+    "solve_stack",
     "value_curve",
 ]
 
@@ -167,6 +168,38 @@ def build_grid(
     return GridSpec(n_steps=n_steps, half_height=half_height, dt=step, row_values=rows)
 
 
+@dataclass(frozen=True)
+class GridStack:
+    """The grids of K lattices that :func:`backward_induce` runs as one.
+    They share N, the step and V0 (ValueError otherwise), so every row
+    value and every strike is the same number in every lattice.  Laid over
+    one another with their bottom rows aligned, they span ``n_rows`` rows,
+    those of the tallest ladder."""
+
+    grids: tuple[GridSpec, ...]
+
+    def __post_init__(self):
+        grids = tuple(self.grids)
+        if not grids:
+            raise ValueError("a stack needs at least one grid")
+        shared = {(g.n_steps, g.dt, float(g.row_values[g.half_height])) for g in grids}
+        if len(shared) > 1:
+            raise ValueError("stacked grids must share N, the step and V0")
+        object.__setattr__(self, "grids", grids)
+
+    @property
+    def n_steps(self) -> int:
+        return self.grids[0].n_steps
+
+    @property
+    def dt(self) -> float:
+        return self.grids[0].dt
+
+    @property
+    def n_rows(self) -> int:
+        return max(grid.n_rows for grid in self.grids)
+
+
 @dataclass
 class ValueGrid:
     """Result of the backward induction.
@@ -188,8 +221,8 @@ class ValueGrid:
     region.  At maturity the exercised rows are those in the money, a
     run from the top, so the last column is never anomalous.
 
-    An induction of K risk aversions at once (``backward_induce``'s
-    ``gammas``) puts a leading axis of length K on every array.
+    A stack of K lattices induced as one gives K of these, each over its
+    own lattice's rows.
     """
 
     values_t0: np.ndarray
@@ -197,13 +230,34 @@ class ValueGrid:
     anomalous: np.ndarray
 
 
+def _window_top(v: np.ndarray, cal: LatticeCalibration, strike: np.ndarray) -> int | None:
+    """The first row the operator runs on (see :func:`backward_induce`),
+    counting from 0 at the top of the ladder ``v``; None without a bound."""
+    if min(cal.p1, cal.p2, cal.p3, cal.p4) < 0.0:
+        return None
+    # m, g's linear limit at (h, l), called through its module: this
+    # module's global operator is called once per column and for nothing else
+    m = float(indifference.linear_limit_values(cal.h, cal.l, cal))
+    try:
+        sigma2, delta = math.log(cal.h) / math.sqrt(cal.dt), -math.log(m) / cal.dt
+        bound = perpetual_threshold(sigma2, cal.r, delta, strike.max())
+    except ValueError:  # delta <= 0 or r < 0: no perpetual bound
+        return None
+    bound = max(bound, np.max(strike[:-1] - strike[1:], initial=0.0) / (1.0 - m))
+    return max(1, int(np.searchsorted(-v, -bound)) - 2)
+
+
 def backward_induce(
-    grid: GridSpec,
-    cal: LatticeCalibration,
-    option: OptionSpec,
-    gammas: Sequence[float] | None = None,
-) -> ValueGrid:
+    grid: GridSpec | GridStack,
+    cal: LatticeCalibration | Sequence[LatticeCalibration],
+    option: OptionSpec | Sequence[OptionSpec],
+) -> ValueGrid | list[ValueGrid]:
     """Fill the grid from maturity backwards and record exercise decisions.
+
+    ``grid``, ``cal`` and ``option`` describe one lattice, whose
+    :class:`ValueGrid` this returns; or ``grid`` is a :class:`GridStack`
+    of K grids, ``cal`` and ``option`` hold one entry per grid, and this
+    returns one ValueGrid per lattice (see "Stacks" below).
 
     The certainty-equivalent operator is the exponential-utility g at
     ``option.gamma``; at gamma 0 it is g's analytically evaluated
@@ -235,13 +289,25 @@ def backward_induce(
     inducing every row.  Without a bound (delta <= 0, r < 0 or a signed
     weight) every row is induced from the start.
 
-    ``gammas``, a non-empty 1-D sequence of K risk aversions, takes the
-    place of ``option.gamma``: neither the grid nor the calibration depends
-    on gamma, so the K lattices are induced together on (K, 2M+1) columns,
-    one numpy call doing K lattices' work.  Every array of the returned
-    grid then gains a leading axis of length K, one row per gamma, and
-    each row is bit for bit the single lattice at that gamma.  A stack is
-    always g, so every gamma in it must be positive.
+    Stacks.  K lattices that share N, the step, h, V0, the cost, its
+    growth, the maturity and r (ValueError otherwise) see the same row
+    values and strikes, so they are induced together on (K, rows)
+    columns, one numpy call doing K lattices' work.  Each keeps its own
+    calibration, gamma (positive: a stack is always g) and half height
+    M.  The ladders are aligned at their bottom rows, the stack's last
+    row; a shorter ladder continues upward by build_grid's own expression
+    V0 h^k.  The stack's window starts at the highest of the lattices'
+    own ``top`` rows.  g reads a calibration constant that every lattice
+    shares as one 0-d array and the others as (K, 1) columns, and gamma
+    as a (K, 1) column where the gammas differ.  Lattices that share one
+    calibration (a gamma stack) are induced exactly as one lattice is.
+    Otherwise the induction is exact only if every lattice has positive
+    weights and a bound, its own top row (so every row added above it)
+    lies above the stack's window, and every column exercises down to
+    each lattice's own ``top``, so that no rerun is needed; it raises
+    ValueError where one of these fails.  Each returned ValueGrid is bit
+    for bit that lattice's own induction.  A stack of one runs the 1-D
+    loop of a single lattice.
 
     Columns run in blocks of B = 32 on a ring of B + 1 column slots: the
     block of columns lo .. hi-1 fills slots B - (hi - lo) .. B-1, and
@@ -265,72 +331,96 @@ def backward_induce(
     within a column are vectorized.  The whole routine is pure, so
     independent inductions may run in parallel.
     """
-    if abs(cal.dt - grid.dt) > 1e-12 * max(1.0, grid.dt):
-        raise ValueError("calibration and grid use different time steps")
-    if gammas is None:
-        gamma, lattices = option.gamma, ()
-    else:
-        gamma = np.array(gammas, dtype=float)
-        if gamma.ndim != 1 or not gamma.size:
-            raise ValueError(f"gammas must hold a non-empty 1-D list of risk aversions: {gammas}")
-        if not 0.0 < gamma.min() <= gamma.max() < math.inf:  # also rejects NaN
-            raise ValueError("gamma must be positive and finite")
-        gamma, lattices = gamma.reshape(-1, 1), gamma.shape  # a row per lattice
-    if not lattices and gamma == 0.0:
+    stacked = isinstance(grid, GridStack)
+    grids, cals, options = (grid.grids, tuple(cal), tuple(option)) if stacked else (
+        (grid,), (cal,), (option,)
+    )
+    if not len(cals) == len(options) == len(grids):
+        raise ValueError("a stack needs one calibration and one option per grid")
+    for g, c in zip(grids, cals):
+        if abs(c.dt - g.dt) > 1e-12 * max(1.0, g.dt):
+            raise ValueError("calibration and grid use different time steps")
+    cal, option = cals[0], options[0]
+    if len({(c.h, c.r) for c in cals}) > 1 or len(
+        {(o.cost, o.cost_growth, o.maturity) for o in options}
+    ) > 1:
+        raise ValueError("stacked lattices must share h, r, the cost, its growth and the maturity")
+    lattices = (len(grids),) if len(grids) > 1 else ()  # a row per lattice
+    shared = all(c == cal for c in cals)
+    gammas = np.array([o.gamma for o in options])
+    if not lattices and option.gamma == 0.0:
         cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
     else:
-        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, gamma)
-        if 0.0 < np.min(gamma) * option.cost < _MIN_GAMMA_COST:
+        if not gammas.min() > 0.0:
+            raise ValueError("gamma must be positive and finite")
+        gamma = option.gamma if (gammas == gammas[0]).all() else gammas.reshape(-1, 1)
+        operands = cal if shared else stack_operands(cals)
+        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, operands, gamma)
+        if gammas.min() * option.cost < _MIN_GAMMA_COST:
             raise ValueError(
-                f"gamma * cost = {np.min(gamma) * option.cost:.3g} is below "
+                f"gamma * cost = {gammas.min() * option.cost:.3g} is below "
                 f"{_MIN_GAMMA_COST:.0e}, where g's rounding outweighs risk aversion; "
                 "gamma 0 values the option in its linear limit"
             )
 
-    n_steps, rows, v = grid.n_steps, grid.n_rows, grid.row_values
-    if not np.all(v[1:] < v[:-1]):
-        raise ValueError("row values must be strictly decreasing")
+    n_steps, rows = grid.n_steps, grid.n_rows
     t = np.arange(n_steps + 1) * grid.dt
     strike = option.cost * np.exp((option.cost_growth - cal.r) * t)
-    if v[0] - strike.max() < 0.0:
-        raise ValueError(
-            "top boundary value is negative: half_height too small for the "
-            "always-exercise boundary condition"
-        )
+    for g in grids:
+        if not np.all(g.row_values[1:] < g.row_values[:-1]):
+            raise ValueError("row values must be strictly decreasing")
+        if g.row_values[0] - strike.max() < 0.0:
+            raise ValueError(
+                "top boundary value is negative: half_height too small for the "
+                "always-exercise boundary condition"
+            )
+    # One ladder that every lattice shares, or a (K, rows) ladder whose row
+    # k ends in lattice k's own rows, with rows added above them.
+    offsets = np.array([rows - g.n_rows for g in grids])
+    v = grids[0].row_values
+    if lattices and any(not np.array_equal(g.row_values, v) for g in grids):
+        v = np.empty((len(grids), rows))
+        for k, (g, c, off) in enumerate(zip(grids, cals, offsets)):
+            m = g.half_height
+            v[k, off:] = g.row_values
+            v[k, :off] = g.row_values[m] * c.h ** np.arange(m + off, m, -1, dtype=float)
     # V falls down the ladder, so the rows in the money at column n, where
     # V - K_n > 0, are exactly the first above[n] rows, those with V > K_n.
-    above = np.searchsorted(-v, -strike)
+    above = np.array([np.searchsorted(-ladder, -strike) for ladder in v.reshape(-1, rows)])
+    above = above.reshape(v.shape[:-1] + strike.shape)
 
-    # The rows above ``top`` exercise in every column (see the docstring).
-    # The window does not depend on gamma, so a stack shares it.
-    top = 1
-    if min(cal.p1, cal.p2, cal.p3, cal.p4) >= 0.0:
-        # m, g's linear limit at (h, l), called through its module: this
-        # module's global operator is called once per column and for nothing else
-        m = float(indifference.linear_limit_values(cal.h, cal.l, cal))
-        try:
-            sigma2, delta = math.log(cal.h) / math.sqrt(cal.dt), -math.log(m) / cal.dt
-            bound = perpetual_threshold(sigma2, cal.r, delta, strike.max())
-        except ValueError:  # delta <= 0 or r < 0: no perpetual bound
-            pass
-        else:
-            bound = max(bound, np.max(strike[:-1] - strike[1:], initial=0.0) / (1.0 - m))
-            top = max(1, int(np.searchsorted(-v, -bound)) - 2)
+    # The rows above ``top`` exercise in every column (see the docstring):
+    # each lattice's own top, in stack rows, and the stack's, the highest.
+    own = [_window_top(g.row_values, c, strike) for g, c in zip(grids, cals)]
+    tops = np.array([1 if own_top is None else own_top for own_top in own]) + offsets
+    top = int(tops.min())
+    # Every column must exercise down to each lattice's own top row, or
+    # only the rows above it where that is row 1 (see the loop's end).
+    needs = tops - (tops - offsets == 1)
+    # Lattices that differ (the weights are positive: stack_operands
+    # checks them) are exact only without a rerun, and if no added row
+    # lies in the window.
+    exact_only = not shared or offsets.any()
+    if exact_only and (None in own or offsets.max() >= top):
+        raise ValueError(
+            "the lattices cannot be stacked exactly: each needs an exercise bound and "
+            "its own top row above the stack's window"
+        )
 
     # Per column, a row per lattice: the first row that does not exercise,
     # and how many rows do.  At maturity the in-the-money rows exercise, a
     # run of above[N] from the top.
     first, count = counts = np.empty((2, n_steps + 1) + lattices, dtype=int)
-    counts[:, n_steps] = above[n_steps]
+    counts[:, n_steps] = above[..., n_steps]
 
     # shapes that broadcast over the lattices
     each = (1,) * len(lattices)
     strike_of = strike.reshape((-1,) + each + (1,))  # K_n against a block's slots
     # before maturity no row from k_max down is in the money
-    k_max = int(above[:-1].max(initial=0))
+    k_max = int(above[..., :-1].max(initial=0))
     while True:
         # g scales the values it is given, at most v[top-1] - min K_n, by gamma
-        largest, payoff = float(np.max(gamma)), float(v[top - 1]) - float(strike.min())
+        largest, payoff = float(gammas.max()), float(np.max(v[..., top - 1])) - float(strike.min())
         if not math.isfinite(largest * payoff):
             raise ValueError(f"gamma {largest:.3g} times the payoff {payoff:.3g} overflows")
         # Fixed per window: the buffers and their views.  The block of
@@ -341,14 +431,15 @@ def backward_induce(
         # first.  A block writes rows top-1 .. 2M-1 of its slots; the rows
         # above them, and the bottom row, the worthless boundary, stay 0.
         # ``ex`` holds a block's exercise values (V - K_n)^+ on rows
-        # top .. 2M-1, which no gamma changes; only rows above ``low`` are
-        # ever in the money, the rest stay 0.  The mask covers rows
-        # top-1 .. low, whose end rows are sentinels: row top-1 exercises
-        # like every row above the window, and row ``low`` never does.
+        # top .. 2M-1, which no gamma changes, one row per ladder; only
+        # rows above ``low`` are ever in the money, the rest stay 0.  The
+        # mask covers rows top-1 .. low, whose end rows are sentinels: row
+        # top-1 exercises like every row above the window, and row ``low``
+        # never does.
         low = min(max(k_max, top), rows - 1)
         ring = np.zeros((_BLOCK + 1,) + lattices + (rows,))
         ring[_BLOCK] = np.maximum(v - strike[n_steps], 0.0)
-        ex = np.zeros((_BLOCK,) + each + (rows - 1 - top,))
+        ex = np.zeros((_BLOCK,) + (v.shape[:-1] or each) + (rows - 1 - top,))
         ex_band = ex[..., : low - top]
         mask = np.empty((_BLOCK,) + lattices + (low - top + 2,), dtype=bool)
         mask[..., 0], mask[..., -1] = True, False
@@ -360,9 +451,9 @@ def backward_induce(
             start = _BLOCK - (hi - lo)
             block, band, marks = ring[start:_BLOCK], ex_band[start:], mask[start:]
             # Per block: the exercise values, and V - K_n on row top-1, which g reads
-            np.subtract(v[top:low], strike_of[lo:hi], out=band)
+            np.subtract(v[..., top:low], strike_of[lo:hi], out=band)
             np.maximum(band, 0.0, out=band)
-            np.subtract(v[top - 1 : top], strike_of[lo:hi], out=block[..., top - 1 : top])
+            np.subtract(v[..., top - 1 : top], strike_of[lo:hi], out=block[..., top - 1 : top])
             for j in range(_BLOCK - 1, start - 1, -1):
                 np.maximum(ex_rows[j], cont_of(ups[j + 1], dns[j + 1]), out=inner[j])
             # A node exercises where the maximum is its exercise value and
@@ -375,15 +466,28 @@ def backward_induce(
             hi = lo
         # the masks start at row top-1; the rows above it all exercise
         counts[:, :-1] += top - 1
-        if top == 1 or (first[:-1] > top).all():
+        if (first[:-1] > needs).all():
             break
-        top = 1  # the boundary reached the window: induce every row
+        if exact_only:
+            raise ValueError(
+                "the exercise boundary reaches the window of a stack whose lattices "
+                "differ; induce them one by one"
+            )
+        top, needs = 1, 0  # the boundary reached the window: induce every row
     # the time-0 column's rows above the window, which no block writes
-    np.subtract(v[:top], strike[0], out=ring[_BLOCK][..., :top])
+    np.subtract(v[..., :top], strike[0], out=ring[_BLOCK][..., :top])
 
     # an exercised row below the first that does not: not an up-set
     anomalous = count > first
-    return ValueGrid(values_t0=ring[_BLOCK].copy(), exercise_depth=first.T, anomalous=anomalous.T)
+    values_t0 = ring[_BLOCK]
+    if not lattices:
+        vg = ValueGrid(values_t0=values_t0.copy(), exercise_depth=first, anomalous=anomalous)
+        return [vg] if stacked else vg
+    # each lattice's own rows, counted from its own top row
+    return [
+        ValueGrid(values_t0[k, off:].copy(), first[:, k] - off, anomalous[:, k].copy())
+        for k, off in enumerate(offsets)
+    ]
 
 
 @dataclass(frozen=True)
@@ -481,21 +585,21 @@ def solve(
     return Solution(cal, values, extract_thresholds(values, grid, cal, option))
 
 
-def solve_gammas(
-    market: MarketParams,
-    option: OptionSpec,
-    grid: GridSpec,
-    gammas: Sequence[float],
-    p_tol: float = 0.0,
+def solve_stack(
+    stack: GridStack,
+    cals: Sequence[LatticeCalibration],
+    options: Sequence[OptionSpec],
 ) -> list[Solution]:
-    """:func:`solve` at each of the risk aversions ``gammas``, which take
-    the place of ``option.gamma``, with one calibration and one induction
-    for them all (see :func:`backward_induce`).  Returns one Solution per
-    gamma, in order, each equal to what :func:`solve` gives at that gamma."""
-    cal = calibrate(market, grid.dt, p_tol)
-    stacked = backward_induce(grid, cal, option, gammas=gammas)
-    lattices = map(ValueGrid, stacked.values_t0, stacked.exercise_depth, stacked.anomalous)
-    return [Solution(cal, vg, extract_thresholds(vg, grid, cal, option)) for vg in lattices]
+    """:func:`solve` for the K lattices of ``stack``, from their
+    calibrations, in one induction (see :func:`backward_induce`, which
+    raises ValueError where they cannot be stacked exactly).  Returns one
+    Solution per lattice, in order, each equal to what :func:`solve` gives
+    for it."""
+    values = backward_induce(stack, cals, options)
+    return [
+        Solution(cal, vg, extract_thresholds(vg, grid, cal, option))
+        for vg, grid, cal, option in zip(values, stack.grids, cals, options)
+    ]
 
 
 def value_curve(vg: ValueGrid, grid: GridSpec, option: OptionSpec) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Closed-form benchmarks the lattice must approach in limits.
 
-The one yardstick computed here is the perpetual complete-market
+The yardsticks computed here are the perpetual complete-market
 investment threshold beta/(beta - 1) * I, with beta the positive root of
 (sigma^2/2) b (b - 1) + (r - delta) b - r = 0 (the textbook Dixit-Pindyck
-threshold).  The two risk-aversion limits need no function of their own:
+threshold), and its incomplete-market counterpart under exponential
+utility, :func:`henderson_threshold`.  The two risk-aversion limits need
+no function of their own:
 
 * the risk-neutral-toward-idiosyncratic-risk limit (McDonald-Siegel
   style) is the lattice itself, ``solve`` at ``OptionSpec(gamma=0)``,
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "henderson_threshold",
     "perpetual_beta",
     "perpetual_threshold",
 ]
@@ -69,3 +72,52 @@ def perpetual_threshold(sigma: float, r: float, delta: float, cost: float = 1.0)
         raise ValueError("threshold overflows: beta rounds to 1 for this r and delta")
     return beta / (beta - 1.0) * cost
 
+
+def henderson_threshold(
+    sigma2: float, delta: float, gamma: float, rho: float, cost: float = 1.0
+) -> float:
+    """Perpetual investment threshold V* of an investor with exponential
+    utility of risk aversion ``gamma`` who hedges with an asset of
+    correlation ``rho`` to the project (Henderson, "Valuing the option to
+    invest in an incomplete market", Math. Finan. Econ. 1, 2007).
+
+    The setting: the cost grows at the riskless rate (cost_growth = r), so
+    the discounted strike is the constant ``cost`` I and the problem is
+    time-homogeneous, and the project's shortfall ``delta`` is held, so
+    its drift under the minimal martingale measure is -delta.  Then V*
+    solves (exp(c (V* - I)) - 1) / c = V* / beta, with beta = 1 +
+    2 delta / sigma2^2 and c = gamma (1 - rho^2), and lies between I and
+    its c -> 0 limit beta / (beta - 1) I, which is
+    ``perpetual_threshold(sigma2, 0, delta, cost)`` and what c = 0 returns.
+    The root is bisected to the last bit.  ``sigma2``, ``delta`` and
+    ``cost`` are checked as :func:`perpetual_threshold` checks them; a
+    negative or non-finite gamma, or a rho outside [-1, 1], raises
+    ValueError.
+    """
+    upper = perpetual_threshold(sigma2, 0.0, delta, cost)
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError("gamma must be nonnegative and finite")
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [-1, 1]")
+    c = gamma * (1.0 - rho * rho)
+    if c == 0.0:
+        return upper
+    beta = perpetual_beta(sigma2, 0.0, delta)
+
+    def excess(v: float) -> float:
+        # (exp(c (v - I)) - 1) / c - v / beta: negative at I, convex, and
+        # at least (v - I) - v / beta, which is 0 at the upper bound
+        try:
+            return math.expm1(c * (v - cost)) / c - v / beta
+        except OverflowError:
+            return math.inf
+
+    lo, hi = cost, upper
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid

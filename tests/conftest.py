@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import reopt.lattice
 from reopt import (
+    GridStack,
     LatticeCalibration,
     MarketParams,
     capm_equilibrium_rate,
@@ -43,17 +45,26 @@ def degenerate_complete_calibration(
     )
 
 
+def gamma_stack(grid, cal, option, gammas):
+    """``backward_induce``'s arguments for ``option`` at each of ``gammas``,
+    stacked on one grid and one calibration."""
+    options = [dataclasses.replace(option, gamma=gamma) for gamma in gammas]
+    return GridStack((grid,) * len(options)), (cal,) * len(options), options
+
+
 class GridRecorder:
     """Full value grids of ``backward_induce``, which keeps only the time-0
     column.  The lattice calls its continuation operator once per column,
     through the module global, on two views of the column one step later,
     both in its buffer: rows top-1 .. 2M-2 and, two rows further on, rows
-    top+1 .. 2M, which end where the column ends.  ``columns`` holds a copy
-    of the memory the two views span, rows top-1 .. 2M, and ``induce``
-    puts V - K_n above it: those rows exercise in every column, and the
-    lattice never reads them.  An induction that reruns on every row calls
-    the operator N more times; the last N calls are the result's columns.
-    ``widths`` holds the rows each call valued, per lattice."""
+    top+1 .. 2M, which end where the column ends (a stack's views hold a
+    row per lattice, ending at the bottom rows that its ladders share).
+    ``columns`` holds a copy of the memory the two views span, rows
+    top-1 .. 2M, and ``induce`` puts V - K_n above it, from each lattice's
+    own ladder: those rows exercise in every column, and the lattice never
+    reads them.  An induction that reruns on every row calls the operator
+    N more times; the last N calls are the result's columns.  ``widths``
+    holds the rows each call valued, per lattice."""
 
     def __init__(self, monkeypatch):
         self.columns, self.widths = [], []
@@ -71,21 +82,28 @@ class GridRecorder:
 
         return recording
 
-    def induce(self, grid, cal, option, **kw):
-        """(ValueGrid, values): the induction and its (..., 2M+1, N+1) grid."""
+    def induce(self, grid, cal, option):
+        """(ValueGrid, values): the induction and its (2M+1, N+1) grid; for
+        a GridStack, a list of each, one per lattice over its own rows."""
         self.columns.clear()
         self.widths.clear()
-        vg = reopt.lattice.backward_induce(grid, cal, option, **kw)
+        vg = reopt.lattice.backward_induce(grid, cal, option)
+        stacked = isinstance(grid, GridStack)
+        lattices = zip(grid.grids, cal, option, vg) if stacked else [(grid, cal, option, vg)]
         n_steps = grid.n_steps
         assert len(self.columns) in (n_steps, 2 * n_steps)
+        spans = self.columns[len(self.columns) - n_steps :][::-1]
         t = np.arange(n_steps + 1) * grid.dt
-        strike = option.cost * np.exp((option.cost_growth - cal.r) * t)
-        columns = [vg.values_t0]
-        for n, span in enumerate(reversed(self.columns[len(self.columns) - n_steps :]), 1):
-            head = grid.row_values[: grid.n_rows - span.shape[-1]] - strike[n]
-            head = np.broadcast_to(head, span.shape[:-1] + head.shape)
-            columns.append(np.concatenate((head, span), -1))
-        return vg, np.stack(columns, -1)
+        grids = []
+        for k, (own, c, o, own_vg) in enumerate(lattices):
+            strike = o.cost * np.exp((o.cost_growth - c.r) * t)
+            columns = [own_vg.values_t0]
+            for n, span in enumerate(spans, 1):
+                span = span[k] if span.ndim > 1 else span
+                head = own.row_values[: own.n_rows - span.shape[-1]] - strike[n]
+                columns.append(np.concatenate((head, span)))
+            grids.append(np.stack(columns, -1))
+        return (vg, grids) if stacked else (vg, grids[0])
 
 
 def _address(array):

@@ -30,6 +30,7 @@ import reopt.experiments
 import reopt.lattice
 from reopt import (
     GridSpec,
+    GridStack,
     MarketParams,
     OptionSpec,
     PayoffPair,
@@ -37,9 +38,10 @@ from reopt import (
     UtilityParams,
     build_grid,
     calibrate,
+    capm_equilibrium_rate,
 )
 
-from conftest import exercise_window_top
+from conftest import exercise_window_top, gamma_stack
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -105,7 +107,8 @@ def _check_one_call_per_column_on_the_window(monkeypatch, operator, gamma, gamma
     assert top > 1
     calls, first_args = [], []
     _record(monkeypatch, calls, reopt.lattice, operator, first_args)
-    reopt.lattice.backward_induce(grid, cal, option, gammas=gammas)
+    lattices = (grid, cal, option) if gammas is None else gamma_stack(grid, cal, option, gammas)
+    reopt.lattice.backward_induce(*lattices)
     assert len(calls) == grid.n_steps == 20
     lattices = 1 if gammas is None else len(gammas)
     for x_up in first_args:
@@ -119,6 +122,30 @@ def test_induction_calls_g_once_per_column_on_the_interior_rows(monkeypatch):
 
 def test_stacked_induction_calls_g_once_per_column_on_every_lattice(monkeypatch):
     _check_one_call_per_column_on_the_window(monkeypatch, "g_values", 1.0, (1.0, 2.0, 5.0))
+
+
+def test_a_stack_of_ladders_calls_g_once_per_column_on_its_window(monkeypatch):
+    # K lattices of different M, bottom rows aligned: g runs on rows
+    # top .. rows-2 of the stack's ladder, K x (rows - 1 - top) nodes, where
+    # top is the highest of the lattices' own tops in stack rows; the
+    # tracer counts the stack's nodes from its n_rows and n_steps
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
+    grids, cals, tops = [], [], []
+    for rho in (0.0, 0.5, 0.9):
+        mu2 = capm_equilibrium_rate(0.115, 0.25, 0.2, rho, 0.04) - 0.04
+        market = MarketParams(mu1=0.115, sigma1=0.25, mu2=mu2, sigma2=0.2, rho=rho, r=0.04)
+        grids.append(build_grid(market, option, 0.05, 30 + 5 * len(grids)))
+        cals.append(calibrate(market, grids[-1].dt))
+        tops.append(exercise_window_top(grids[-1], cals[-1], option))
+    stack = GridStack(grids)
+    rows = stack.n_rows
+    assert rows == grids[-1].n_rows and stack.n_steps == 20
+    top = min(own + rows - g.n_rows for own, g in zip(tops, grids))
+    calls, first_args = [], []
+    _record(monkeypatch, calls, reopt.lattice, "g_values", first_args)
+    reopt.lattice.backward_induce(stack, cals, [option] * 3)
+    assert len(calls) == 20
+    assert all(x_up.shape == (3, rows - 1 - top) for x_up in first_args)
 
 
 def test_linear_induction_calls_linear_limit_values_once_per_column(monkeypatch):

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reopt import build_grid, calibration, experiments, lattice
+from reopt import build_grid, calibrate, calibration, experiments, lattice
 from reopt.experiments import (
     ConfigError,
     SweepSpec,
@@ -34,7 +34,7 @@ from reopt.experiments import (
     SWEEP_COLUMNS,
 )
 
-from conftest import read_sweep_csv
+from conftest import gamma_stack, read_sweep_csv
 
 
 def cfg_text(**sections) -> str:
@@ -263,9 +263,12 @@ def test_sweep_pool_is_bounded_by_point_count(children):
     assert len(children) == 3
     run_sweep(_maturity_sweep(1.0), workers=64)
     run_sweep(sweep, workers=1)
-    _, gammas = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 2.0]}))
-    run_sweep(gammas, workers=64)  # one stacked job
     assert len(children) == 3
+    # a stacked job splits while there are fewer jobs than processes, at
+    # most into one job per point: two gammas on 64 workers are two jobs
+    _, gammas = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 2.0]}))
+    run_sweep(gammas, workers=64)
+    assert len(children) == 4
 
 
 def test_sweep_starts_no_more_processes_than_usable_cpus(children, monkeypatch):
@@ -347,14 +350,15 @@ def _separate_runs(*specs):
 
 @pytest.fixture
 def inductions(monkeypatch):
-    """Count the inductions that ``solve`` and ``solve_gammas`` run."""
+    """Count the inductions that ``solve`` and ``solve_stack`` run: None
+    for one lattice, the gammas of a stack's lattices."""
     calls = []
     inner = lattice.backward_induce
 
-    def counting(*args, **kwargs):
-        gammas = kwargs.get("gammas")
-        calls.append(None if gammas is None else tuple(gammas))
-        return inner(*args, **kwargs)
+    def counting(grid, cal, option):
+        stacked = isinstance(grid, lattice.GridStack)
+        calls.append(tuple(o.gamma for o in option) if stacked else None)
+        return inner(grid, cal, option)
 
     monkeypatch.setattr(lattice, "backward_induce", counting)
     return calls
@@ -378,13 +382,13 @@ def test_gamma_points_share_one_induction(inductions):
 def test_one_induction_per_base_config(inductions):
     expected = {
         # the 3 infeasible points (rho -0.99, 0.99) never reach the induction
-        "fig1-left": [None] * 18,
+        "fig1-left": [(1.0,) * 18],
         # 7 gammas at each of 3 correlations
         "fig1-right": [(0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)] * 3,
-        "fig2-left": [None] * 5,
-        "fig2-right": [None] * 4,
-        "fig3": [None] * 18,  # gamma varies with rho, so no point shares
-        "fig4": [None],  # rho 0.99 is infeasible
+        "fig2-left": [None] * 5,  # sigma2 sets the row spacing
+        "fig2-right": [(1.0,) * 4],
+        "fig3": [None] * 18,  # maturity sets N, and specs never share
+        "fig4": [(10.0,)],  # rho 0.99 is infeasible
     }
     assert tuple(expected) == preset_names()
     for name, stacks in expected.items():
@@ -435,7 +439,7 @@ def test_gamma_stack_errors_match_separate_runs(monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("certainty equivalent undefined at one gamma")
 
-    monkeypatch.setattr(experiments, "solve_gammas", failing)
+    monkeypatch.setattr(experiments, "solve_stack", failing)
     _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 2.0]}))
     results = run_sweep(sweep)
     assert not any(r.error for r in results)
@@ -455,8 +459,9 @@ def test_gamma_stack_that_fails_at_some_gammas_matches_separate_runs():
     }))
     cfg = experiments._point_config(sweep, sweep.values[0])
     grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    cal = calibrate(cfg.market, grid.dt, cfg.p_tol)
     with pytest.raises(ValueError, match="certainty equivalent undefined"):
-        lattice.solve_gammas(cfg.market, cfg.option, grid, sweep.values, cfg.p_tol)
+        lattice.solve_stack(*gamma_stack(grid, cal, cfg.option, sweep.values))
     alone = _separate_runs(sweep)
     assert [r.anomaly_flags for r in alone] == ["", "", "", "error:ValueError", "error:ValueError"]
     for workers in (1, 2):
@@ -479,6 +484,109 @@ def test_gamma_stack_with_a_gamma_too_small_for_g_matches_separate_runs():
         assert all(_same_result(a, b) for a, b in zip(results, alone))
 
 
+def test_infeasible_points_of_a_stack_keep_their_own_rows():
+    # rho -0.99 and 0.99 fail to calibrate at dt = 0.02: their rows, and
+    # their messages, are those of the points run alone, and their wall_ms
+    # is their own; the 19 others share one induction and its time
+    specs = build_preset("fig1-left", dt=0.02)
+    start = time.perf_counter()
+    results = run_sweep(*specs)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    alone = _separate_runs(*specs)
+    assert all(_same_result(a, b) for a, b in zip(results, alone))
+    failed = [r for r in results if r.error]
+    assert [r.swept_value for r in failed] == [-0.99, 0.99]
+    assert all(r.error.startswith("CalibrationInfeasible: p") for r in failed)
+    assert [r.error for r in failed] == [r.error for r in alone if r.error]
+    solved = [r for r in results if not r.error]
+    assert len(solved) == 19 and len({r.wall_ms for r in solved}) == 1
+    assert all(0.0 < r.wall_ms < solved[0].wall_ms for r in failed)
+    assert sum(r.wall_ms for r in results) <= elapsed_ms
+
+
+def _rho_sweep(values, dt=0.05, **option):
+    _, sweep = parse_config(cfg_text(
+        option=option, grid={"dt": dt}, sweep={"name": "rho", "values": list(values)},
+    ))
+    return sweep
+
+
+def _signed_weight():
+    # rho 0.99 has a weight below 0, within p_tol
+    _, sweep = parse_config(json.dumps({
+        "project": {"rho": 0.5},
+        "option": {"gamma": 1.0, "maturity": 2.0, "cost_growth": 0.1},
+        "grid": {"dt": 1.0 / 300.0, "p_tol": 1e-4},
+        "sweep": {"name": "rho", "values": [0.5, 0.99]},
+    }))
+    return sweep
+
+
+def _forced_rerun(monkeypatch):
+    # a bound far below the boundary: each point alone induces every row
+    # again, and the stack may not
+    monkeypatch.setattr(lattice, "perpetual_threshold", lambda *args: 1e-300)
+    return _rho_sweep([0.0, 0.5])
+
+
+def _padded_overflow():
+    # gamma 1e308 times the payoffs in each lattice's own window stays
+    # finite, but not times those the stack's window adds to rho 0.9's
+    return _rho_sweep([-0.5, 0.9], gamma=1e308)
+
+
+@pytest.mark.parametrize(
+    "case", [lambda mp: _signed_weight(), _forced_rerun, lambda mp: _padded_overflow()],
+    ids=["signed-weight", "forced-rerun", "padded-overflow"],
+)
+def test_a_stack_that_cannot_be_exact_falls_back_to_each_point(case, inductions, monkeypatch):
+    sweep = case(monkeypatch)
+    results = run_sweep(sweep)
+    # the stacked induction raised, and each point was induced on its own
+    gamma = sweep.base.option.gamma
+    assert inductions == [(gamma, gamma), None, None]
+    alone = _separate_runs(sweep)
+    assert not any(r.error for r in alone)
+    assert all(_same_result(a, b) for a, b in zip(results, alone))
+
+
+def test_a_stack_splits_while_there_are_fewer_jobs_than_processes(monkeypatch):
+    seen = []
+
+    def run_in_order(jobs, order, children):
+        seen.append(([[point[3] for point in job] for job in jobs], children))
+        return [(j, experiments._sweep_job(jobs[j])) for j in order]
+
+    monkeypatch.setattr(experiments, "_run_with_children", run_in_order)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    sweep = _rho_sweep([0.0, 0.2, 0.4, 0.6, 0.8])
+    run_sweep(sweep, workers=2)
+    # two halves of consecutive values on two processes
+    assert seen.pop() == ([[0.0, 0.2], [0.4, 0.6, 0.8]], 1)
+    run_sweep(sweep, workers=3)
+    (first, *rest), children = seen.pop()
+    assert first == [0.0, 0.2] and sorted(map(len, rest)) == [1, 2] and children == 2
+    assert [v for job in (first, *rest) for v in job] == list(sweep.values)
+    # fig1-right's three stacks already fill two processes
+    run_preset("fig1-right", workers=2, dt=0.1)
+    assert [len(job) for job in seen.pop()[0]] == [7, 7, 7]
+    run_sweep(sweep, workers=1)
+    assert seen == []
+    # no spec, no job to split
+    assert run_sweep(workers=2) == []
+
+
+def test_stacked_rows_are_the_same_on_one_two_and_three_workers(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    specs = [*build_preset("fig1-left", dt=0.05), *build_preset("fig2-right", dt=0.05)]
+    one = run_sweep(*specs, workers=1)
+    assert sum(bool(r.error) for r in one) == 2
+    for workers in (2, 3):
+        rows = run_sweep(*specs, workers=workers)
+        assert [r.swept_value for r in rows] == [r.swept_value for r in one]
+        assert all(_same_result(a, b) for a, b in zip(rows, one))
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="children inherit the counting induction only when forked",
@@ -492,10 +600,10 @@ def test_fig1_right_stays_three_stacked_inductions_on_a_pool(tmp_path, monkeypat
     log = tmp_path / "inductions"
     inner = lattice.backward_induce
 
-    def counting(*args, gammas=None, **kwargs):
+    def counting(grid, cal, option):
         with open(log, "a") as fh:
-            fh.write(f"{len(gammas or ())}\n")
-        return inner(*args, gammas=gammas, **kwargs)
+            fh.write(f"{len(grid.grids) if isinstance(grid, lattice.GridStack) else 0}\n")
+        return inner(grid, cal, option)
 
     monkeypatch.setattr(lattice, "backward_induce", counting)
     results = run_preset("fig1-right", workers=2, dt=0.05)
@@ -668,9 +776,9 @@ def _sweep_children(pid: int) -> list[int]:
 @pytest.mark.skipif(experiments._usable_cpus() < 2, reason="a sweep starts no child on one CPU")
 @pytest.mark.parametrize("method", _START_METHODS)
 def test_killed_sweep_leaves_no_worker(tmp_path, method):
-    # four T = 40 points at the paper's step, each its own lattice: seconds
-    # of work per process, so the sweep is still running when it is killed;
-    # on 2 workers the sweep process forks one child
+    # four T = 40 points at the paper's step, split into two stacks of two:
+    # seconds of work per process, so the sweep is still running when it is
+    # killed; on 2 workers the sweep process forks one child
     doc = {
         "project": {"rho": 0.5},
         "option": {"gamma": 1.0, "maturity": 40.0},

@@ -1,6 +1,7 @@
 """Grid construction, backward induction, thresholds, value curves."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -8,10 +9,12 @@ import mpmath
 import numpy as np
 import pytest
 
+import reopt.experiments
 import reopt.lattice
 import reopt.reference
 from reopt import (
     GridSpec,
+    GridStack,
     LatticeCalibration,
     OptionSpec,
     PayoffPair,
@@ -24,12 +27,12 @@ from reopt import (
     g_values,
     linear_limit_values,
     solve,
-    solve_gammas,
+    solve_stack,
     value_curve,
 )
 from reopt.calibration import CalibrationInfeasible
 
-from conftest import base_market, degenerate_complete_calibration, exercise_window_top
+from conftest import base_market, degenerate_complete_calibration, exercise_window_top, gamma_stack
 
 
 def induce(market, option, dt, m=None, **kw):
@@ -320,9 +323,9 @@ def test_mask_summary_of_stacked_lattices(monkeypatch):
     # the same masks as one (K, rows) mask of K lattices
     masks, depths, anomalous = zip(*INTERIOR_MASKS.values())
     grid, cal, option = _one_step_forcing(monkeypatch, masks)
-    vg = backward_induce(grid, cal, option, gammas=(1.0,) * len(masks))
-    assert vg.exercise_depth.tolist() == [[depth, 5] for depth in depths]
-    assert vg.anomalous.tolist() == [[flag, False] for flag in anomalous]
+    vgs = backward_induce(*gamma_stack(grid, cal, option, (1.0,) * len(masks)))
+    assert [vg.exercise_depth.tolist() for vg in vgs] == [[depth, 5] for depth in depths]
+    assert [vg.anomalous.tolist() for vg in vgs] == [[flag, False] for flag in anomalous]
 
 
 @pytest.mark.parametrize("rows_in_the_money", [5, 0], ids=["every-row", "no-row"])
@@ -563,16 +566,18 @@ def test_a_window_the_boundary_reaches_is_induced_again_on_every_row(
 def _assert_induces_the_reference(grid_recorder, grid, cal, option, gammas=None):
     """The induction at ``option.gamma``, or at each of ``gammas`` stacked,
     gives the reference column loop's grid, depths and flags bit for bit."""
-    vg, recorded = grid_recorder.induce(grid, cal, option, gammas=gammas)
-    for k, gamma in enumerate(gammas or (option.gamma,)):
-        values, depth, anomalous = reference_column_loop(
-            grid, cal, dataclasses.replace(option, gamma=gamma)
-        )
-        lattice = (k,) if gammas else ()
-        assert np.array_equal(recorded[lattice], values)
-        assert np.array_equal(vg.values_t0[lattice], values[:, 0])
-        assert np.array_equal(vg.exercise_depth[lattice], depth)
-        assert np.array_equal(vg.anomalous[lattice], anomalous)
+    if gammas is None:
+        vg, recorded = grid_recorder.induce(grid, cal, option)
+        lattices = [(vg, recorded, option)]
+    else:
+        stack = gamma_stack(grid, cal, option, gammas)
+        lattices = zip(*grid_recorder.induce(*stack), stack[2])
+    for vg, recorded, option_k in lattices:
+        values, depth, anomalous = reference_column_loop(grid, cal, option_k)
+        assert np.array_equal(recorded, values)
+        assert np.array_equal(vg.values_t0, values[:, 0])
+        assert np.array_equal(vg.exercise_depth, depth)
+        assert np.array_equal(vg.anomalous, anomalous)
 
 
 SMALL_BLOCK = 3
@@ -662,7 +667,7 @@ def test_a_gamma_too_small_for_g_is_rejected():
         with pytest.raises(ValueError, match=r"gamma \* cost = .* is below 1e-07"):
             backward_induce(grid, cal, tiny)
     with pytest.raises(ValueError, match="is below 1e-07"):
-        backward_induce(grid, cal, option, gammas=(1.0, 1e-10))
+        backward_induce(*gamma_stack(grid, cal, option, (1.0, 1e-10)))
     # at and above the floor, and at gamma 0, the induction runs
     for gamma, cost in ((1e-6, 1.0), (2e-7, 0.5), (0.0, 1.0)):
         backward_induce(grid, cal, dataclasses.replace(option, gamma=gamma, cost=cost))
@@ -674,9 +679,9 @@ def test_a_gamma_whose_product_with_the_payoff_overflows_is_rejected(grid_record
     option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.7e308)
     grid = build_grid(market, option, 0.02)
     cal = calibrate(market, grid.dt)
-    for gammas in (None, (1.0, 1.7e308)):
+    for lattices in ((grid, cal, option), gamma_stack(grid, cal, option, (1.0, 1.7e308))):
         with pytest.raises(ValueError, match=r"gamma 1\.7e\+308 times the payoff .* overflows"):
-            grid_recorder.induce(grid, cal, option, gammas=gammas)
+            grid_recorder.induce(*lattices)
         assert grid_recorder.columns == []
     # gamma 1e300 times the payoffs in the window stays finite
     vg = backward_induce(grid, cal, dataclasses.replace(option, gamma=1e300))
@@ -740,17 +745,17 @@ GAMMAS = (0.01, 0.1, 1.0, 10.0, 100.0)
 def test_stacked_gammas_match_separate_inductions(case, grid_recorder):
     # one induction over (K, 2M+1) columns is K inductions, bit for bit
     grid, cal, option = case()
-    stacked, values = grid_recorder.induce(grid, cal, option, gammas=GAMMAS)
-    assert values.shape == (len(GAMMAS), grid.n_rows, grid.n_steps + 1)
+    stack = gamma_stack(grid, cal, option, GAMMAS)
+    stacked, values = grid_recorder.induce(*stack)
+    assert [v.shape for v in values] == [(grid.n_rows, grid.n_steps + 1)] * len(GAMMAS)
     if case is _case_anomalous:
-        assert stacked.anomalous.sum(axis=1).tolist() == [5, 7, 27, 0, 0]
-    for k, gamma in enumerate(GAMMAS):
-        option_k = dataclasses.replace(option, gamma=gamma)
+        assert [int(vg.anomalous.sum()) for vg in stacked] == [5, 7, 27, 0, 0]
+    for vg, lattice_values, option_k in zip(stacked, values, stack[2]):
         alone, alone_values = grid_recorder.induce(grid, cal, option_k)
-        assert np.array_equal(values[k], alone_values)
-        assert np.array_equal(stacked.values_t0[k], alone.values_t0)
-        assert np.array_equal(stacked.exercise_depth[k], alone.exercise_depth)
-        assert np.array_equal(stacked.anomalous[k], alone.anomalous)
+        assert np.array_equal(lattice_values, alone_values)
+        assert np.array_equal(vg.values_t0, alone.values_t0)
+        assert np.array_equal(vg.exercise_depth, alone.exercise_depth)
+        assert np.array_equal(vg.anomalous, alone.anomalous)
 
 
 @pytest.mark.parametrize(
@@ -762,7 +767,7 @@ def test_solve_gammas_matches_solve_at_each_gamma(rho, cost_growth, dt, p_tol):
     market = base_market(rho=rho)
     option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0, cost_growth=cost_growth)
     grid = build_grid(market, option, dt)
-    stacked = list(solve_gammas(market, option, grid, GAMMAS, p_tol))
+    stacked = solve_stack(*gamma_stack(grid, calibrate(market, grid.dt, p_tol), option, GAMMAS))
     assert len(stacked) == len(GAMMAS)
     assert len({float(sol.values.values_t0[grid.half_height]) for sol in stacked}) == len(GAMMAS)
     for sol, gamma in zip(stacked, GAMMAS):
@@ -781,19 +786,145 @@ def test_stacked_gammas_are_checked():
     option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
     grid = build_grid(market, option, 0.1, 5)
     cal = calibrate(market, grid.dt)
-    for gammas, match in (
-        ((), "gammas must hold"),
-        ([[1.0, 2.0], [3.0, 4.0]], "gammas must hold"),
-        (2.0, "gammas must hold"),
-        ((1.0, 0.0), "gamma must be positive"),
-        ((1.0, math.nan), "gamma must be positive"),
-        ((math.inf, 1.0), "gamma must be positive"),
+    stack, cals, options = gamma_stack(grid, cal, option, (1.0, 2.0))
+    with pytest.raises(ValueError, match="at least one grid"):
+        GridStack(())
+    longer = build_grid(market, dataclasses.replace(option, maturity=2.0), 0.1, 5)
+    with pytest.raises(ValueError, match="must share N, the step and V0"):
+        GridStack((grid, longer))
+    for args, match in (
+        ((stack, cals[:1], options), "one calibration and one option per grid"),
+        ((stack, cals, options[:1]), "one calibration and one option per grid"),
+        ((stack, cals, [options[0], dataclasses.replace(option, gamma=0.0)]),
+         "gamma must be positive"),
+        ((stack, cals, [options[0], dataclasses.replace(option, cost=0.9)]), "must share"),
+        ((stack, cals, [options[0], dataclasses.replace(option, cost_growth=0.1)]), "must share"),
+        ((stack, [cal, calibrate(base_market(rho=0.5, sigma2=0.3), grid.dt)], options),
+         "must share"),
     ):
         with pytest.raises(ValueError, match=match):
-            backward_induce(grid, cal, option, gammas=gammas)
-    for gammas in ([], [[1.0, 2.0], [3.0, 4.0]], 2.0):
-        with pytest.raises(ValueError, match="gammas must hold"):
-            solve_gammas(market, option, grid, gammas)
+            backward_induce(*args)
+        with pytest.raises(ValueError, match=match):
+            solve_stack(*args)
+
+
+def _assert_same_solution(sol, alone):
+    assert sol.cal == alone.cal
+    assert np.array_equal(sol.values.values_t0, alone.values.values_t0)
+    assert np.array_equal(sol.values.exercise_depth, alone.values.exercise_depth)
+    assert np.array_equal(sol.values.anomalous, alone.values.anomalous)
+    for field in dataclasses.fields(sol.curve):
+        a, b = getattr(sol.curve, field.name), getattr(alone.curve, field.name)
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field.name
+
+
+def _sweep_lattices(spec, gammas=None):
+    """(markets, grids, calibrations, options) of the points of ``spec``
+    whose grid and calibration succeed, at ``gammas`` where given."""
+    lattices = []
+    for k, value in enumerate(spec.values):
+        cfg = reopt.experiments._point_config(spec, value)
+        option = cfg.option if gammas is None else dataclasses.replace(cfg.option, gamma=gammas[k])
+        try:
+            grid = build_grid(cfg.market, option, cfg.dt)
+            lattices.append((cfg.market, grid, calibrate(cfg.market, grid.dt, cfg.p_tol), option))
+        except ValueError:
+            continue
+    return tuple(map(list, zip(*lattices)))
+
+
+@pytest.mark.parametrize("name,points", [("fig1-left", 19), ("fig2-right", 4)])
+def test_a_sweep_stack_matches_solve_at_each_point(name, points):
+    # the feasible points of a rho or delta sweep, each with its own
+    # calibration and half height, as one induction: each lattice's values
+    # over its own rows, depths, flags and threshold curve are solve's
+    (spec,) = reopt.experiments.build_preset(name, dt=0.02)
+    markets, grids, cals, options = _sweep_lattices(spec)
+    assert len(grids) == points and len({cal.p1 for cal in cals}) == points
+    if name == "fig1-left":
+        assert [g.half_height for g in grids] == sorted({g.half_height for g in grids}, reverse=True)
+    stacked = solve_stack(GridStack(grids), cals, options)
+    assert len(stacked) == points
+    for sol, market, grid, option in zip(stacked, markets, grids, options):
+        assert sol.values.values_t0.shape == (grid.n_rows,)
+        _assert_same_solution(sol, solve(market, option, grid))
+
+
+def _mixed_stack():
+    """Four correlations, each at its own gamma and half height."""
+    _, spec = reopt.experiments.parse_config(json.dumps({
+        "project": {"rho": 0.0},
+        "option": {"gamma": 1.0, "maturity": 4.0},
+        "grid": {"dt": 0.02},
+        "sweep": {"name": "rho", "values": [-0.8, -0.2, 0.4, 0.9]},
+    }))
+    return _sweep_lattices(spec, gammas=(0.3, 1.0, 4.0, 12.0))
+
+
+def test_a_stack_of_ladders_and_gammas_matches_the_reference(grid_recorder):
+    # the recorded grids rebuild each lattice's rows above the window from
+    # its own ladder; every lattice is the reference column loop, bit for bit
+    markets, grids, cals, options = _mixed_stack()
+    assert len({g.n_rows for g in grids}) == 4
+    stack = GridStack(grids)
+    tops = [exercise_window_top(g, c, o) + stack.n_rows - g.n_rows
+            for g, c, o in zip(grids, cals, options)]
+    assert min(tops) < max(tops)  # the window reaches above some lattices' own tops
+    stacked, values = grid_recorder.induce(stack, cals, options)
+    for vg, recorded, grid, cal, option in zip(stacked, values, grids, cals, options):
+        ref_values, depth, anomalous = reference_column_loop(grid, cal, option)
+        assert np.array_equal(recorded, ref_values)
+        assert np.array_equal(vg.values_t0, ref_values[:, 0])
+        assert np.array_equal(vg.exercise_depth, depth)
+        assert np.array_equal(vg.anomalous, anomalous)
+    for sol, market, grid, option in zip(
+        solve_stack(stack, cals, options), markets, grids, options
+    ):
+        _assert_same_solution(sol, solve(market, option, grid))
+
+
+def test_a_stack_that_would_not_be_exact_raises(monkeypatch):
+    markets, grids, cals, options = _mixed_stack()
+    stack = GridStack(grids)
+    # every lattice must have positive weights: a signed p_tol weight
+    market = base_market(rho=0.99)
+    option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0, cost_growth=0.1)
+    signed = build_grid(market, option, 1.0 / 300.0)
+    signed_cal = calibrate(market, signed.dt, 1e-4)
+    assert not signed_cal.positive_weights
+    other = base_market(rho=0.5)
+    other_grid = build_grid(other, option, 1.0 / 300.0)
+    with pytest.raises(ValueError, match="positive weights"):
+        backward_induce(GridStack((other_grid, signed)),
+                        (calibrate(other, other_grid.dt), signed_cal), (option, option))
+    # a gamma whose product with the payoff overflows on the rows the stack
+    # adds to a lattice's window, while each lattice alone is valued
+    huge = [dataclasses.replace(o, gamma=1e308) for o in options]
+    with pytest.raises(ValueError, match="gamma 1e\\+308 times the payoff .* overflows"):
+        backward_induce(stack, cals, huge)
+    for grid, cal, option in zip(grids, cals, huge):
+        assert np.isfinite(backward_induce(grid, cal, option).values_t0).all()
+    # no rerun: a bound far below the boundary puts every window top under it
+    monkeypatch.setattr(reopt.lattice, "perpetual_threshold", lambda *args: 1e-300)
+    with pytest.raises(ValueError, match="boundary reaches the window of a stack"):
+        backward_induce(stack, cals, options)
+    # nor a lattice without a bound
+    monkeypatch.setattr(reopt.lattice, "perpetual_threshold", _no_bound)
+    with pytest.raises(ValueError, match="cannot be stacked exactly"):
+        backward_induce(stack, cals, options)
+
+
+def test_a_stack_of_one_runs_the_one_lattice_loop(grid_recorder):
+    market = base_market(rho=0.5)
+    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
+    grid = build_grid(market, option, 0.05)
+    cal = calibrate(market, grid.dt)
+    (vg,), (values,) = grid_recorder.induce(GridStack((grid,)), (cal,), (option,))
+    assert all(span.ndim == 1 for span in grid_recorder.columns)
+    alone, alone_values = grid_recorder.induce(grid, cal, option)
+    assert np.array_equal(values, alone_values)
+    assert np.array_equal(vg.values_t0, alone.values_t0)
+    assert np.array_equal(vg.exercise_depth, alone.exercise_depth)
 
 
 # ---------------------------------------------------------------------------

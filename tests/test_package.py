@@ -32,6 +32,7 @@ PUBLIC_NAMES = [
     "CalibrationInfeasible",
     "ConfigError",
     "GridSpec",
+    "GridStack",
     "LatticeCalibration",
     "MarketParams",
     "OptionSpec",
@@ -52,6 +53,7 @@ PUBLIC_NAMES = [
     "extract_thresholds",
     "g_value",
     "g_values",
+    "henderson_threshold",
     "linear_limit_values",
     "numeric_indifference_price",
     "parse_config",
@@ -62,7 +64,8 @@ PUBLIC_NAMES = [
     "run_single",
     "run_sweep",
     "solve",
-    "solve_gammas",
+    "solve_stack",
+    "stack_operands",
     "value_curve",
     "verify_moments",
     "write_sweep_csv",

@@ -1,5 +1,6 @@
 """Closed-form benchmarks and the vanishing-risk-aversion lattice limit."""
 
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,12 @@ from scipy.optimize import brentq
 from reopt import (
     OptionSpec,
     build_grid,
+    henderson_threshold,
+    parse_config,
     perpetual_beta,
     perpetual_threshold,
+    run_single,
+    run_sweep,
     solve,
 )
 
@@ -146,3 +151,67 @@ def test_npv_is_a_lower_bound_for_lattice_thresholds():
         cell = curve.spot_t0 * (grid.step_ratio - 1.0)
         # the NPV rule's threshold is the cost itself
         assert curve.spot_t0 > option.cost - cell
+
+
+# ---------------------------------------------------------------------------
+# Henderson's perpetual threshold in the incomplete market
+# ---------------------------------------------------------------------------
+
+
+def test_henderson_threshold_solves_its_equation():
+    beta = 1.0 + 2.0 * 0.04 / 0.2**2
+    for rho, gamma, cost in ((0.5, 1.0, 1.0), (0.0, 10.0, 1.0), (0.9, 0.01, 2.0), (-0.5, 3.0, 0.5)):
+        v = henderson_threshold(0.2, 0.04, gamma, rho, cost)
+        c = gamma * (1.0 - rho * rho)
+        assert cost < v < perpetual_threshold(0.2, 0.0, 0.04, cost)
+        assert math.expm1(c * (v - cost)) / c == pytest.approx(v / beta, rel=1e-14)
+
+
+def test_henderson_threshold_falls_with_c_to_its_linear_limit():
+    # the threshold depends on rho and gamma only through c = gamma (1 - rho^2)
+    limit = perpetual_threshold(0.2, 0.0, 0.04, 1.0)
+    assert henderson_threshold(0.2, 0.04, 0.0, 0.5) == limit
+    assert henderson_threshold(0.2, 0.04, 5.0, 1.0) == limit
+    assert henderson_threshold(0.2, 0.04, 1e-12, 0.0) == pytest.approx(limit, rel=1e-11)
+    assert henderson_threshold(0.2, 0.04, 1.0, 0.5) == henderson_threshold(0.2, 0.04, 1.0, -0.5)
+    c_values = (1e-3, 0.1, 1.0, 10.0, 100.0)
+    thresholds = [henderson_threshold(0.2, 0.04, c, 0.0) for c in c_values]
+    assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
+    assert thresholds[-1] > 1.0
+    # an exponent that overflows lies above the root
+    assert 1.0 < henderson_threshold(0.2, 0.04, 1e300, 0.0) <= math.nextafter(1.0, 2.0)
+
+
+def test_henderson_threshold_rejects_bad_inputs():
+    for args in ((0.2, 0.04, -1.0, 0.5), (0.2, 0.04, math.nan, 0.5), (0.2, 0.04, math.inf, 0.5),
+                 (0.2, 0.04, 1.0, 1.5), (0.2, 0.04, 1.0, math.nan), (0.2, 0.0, 1.0, 0.5),
+                 (0.0, 0.04, 1.0, 0.5), (0.2, 0.04, 1.0, 0.5, 0.0)):
+        with pytest.raises(ValueError):
+            henderson_threshold(*args)
+
+
+HENDERSON_PAIRS = ((0.0, 1.0), (0.5, 1.0), (0.9, 1.0), (0.5, 5.0), (0.0, 10.0), (0.9, 0.01))
+
+
+def test_lattice_threshold_lies_within_one_cell_of_henderson():
+    # cost growing at r keeps the discounted strike at I; at T = 40 the
+    # finite-horizon threshold has reached V* to within the cell, from
+    # below or on the first row above it.  The pairs at gamma 1 run as one
+    # rho sweep, a stacked induction.
+    def doc(rho, gamma, sweep=None):
+        text = {
+            "project": {"rho": rho},
+            "option": {"gamma": gamma, "maturity": 40.0, "cost_growth": 0.04},
+            "grid": {"dt": 0.01},
+        }
+        return json.dumps(dict(text, sweep=sweep) if sweep else text)
+
+    _, sweep = parse_config(doc(0.0, 1.0, {"name": "rho", "values": [0.0, 0.5, 0.9]}))
+    results = run_sweep(sweep)
+    for rho, gamma in HENDERSON_PAIRS[3:]:
+        results.append(run_single(parse_config(doc(rho, gamma))[0]))
+    for (rho, gamma), result in zip(HENDERSON_PAIRS, results):
+        assert not result.error
+        v_star = henderson_threshold(0.2, 0.04, gamma, rho)
+        h = math.exp(0.2 * math.sqrt(result.config.option.maturity / result.n))
+        assert v_star / h <= result.threshold_spot_t0 <= v_star * h, (rho, gamma)
