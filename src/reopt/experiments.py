@@ -16,15 +16,16 @@ dt = 1/900.  The traded asset enters only through its returns, so it has
 no initial-level field.
 
 Sweep points are independent pure computations; the points of a sweep
-over rho, gamma or delta are induced together, and the sweep process and
-forked children can share the jobs out, largest first.  The output is
-deterministic regardless of the worker count (results are reassembled in
-swept-value order).
+over rho, gamma, sigma2 or delta are induced together, and the sweep
+process and forked children can share the jobs out, largest first.  The
+output is deterministic regardless of the worker count (results are
+reassembled in swept-value order).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -39,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from .calibration import MarketParams, calibrate, capm_equilibrium_rate
+from .calibration import LatticeCalibration, MarketParams, calibrate, capm_equilibrium_rate
 from .lattice import (
     GridSpec,
     GridStack,
@@ -389,29 +390,53 @@ def _point_config(spec: SweepSpec, value: float) -> RunConfig:
 
 
 class _Stack:
-    """The points of a rho, gamma or delta sweep (or of one half of it),
-    solved in one induction when the first whose grid and calibration
-    succeed asks, and handed out by point.  That first point builds and
-    calibrates the points after it; those that fail there, and every point
-    if the stacked solve fails (it raises where its lattices cannot be
-    stacked exactly, or where g fails at some point only), solve on their
-    own and so get their own result or error.
+    """The points of a stacked sweep (or of one half of it), solved in one
+    induction and handed out by point.  The first point to ask for its
+    grid builds and calibrates every point, once each (points that share
+    a market and a step share one calibration); a point whose grid or
+    calibration failed gets that error when it asks.  If the stacked
+    solve fails (it raises where its lattices cannot be stacked exactly,
+    or where g fails at some point only), every point solves on its own
+    and so gets its own result or error.
     """
 
     def __init__(self, configs: list[RunConfig]):
         self.configs = configs
+        # each point's (grid, calibration), either one the ValueError it raised
+        self.built: dict[RunConfig, tuple] | None = None
         self.solutions: dict[RunConfig, Solution] | None = None
 
-    def solve(self, cfg: RunConfig, grid: GridSpec) -> Solution:
-        if self.solutions is None:
-            cal = calibrate(cfg.market, grid.dt, cfg.p_tol)  # an infeasible point fails here
-            lattices = {cfg: (grid, cal, cfg.option)}
-            for later in self.configs[self.configs.index(cfg) + 1 :]:
+    def grid(self, cfg: RunConfig) -> GridSpec:
+        if self.built is None:
+            self.built, cals = {}, {}
+            for point in self.configs:
                 try:
-                    g = build_grid(later.market, later.option, later.dt)
-                    lattices[later] = (g, calibrate(later.market, g.dt, later.p_tol), later.option)
-                except ValueError:  # the point fails on its own
-                    pass
+                    grid = build_grid(point.market, point.option, point.dt)
+                except ValueError as exc:
+                    self.built[point] = (exc, None)
+                    continue
+                key = (point.market, grid.dt, point.p_tol)
+                if key not in cals:
+                    try:
+                        cals[key] = calibrate(*key)
+                    except ValueError as exc:
+                        cals[key] = exc
+                self.built[point] = (grid, cals[key])
+        grid, _ = self.built[cfg]
+        if isinstance(grid, ValueError):
+            raise grid
+        return grid
+
+    def solve(self, cfg: RunConfig) -> Solution:
+        grid, cal = self.built[cfg]
+        if isinstance(cal, ValueError):
+            raise cal
+        if self.solutions is None:
+            lattices = {
+                point: (g, c, point.option)
+                for point, (g, c) in self.built.items()
+                if isinstance(c, LatticeCalibration)
+            }
             grids, cals, options = zip(*lattices.values())
             try:
                 solved = solve_stack(GridStack(grids), cals, options)
@@ -435,12 +460,9 @@ def run_single(
     start = time.perf_counter()
     result = RunResult(swept_name, swept_value, cfg)
     try:
-        grid = build_grid(cfg.market, cfg.option, cfg.dt)
+        grid = build_grid(cfg.market, cfg.option, cfg.dt) if stack is None else stack.grid(cfg)
         result.m, result.n = grid.half_height, grid.n_steps
-        if stack is None:
-            sol = solve(cfg.market, cfg.option, grid, cfg.p_tol)
-        else:
-            sol = stack.solve(cfg, grid)
+        sol = solve(cfg.market, cfg.option, grid, cfg.p_tol) if stack is None else stack.solve(cfg)
     except ValueError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         result.anomaly_flags = f"error:{type(exc).__name__}"
@@ -499,9 +521,12 @@ def _exit_with_parent() -> None:
 
 
 def _lattice_nodes(cfg: RunConfig) -> int:
+    """The nodes of the point's lattice; 0 where its grid or calibration
+    fails, so that it is an error row, quickly."""
     try:
         grid = build_grid(cfg.market, cfg.option, cfg.dt)
-    except ValueError:  # the point is an error row, quickly
+        calibrate(cfg.market, grid.dt, cfg.p_tol)
+    except ValueError:
         return 0
     return grid.n_rows * (grid.n_steps + 1)
 
@@ -593,23 +618,25 @@ def _run_with_children(jobs: list, order: list[int], children: int) -> _Done:
     return done
 
 
-_STACKED = ("rho", "gamma", "delta")  # sweeps whose points share N, h, V0 and the strikes
+_STACKED = ("rho", "gamma", "sigma2", "delta")  # sweeps whose points share N, V0 and the strikes
 
 
 def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
     """Run every swept value of every spec; per-point failures become
     error rows.
 
-    The points of a ``rho``, ``gamma`` or ``delta`` sweep of more than one
-    value share their time steps, row spacing, V0 and strikes, so they are
-    one job, solved in one induction (see :func:`backward_induce`); every
-    other point is a job of its own, and no job mixes specs.  While there
-    are fewer jobs than processes, the largest such job splits into two
-    halves of consecutive swept values.  With ``workers > 1`` the jobs of
-    all specs run on the sweep process and on ``workers - 1`` child
-    processes, at most one process per job and per usable CPU; every
-    process takes the next job, largest first, so that no long job starts
-    last.  Results come back spec by spec, each ordered by swept value,
+    The points of a ``rho``, ``gamma``, ``sigma2`` or ``delta`` sweep of
+    more than one value share their time steps, V0 and strikes, so they
+    are one job, solved in one induction (see :func:`backward_induce`);
+    each ``maturity`` point is a job of its own, and no job mixes specs.
+    While there are fewer jobs than processes, the largest such job
+    splits into two halves of consecutive swept values.  A job's size is
+    the sum of its points' lattice nodes, 0 for a point whose grid or
+    calibration fails.  With ``workers > 1`` the jobs of all specs run on
+    the sweep process and on ``workers - 1`` child processes, at most one
+    process per job of nonzero size and per usable CPU; every process
+    takes the next job, largest first, so that no long job starts last.
+    Results come back spec by spec, each ordered by swept value,
     regardless of scheduling, and the numbers are identical for any worker
     count.
     """
@@ -622,13 +649,15 @@ def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
             jobs.append(points)
         else:
             jobs.extend([point] for point in points)
-    size = lambda job: _lattice_nodes(job[0][0]) * len(job)
+    nodes = functools.cache(_lattice_nodes)
+    size = lambda job: sum(nodes(point[0]) for point in job)
     processes = min(workers, _usable_cpus())
     while len(jobs) < processes and max(map(len, jobs), default=0) > 1:
         j = max(range(len(jobs)), key=lambda j: (len(jobs[j]) > 1, size(jobs[j])))
         half = len(jobs[j]) // 2
         jobs[j : j + 1] = [jobs[j][:half], jobs[j][half:]]
-    processes = min(processes, len(jobs))
+    if processes > 1:  # a job of error rows alone starts no child
+        processes = min(processes, sum(size(job) > 0 for job in jobs))
     if processes <= 1:
         done = [_sweep_job(job) for job in jobs]
     else:

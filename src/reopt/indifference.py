@@ -17,16 +17,24 @@ limit is the subhedge value min(x_h, x_l) and needs no function.
 All exponentials are shifted so that |gamma * payoff| of several hundred
 causes no overflow; the naive form is never used here.  In general each
 branch is a log-sum-exp anchored at its larger exponent.  Lattice columns
-never decrease in V, so x_h >= x_l at every node; with positive weights
-the anchor of both branches is then -gamma x_l, and each node needs the
-one exponential exp(-gamma (x_h - x_l)) <= 1 and two logarithms.  Array
-inputs take that path; a column with any node x_h < x_l, a zero or signed
-weight, or scalar inputs take the general path.  Both paths perform the
-same operations in the same order, except that the array path folds the
-sign into gamma: it forms b = gamma x_dn and b - gamma x_up where the
-general path forms a_dn = -gamma x_dn and a_up - a_dn, and adds b where
-the general path subtracts a_dn.  Negation is exact in IEEE arithmetic,
-signed zeros included, so the two paths agree bit for bit.
+seldom decrease in V, so x_h >= x_l at nearly every node; with positive
+weights the anchor of both branches is then -gamma x_l, and each node
+needs the one exponential exp(-gamma (x_h - x_l)) <= 1 and two
+logarithms.  Array inputs take that path; a column with any node
+x_h < x_l, a zero or signed weight, or scalar inputs take the general
+path.  Testing x_h >= x_l costs one reduction per call, so the lattice,
+which calls g once per column, tests it once per block of small columns
+instead: it passes ``monotone=True``, which skips the test, compares the
+block's columns in one call afterwards, and values a block again with
+the per-call test where some column fails (see
+:func:`reopt.lattice.backward_induce`).
+
+Both paths perform the same operations in the same order, except that
+the array path folds the sign into gamma: it forms b = gamma x_dn and
+b - gamma x_up where the general path forms a_dn = -gamma x_dn and
+a_up - a_dn, and adds b where the general path subtracts a_dn.  Negation
+is exact in IEEE arithmetic, signed zeros included, so the two paths
+agree bit for bit.
 
 What is fixed per calibration is computed once, by the
 :class:`LatticeCalibration` itself, not once per column: log(p1 + p2),
@@ -120,9 +128,11 @@ def _branch_contribution(w_hi: float, w_lo: float, a_hi, a_lo):
     return out
 
 
-def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gamma):
+def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gamma, test=True):
     """g on arrays with every exponent a_up <= a_dn and all weights positive,
     or None if some node has a_up > a_dn (in any lattice of a stack).
+    With ``test`` false the exponents go untested: a node with
+    a_up > a_dn then gets a wrong value, which may overflow.
 
     The log-sum-exp anchor of both branches is then a_dn, so each node
     needs one exponential e = exp(a_up - a_dn) and two logarithms.  The
@@ -138,7 +148,7 @@ def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gam
     b = np.multiply(x_dn, gamma)
     e = np.multiply(x_up, gamma)
     np.subtract(b, e, out=e)
-    if not np.maximum.reduce(e, None) <= 0.0:  # every axis; also rejects NaN
+    if test and not np.maximum.reduce(e, None) <= 0.0:  # every axis; also rejects NaN
         return None
     np.exp(e, out=e)
     up = np.multiply(e, p1)
@@ -181,7 +191,7 @@ def stack_operands(cals: Sequence[LatticeCalibration]) -> StackedOperands:
     ))
 
 
-def g_values(x_up, x_dn, cal: LatticeCalibration | StackedOperands, gamma):
+def g_values(x_up, x_dn, cal: LatticeCalibration | StackedOperands, gamma, *, monotone=None):
     """Vectorized certainty-equivalent operator.
 
     ``x_up`` and ``x_dn`` are the payoffs in the project-up and
@@ -194,17 +204,29 @@ def g_values(x_up, x_dn, cal: LatticeCalibration | StackedOperands, gamma):
     take the single-exponential :func:`_g_monotone`; anything else takes
     the general shifted log-sum-exp path, with the same result bit for bit
     where both apply.
+
+    ``monotone`` is for a caller that has already checked gamma and passes
+    equal-shape float arrays, so g checks neither again.  False tests, as
+    the default does, that x_up >= x_dn at every node before taking the
+    single-exponential path.  True skips that test: under positive weights
+    the single-exponential path runs at once, and where some node has
+    x_up < x_dn its result is wrong and may overflow, so the caller must
+    check the inputs itself and call again with False where they fail.
     """
-    try:
-        valid = 0.0 < gamma < math.inf  # also rejects NaN
-    except ValueError:  # several gammas have no single truth value
-        valid = 0.0 < gamma.min() <= gamma.max() < math.inf
-    if not valid:
-        raise ValueError("gamma must be positive and finite")
-    x_up = np.asarray(x_up, dtype=float)
-    x_dn = np.asarray(x_dn, dtype=float)
-    if x_up.ndim and x_up.shape == x_dn.shape and cal.positive_weights:
-        out = _g_monotone(x_up, x_dn, cal, gamma)
+    if monotone is None:
+        try:
+            valid = 0.0 < gamma < math.inf  # also rejects NaN
+        except ValueError:  # several gammas have no single truth value
+            valid = 0.0 < gamma.min() <= gamma.max() < math.inf
+        if not valid:
+            raise ValueError("gamma must be positive and finite")
+        x_up = np.asarray(x_up, dtype=float)
+        x_dn = np.asarray(x_dn, dtype=float)
+        arrays = x_up.ndim and x_up.shape == x_dn.shape
+    else:
+        arrays = True
+    if arrays and cal.positive_weights:
+        out = _g_monotone(x_up, x_dn, cal, gamma, not monotone)
         if out is not None:
             return out
     a_up = -gamma * x_up

@@ -62,6 +62,12 @@ __all__ = [
 _MAX_AXIS = 10**9  # most time steps, or rows above V0: a 10**9-row column takes 8 GB
 _MIN_GAMMA_COST = 1e-7  # least gamma * cost g values: there its rounding is ~1e-5 of a base value
 _BLOCK = 32  # columns per block of backward_induce, whose ring holds B + 1 columns
+# Most nodes per column (K lattices x rows) whose monotone test runs once
+# per block: above it the block's comparison, which reads the whole ring
+# again, cost more than g's own reduction per column (2-core Xeon: a base
+# lattice, 851 nodes, 0.88x; fig1-right's gamma stack, 1561, 0.99x;
+# fig2-left's sigma2 stack at dt 1/900, 4705, 1.06x).
+_BLOCK_TESTED = 2048
 
 
 @dataclass(frozen=True)
@@ -171,10 +177,10 @@ def build_grid(
 @dataclass(frozen=True)
 class GridStack:
     """The grids of K lattices that :func:`backward_induce` runs as one.
-    They share N, the step and V0 (ValueError otherwise), so every row
-    value and every strike is the same number in every lattice.  Laid over
-    one another with their bottom rows aligned, they span ``n_rows`` rows,
-    those of the tallest ladder."""
+    They share N, the step and V0 (ValueError otherwise), so every strike
+    is the same number in every lattice; their row spacings may differ.
+    Laid over one another with their bottom rows aligned, they span
+    ``n_rows`` rows, those of the tallest ladder."""
 
     grids: tuple[GridSpec, ...]
 
@@ -269,7 +275,8 @@ def backward_induce(
     x_dn, the gamma -> infinity value.  A gamma whose product with the
     largest payoff g is given, V - min K_n at row ``top`` - 1, overflows
     raises ValueError before g runs, where g would return NaN.  Either
-    operator is called once per column, through this module's global, on
+    operator is called once per column (twice for the columns of a block
+    that g valued again, see below), through this module's global, on
     contiguous views of the rows of the column one step later.
 
     Rows high on the ladder exercise in every column, so the operator runs
@@ -289,15 +296,15 @@ def backward_induce(
     inducing every row.  Without a bound (delta <= 0, r < 0 or a signed
     weight) every row is induced from the start.
 
-    Stacks.  K lattices that share N, the step, h, V0, the cost, its
-    growth, the maturity and r (ValueError otherwise) see the same row
-    values and strikes, so they are induced together on (K, rows)
-    columns, one numpy call doing K lattices' work.  Each keeps its own
-    calibration, gamma (positive: a stack is always g) and half height
-    M.  The ladders are aligned at their bottom rows, the stack's last
-    row; a shorter ladder continues upward by build_grid's own expression
-    V0 h^k.  The stack's window starts at the highest of the lattices'
-    own ``top`` rows.  g reads a calibration constant that every lattice
+    Stacks.  K lattices that share N, the step, V0, the cost, its
+    growth, the maturity and r (ValueError otherwise) see the same
+    strikes, so they are induced together on (K, rows) columns, one numpy
+    call doing K lattices' work.  Each keeps its own calibration, row
+    spacing h, gamma (positive: a stack is always g) and half height M.
+    The ladders are aligned at their bottom rows, the stack's last row; a
+    shorter ladder continues upward by build_grid's own expression
+    V0 h^k, with its own h.  The stack's window starts at the highest of
+    the lattices' own ``top`` rows.  g reads a calibration constant that every lattice
     shares as one 0-d array and the others as (K, 1) columns, and gamma
     as a (K, 1) column where the gammas differ.  Lattices that share one
     calibration (a gamma stack) are induced exactly as one lattice is.
@@ -313,19 +320,28 @@ def backward_induce(
     block of columns lo .. hi-1 fills slots B - (hi - lo) .. B-1, and
     slot B holds column hi, the one the block's last column reads: the
     payoff at first, then a copy of each block's first column, so the
-    time-0 column ends there.  Per column only two numpy calls run: the
+    time-0 column ends there.  Per column only two calls run: the
     operator, and an ``np.maximum`` of its result and the exercise value
-    straight into the column's slot.  Per block a handful run: the
-    exercise values (V - K_n)^+ of the block's columns, on the band of
-    rows that are ever in the money (the rows below it stay 0); V - K_n on
-    row top-1, the one row above ``top`` that the operator reads; and the
-    block's exercise masks, with one ``argmin`` for the first row that
-    does not exercise and one ``sum`` for how many rows do, so a column is
-    anomalous where more rows exercise than lie above that first one.  So
-    a slot holds rows top-1 .. 2M of its column; the rows above take
-    V - K_0 in the time-0 column alone, after the last block.  These are
-    the same IEEE operations as column by column, so the bits do not
-    depend on the block size.
+    straight into the column's slot.  Under positive weights, on columns
+    of at most ``_BLOCK_TESTED`` nodes (K x rows), g runs without its own
+    test that x_up >= x_dn (``monotone=True``), which would cost a
+    reduction per column; one comparison per block tests every column
+    the block read at once (NaN fails it).  A block that
+    fails is valued again with g testing each column, as are the blocks
+    after it until one passes, so a run of decreasing columns costs one
+    block twice.  Where the test passes, g's own test would have passed
+    on every column, so the bits are those of testing column by column.
+    Per block a handful more calls run: the exercise values (V - K_n)^+
+    of the block's columns, on the band of rows that are ever in the
+    money (the rows below it stay 0); V - K_n on row top-1, the one row
+    above ``top`` that the operator reads; and the block's exercise
+    masks, with one ``argmin`` for the first row that does not exercise
+    and one ``sum`` for how many rows do, so a column is anomalous where
+    more rows exercise than lie above that first one.  So a slot holds
+    rows top-1 .. 2M of its column; the rows above take V - K_0 in the
+    time-0 column alone, after the last block.  These are the same IEEE
+    operations as column by column, so the bits do not depend on the
+    block size.
 
     Time columns are processed sequentially (hard data dependency); rows
     within a column are vectorized.  The whole routine is pure, so
@@ -341,13 +357,14 @@ def backward_induce(
         if abs(c.dt - g.dt) > 1e-12 * max(1.0, g.dt):
             raise ValueError("calibration and grid use different time steps")
     cal, option = cals[0], options[0]
-    if len({(c.h, c.r) for c in cals}) > 1 or len(
+    if len({c.r for c in cals}) > 1 or len(
         {(o.cost, o.cost_growth, o.maturity) for o in options}
     ) > 1:
-        raise ValueError("stacked lattices must share h, r, the cost, its growth and the maturity")
+        raise ValueError("stacked lattices must share r, the cost, its growth and the maturity")
     lattices = (len(grids),) if len(grids) > 1 else ()  # a row per lattice
     shared = all(c == cal for c in cals)
     gammas = np.array([o.gamma for o in options])
+    untested_of = None  # g without its monotone test, where blocks test their columns
     if not lattices and option.gamma == 0.0:
         cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
     else:
@@ -355,7 +372,9 @@ def backward_induce(
             raise ValueError("gamma must be positive and finite")
         gamma = option.gamma if (gammas == gammas[0]).all() else gammas.reshape(-1, 1)
         operands = cal if shared else stack_operands(cals)
-        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, operands, gamma)
+        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, operands, gamma, monotone=False)
+        if operands.positive_weights and len(grids) * grid.n_rows <= _BLOCK_TESTED:
+            untested_of = lambda x_up, x_dn: g_values(x_up, x_dn, operands, gamma, monotone=True)
         if gammas.min() * option.cost < _MIN_GAMMA_COST:
             raise ValueError(
                 f"gamma * cost = {gammas.min() * option.cost:.3g} is below "
@@ -445,6 +464,13 @@ def backward_induce(
         mask[..., 0], mask[..., -1] = True, False
         ex_rows, inner = list(ex), list(ring[..., top:-1])
         ups, dns = list(ring[..., top - 1 : -2]), list(ring[..., top + 1 :])
+
+        def fill(cont_of, start):
+            # the block's columns, the last first, each from the one after it
+            for j in range(_BLOCK - 1, start - 1, -1):
+                np.maximum(ex_rows[j], cont_of(ups[j + 1], dns[j + 1]), out=inner[j])
+
+        checking = untested_of is None  # whether g tests each column itself
         hi = n_steps
         while hi:
             lo = (hi - 1) // _BLOCK * _BLOCK
@@ -454,8 +480,21 @@ def backward_induce(
             np.subtract(v[..., top:low], strike_of[lo:hi], out=band)
             np.maximum(band, 0.0, out=band)
             np.subtract(v[..., top - 1 : top], strike_of[lo:hi], out=block[..., top - 1 : top])
-            for j in range(_BLOCK - 1, start - 1, -1):
-                np.maximum(ex_rows[j], cont_of(ups[j + 1], dns[j + 1]), out=inner[j])
+            if checking:
+                fill(cont_of, start)
+            else:
+                with np.errstate(over="ignore"):  # a decreasing column's values are redone
+                    fill(untested_of, start)
+            if untested_of is not None:
+                # g's monotone test for every column the block read, slots
+                # start+1 .. B, at once; NaN fails it.  A block that fails
+                # runs again with g testing each column, and so do the
+                # blocks after it until one passes.
+                read = ring[start + 1 :]
+                monotone = (read[..., top - 1 : -2] >= read[..., top + 1 :]).all()
+                if not (monotone or checking):
+                    fill(cont_of, start)
+                checking = not monotone
             # A node exercises where the maximum is its exercise value and
             # that is positive: (ex >= cont) & (V > K_n), NaN included.
             body = marks[..., 1:-1]

@@ -62,12 +62,16 @@ class GridRecorder:
     ``columns`` holds a copy of the memory the two views span, rows
     top-1 .. 2M, and ``induce`` puts V - K_n above it, from each lattice's
     own ladder: those rows exercise in every column, and the lattice never
-    reads them.  An induction that reruns on every row calls the operator
-    N more times; the last N calls are the result's columns.  ``widths``
-    holds the rows each call valued, per lattice."""
+    reads them.  A block of columns that g valued without its monotone
+    test (``monotone=True``) and that read a decreasing column runs again
+    with the test (``monotone=False``), so a ``True`` pass followed by a
+    ``False`` one is dropped.  An induction that reruns on every row then
+    calls the operator N more times; the last N calls left are the
+    result's columns.  ``widths`` holds the rows each call left valued,
+    per lattice, and ``redone`` the number of blocks valued again."""
 
     def __init__(self, monkeypatch):
-        self.columns, self.widths = [], []
+        self.columns, self.widths, self.untested, self.redone = [], [], [], 0
         for name in ("g_values", "linear_limit_values"):
             inner = getattr(reopt.lattice, name)
             monkeypatch.setattr(reopt.lattice, name, self._recording(inner))
@@ -78,19 +82,35 @@ class GridRecorder:
             span = x_up.shape[:-1] + (x_up.shape[-1] + 2,)
             self.columns.append(np.lib.stride_tricks.as_strided(x_up, span).copy())
             self.widths.append(x_up.shape[-1])
+            self.untested.append(kwargs.get("monotone") is True)
             return inner(x_up, x_dn, *args, **kwargs)
 
         return recording
 
+    def _last_passes(self, n_steps):
+        """Keep the calls of each block's last pass, in call order."""
+        block = reopt.lattice._BLOCK
+        sizes = [n_steps - (n_steps - 1) // block * block] + [block] * ((n_steps - 1) // block)
+        kept, i, calls = [], 0, len(self.columns)
+        while i < calls:
+            for size in sizes:
+                if self.untested[i] and i + size < calls and not self.untested[i + size]:
+                    i += size
+                    self.redone += 1
+                kept += range(i, i + size)
+                i += size
+        self.columns = [self.columns[i] for i in kept]
+        self.widths = [self.widths[i] for i in kept]
+
     def induce(self, grid, cal, option):
         """(ValueGrid, values): the induction and its (2M+1, N+1) grid; for
         a GridStack, a list of each, one per lattice over its own rows."""
-        self.columns.clear()
-        self.widths.clear()
+        self.columns, self.widths, self.untested, self.redone = [], [], [], 0
         vg = reopt.lattice.backward_induce(grid, cal, option)
         stacked = isinstance(grid, GridStack)
         lattices = zip(grid.grids, cal, option, vg) if stacked else [(grid, cal, option, vg)]
         n_steps = grid.n_steps
+        self._last_passes(n_steps)
         assert len(self.columns) in (n_steps, 2 * n_steps)
         spans = self.columns[len(self.columns) - n_steps :][::-1]
         t = np.arange(n_steps + 1) * grid.dt

@@ -285,6 +285,40 @@ def test_sweep_starts_no_more_processes_than_usable_cpus(children, monkeypatch):
     assert len(children) == 3
 
 
+def test_a_job_of_error_rows_starts_no_child(children):
+    # fig4 at dt = 0.02 splits into rho 0 and rho 0.99, whose calibration
+    # fails: a job of size 0, run on the sweep process
+    results = run_preset("fig4", workers=2, dt=0.02)
+    assert [bool(r.error) for r in results] == [False, True]
+    assert children == []
+    assert [experiments._lattice_nodes(r.config) > 0 for r in results] == [True, False]
+
+
+def test_a_stack_builds_and_calibrates_each_point_once(monkeypatch):
+    # a gamma sweep's points share one market, so one calibration; a rho
+    # sweep's points build one grid and one calibration each
+    counts = {"build_grid": 0, "calibrate": 0}
+
+    def counting(name):
+        inner = getattr(experiments, name)
+
+        def count(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return count
+
+    for name in counts:
+        monkeypatch.setattr(experiments, name, counting(name))
+    _, gammas = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 2.0, 5.0]}))
+    run_sweep(gammas)
+    assert counts == {"build_grid": 3, "calibrate": 1}
+    counts.update(build_grid=0, calibrate=0)
+    results = run_preset("fig1-left", dt=0.02)
+    assert sum(bool(r.error) for r in results) == 2
+    assert counts == {"build_grid": 21, "calibrate": 21}
+
+
 def test_preset_runs_on_one_pool(children):
     sequential = run_preset("fig3", workers=1, dt=0.1)
     pooled = run_preset("fig3", workers=2, dt=0.1)
@@ -385,7 +419,7 @@ def test_one_induction_per_base_config(inductions):
         "fig1-left": [(1.0,) * 18],
         # 7 gammas at each of 3 correlations
         "fig1-right": [(0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)] * 3,
-        "fig2-left": [None] * 5,  # sigma2 sets the row spacing
+        "fig2-left": [(1.0,) * 5],  # each sigma2 on its own row spacing
         "fig2-right": [(1.0,) * 4],
         "fig3": [None] * 18,  # maturity sets N, and specs never share
         "fig4": [(10.0,)],  # rho 0.99 is infeasible

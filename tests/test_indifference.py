@@ -453,3 +453,26 @@ def test_oracle_does_not_use_the_g_kernel(monkeypatch):
         monkeypatch.setattr(indifference, name, forbidden)
     for case, g in zip(cases, expected):
         assert numeric_indifference_price(*case) == pytest.approx(g, abs=1e-7)
+
+
+def test_monotone_keyword_keeps_the_bits(monkeypatch):
+    # the lattice's keyword: True skips the monotone test, False keeps it;
+    # on a monotone column both give the default's bits
+    x_up, x_dn = with_zero_runs(*monotone_column(np.random.default_rng(41)))
+    got = g_values(x_up, x_dn, CAL, 2.0)
+    for monotone in (True, False):
+        assert_same_bits(g_values(x_up, x_dn, CAL, 2.0, monotone=monotone), got)
+    # a decreasing node: False falls back to the general path as the
+    # default does, True runs the single-exponential path regardless
+    x_up[123] = x_dn[123] - 0.01
+    got = g_values(x_up, x_dn, CAL, 2.0)
+    assert_same_bits(g_values(x_up, x_dn, CAL, 2.0, monotone=False), got)
+    assert_same_bits(got, general_g_values(monkeypatch, x_up, x_dn, CAL, 2.0))
+    untested = g_values(x_up, x_dn, CAL, 2.0, monotone=True)
+    assert_same_bits(untested, indifference._g_monotone(x_up, x_dn, CAL, 2.0, False))
+    # signed weights take the general path under either keyword
+    signed = calibrate(base_market(rho=0.99), dt=1.0 / 300.0, p_tol=1e-3)
+    x_up, x_dn = monotone_column(np.random.default_rng(43))
+    got = g_values(x_up, x_dn, signed, 2.0)
+    for monotone in (True, False):
+        assert_same_bits(g_values(x_up, x_dn, signed, 2.0, monotone=monotone), got)

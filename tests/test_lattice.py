@@ -303,7 +303,8 @@ def _one_step_forcing(monkeypatch, masks):
     grid = build_grid(market, option, 0.1, 2)
     assert grid.n_steps == 1 and (grid.row_values > option.cost).all()
     interior = np.array(masks)[..., 1:-1]
-    monkeypatch.setattr(reopt.lattice, "g_values", lambda *args: np.where(interior, 0.0, 1e9))
+    forced = lambda *args, **kwargs: np.where(interior, 0.0, 1e9)
+    monkeypatch.setattr(reopt.lattice, "g_values", forced)
     monkeypatch.setattr(reopt.lattice, "perpetual_threshold", _no_bound)
     return grid, calibrate(market, grid.dt), option
 
@@ -604,6 +605,9 @@ BLOCK_EDGES = {
     # every row is in the money: the band reaches the bottom row, and
     # every column exercises down to any window top
     "cost-below-ladder": (_case_cost_below_the_ladder, None),
+    # row 0 holds V - K_n < 0 over a zero in the first columns, so blocks
+    # fail g's monotone test and are valued again
+    "decreasing-columns": (_case_top_row_at_the_largest_strike, None),
 }
 
 
@@ -621,7 +625,9 @@ def test_blocks_of_columns_match_the_reference_at_their_edges(
     if forced:
         monkeypatch.setattr(reopt.lattice, "perpetual_threshold", lambda *args: 1e-300)
     _assert_induces_the_reference(grid_recorder, grid, cal, option, gammas)
-    reruns = forced and case is not _case_cost_below_the_ladder
+    # no second window where every column exercises down to any window
+    # top, or where no bound is found and every row is induced at once
+    reruns = forced and case not in (_case_cost_below_the_ladder, _case_top_row_at_the_largest_strike)
     assert len(grid_recorder.widths) == (2 if reruns else 1) * grid.n_steps
 
 
@@ -799,8 +805,6 @@ def test_stacked_gammas_are_checked():
          "gamma must be positive"),
         ((stack, cals, [options[0], dataclasses.replace(option, cost=0.9)]), "must share"),
         ((stack, cals, [options[0], dataclasses.replace(option, cost_growth=0.1)]), "must share"),
-        ((stack, [cal, calibrate(base_market(rho=0.5, sigma2=0.3), grid.dt)], options),
-         "must share"),
     ):
         with pytest.raises(ValueError, match=match):
             backward_induce(*args)
@@ -833,10 +837,10 @@ def _sweep_lattices(spec, gammas=None):
     return tuple(map(list, zip(*lattices)))
 
 
-@pytest.mark.parametrize("name,points", [("fig1-left", 19), ("fig2-right", 4)])
+@pytest.mark.parametrize("name,points", [("fig1-left", 19), ("fig2-left", 5), ("fig2-right", 4)])
 def test_a_sweep_stack_matches_solve_at_each_point(name, points):
-    # the feasible points of a rho or delta sweep, each with its own
-    # calibration and half height, as one induction: each lattice's values
+    # the feasible points of a rho, sigma2 or delta sweep, each with its
+    # own calibration, row spacing and half height, as one induction: each lattice's values
     # over its own rows, depths, flags and threshold curve are solve's
     (spec,) = reopt.experiments.build_preset(name, dt=0.02)
     markets, grids, cals, options = _sweep_lattices(spec)
@@ -1025,7 +1029,7 @@ def test_zero_gamma_is_valued_in_the_linear_limit(monkeypatch):
         for gamma in (1e-4, 1e-6)
     ]
 
-    def no_g(*args):
+    def no_g(*args, **kwargs):
         raise AssertionError("gamma 0 called g")
 
     monkeypatch.setattr(reopt.lattice, "g_values", no_g)
@@ -1033,3 +1037,20 @@ def test_zero_gamma_is_valued_in_the_linear_limit(monkeypatch):
     # g approaches the limit at first order in gamma
     gap_4, gap_6 = (np.abs(values - limit).max() for values in small)
     assert gap_4 < 1e-5 and gap_6 < gap_4 / 50.0
+
+
+def test_blocks_with_decreasing_columns_are_valued_again_bit_for_bit(grid_recorder):
+    # fig4's rho 0 at dt = 0.003 has runs of columns with some x_up < x_dn,
+    # which fail g's monotone test: the blocks that read them run again
+    # with g testing each column, and the result is the reference's
+    (spec,) = reopt.experiments.build_preset("fig4", dt=0.003)
+    cfg = reopt.experiments._point_config(spec, 0.0)
+    grid = build_grid(cfg.market, cfg.option, cfg.dt)
+    cal = calibrate(cfg.market, grid.dt)
+    vg, recorded = grid_recorder.induce(grid, cal, cfg.option)
+    assert grid.n_steps == 3333 and grid_recorder.redone > 0
+    values, depth, anomalous = reference_column_loop(grid, cal, cfg.option)
+    assert np.array_equal(recorded, values)
+    assert np.array_equal(vg.values_t0, values[:, 0])
+    assert np.array_equal(vg.exercise_depth, depth)
+    assert np.array_equal(vg.anomalous, anomalous)
