@@ -15,9 +15,9 @@ mu1 = 0.115, sigma1 = 0.25, V0 = 1, sigma2 = 0.2, delta = 0.04,
 dt = 1/900.  The traded asset enters only through its returns, so it has
 no initial-level field.
 
-Sweep points are independent pure computations; the points of a sweep
-over rho, gamma, sigma2 or delta are induced together, and the sweep
-process and forked children can share the jobs out, largest first.  The
+Sweep points are independent pure computations; the points of all sweeps
+that share a time step are induced together, and the sweep process and
+forked children can share the jobs out, largest first.  The
 output is deterministic regardless of the worker count (results are
 reassembled in swept-value order).
 """
@@ -25,7 +25,6 @@ reassembled in swept-value order).
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -390,38 +389,21 @@ def _point_config(spec: SweepSpec, value: float) -> RunConfig:
 
 
 class _Stack:
-    """The points of a stacked sweep (or of one half of it), solved in one
-    induction and handed out by point.  The first point to ask for its
-    grid builds and calibrates every point, once each (points that share
-    a market and a step share one calibration); a point whose grid or
-    calibration failed gets that error when it asks.  If the stacked
-    solve fails (it raises where its lattices cannot be stacked exactly,
-    or where g fails at some point only), every point solves on its own
-    and so gets its own result or error.
+    """The points of one job of :func:`run_sweep`, with the grid and
+    calibration that the sweep built for each (either one the ValueError
+    it raised, which the point gets when it asks), solved in one induction
+    and handed out by point.  A point whose calibration has a zero or
+    signed weight is induced alone inside that induction (see
+    :func:`backward_induce`).  If the stacked solve fails (where g fails
+    at some point only), every point solves on its own and so gets its own
+    result or error.
     """
 
-    def __init__(self, configs: list[RunConfig]):
-        self.configs = configs
-        # each point's (grid, calibration), either one the ValueError it raised
-        self.built: dict[RunConfig, tuple] | None = None
+    def __init__(self, built: dict[RunConfig, tuple]):
+        self.built = built
         self.solutions: dict[RunConfig, Solution] | None = None
 
     def grid(self, cfg: RunConfig) -> GridSpec:
-        if self.built is None:
-            self.built, cals = {}, {}
-            for point in self.configs:
-                try:
-                    grid = build_grid(point.market, point.option, point.dt)
-                except ValueError as exc:
-                    self.built[point] = (exc, None)
-                    continue
-                key = (point.market, grid.dt, point.p_tol)
-                if key not in cals:
-                    try:
-                        cals[key] = calibrate(*key)
-                    except ValueError as exc:
-                        cals[key] = exc
-                self.built[point] = (grid, cals[key])
         grid, _ = self.built[cfg]
         if isinstance(grid, ValueError):
             raise grid
@@ -455,8 +437,9 @@ def run_single(
     stack: _Stack | None = None,
 ) -> RunResult:
     """Build, solve and summarize one lattice; errors become result rows.
-    ``stack`` is set by :func:`run_sweep` when the point is one of a job's
-    points that share one induction."""
+    ``stack`` is set by :func:`run_sweep`: the point's job, which holds
+    its grid and calibration and solves the job's points in one
+    induction."""
     start = time.perf_counter()
     result = RunResult(swept_name, swept_value, cfg)
     try:
@@ -485,18 +468,18 @@ def run_single(
     return result
 
 
-_Point = tuple[RunConfig, tuple[str, ...], str, float]
+# A sweep point, (config, outputs, swept name, swept value), and the
+# (grid, calibration) the sweep built for it, either one the ValueError it raised
+_Point = tuple[RunConfig, tuple[str, ...], str, float, tuple]
 
 
 def _sweep_job(points: list[_Point]) -> list[RunResult]:
-    """Run a job's points, those of several in one induction; each error
-    row keeps its own time, and the other rows share the rest of the job's
-    time, so a job's rows add up to its real time."""
-    if len(points) == 1:
-        return [run_single(*points[0])]
+    """Run a job's points in one induction; each error row keeps its own
+    time, and the other rows share the rest of the job's time, so a job's
+    rows add up to its real time."""
     start = time.perf_counter()
-    stack = _Stack([point[0] for point in points])
-    results = [run_single(*point, stack=stack) for point in points]
+    stack = _Stack({point[0]: point[4] for point in points})
+    results = [run_single(*point[:4], stack=stack) for point in points]
     solved = [result for result in results if not result.error]
     if solved:
         spent_ms = (time.perf_counter() - start) * 1e3
@@ -504,6 +487,27 @@ def _sweep_job(points: list[_Point]) -> list[RunResult]:
         for result in solved:
             result.wall_ms = each_ms
     return results
+
+
+def _build(configs: list[RunConfig]) -> list[tuple]:
+    """Each point's (grid, calibration), either one the ValueError it
+    raised; points that share a market, a step and p_tol share one
+    calibration."""
+    built, cals = [], {}
+    for cfg in configs:
+        try:
+            grid = build_grid(cfg.market, cfg.option, cfg.dt)
+        except ValueError as exc:
+            built.append((exc, None))
+            continue
+        key = (cfg.market, grid.dt, cfg.p_tol)
+        if key not in cals:
+            try:
+                cals[key] = calibrate(*key)
+            except ValueError as exc:
+                cals[key] = exc
+        built.append((grid, cals[key]))
+    return built
 
 
 def _exit_with_parent() -> None:
@@ -518,17 +522,6 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
-
-
-def _lattice_nodes(cfg: RunConfig) -> int:
-    """The nodes of the point's lattice; 0 where its grid or calibration
-    fails, so that it is an error row, quickly."""
-    try:
-        grid = build_grid(cfg.market, cfg.option, cfg.dt)
-        calibrate(cfg.market, grid.dt, cfg.p_tol)
-    except ValueError:
-        return 0
-    return grid.n_rows * (grid.n_steps + 1)
 
 
 def _usable_cpus() -> int:
@@ -618,53 +611,60 @@ def _run_with_children(jobs: list, order: list[int], children: int) -> _Done:
     return done
 
 
-_STACKED = ("rho", "gamma", "sigma2", "delta")  # sweeps whose points share N, V0 and the strikes
-
-
 def run_sweep(*specs: SweepSpec, workers: int = 1) -> list[RunResult]:
     """Run every swept value of every spec; per-point failures become
     error rows.
 
-    The points of a ``rho``, ``gamma``, ``sigma2`` or ``delta`` sweep of
-    more than one value share their time steps, V0 and strikes, so they
-    are one job, solved in one induction (see :func:`backward_induce`);
-    each ``maturity`` point is a job of its own, and no job mixes specs.
-    While there are fewer jobs than processes, the largest such job
-    splits into two halves of consecutive swept values.  A job's size is
-    the sum of its points' lattice nodes, 0 for a point whose grid or
-    calibration fails.  With ``workers > 1`` the jobs of all specs run on
-    the sweep process and on ``workers - 1`` child processes, at most one
-    process per job of nonzero size and per usable CPU; every process
-    takes the next job, largest first, so that no long job starts last.
-    Results come back spec by spec, each ordered by swept value,
+    The sweep process builds every point's grid and calibration, once
+    each (see ``_build``), and hands them to the jobs.  The points of all
+    specs whose grids share the step, and that share r, the cost and its
+    growth, see the same strikes, so they are one job, solved in one
+    induction (see :func:`backward_induce`): every preset is one job at
+    the default step.  While there are fewer jobs than processes, the
+    largest job of several points splits into two halves of consecutive
+    points.  A job's size is the sum of its points' lattice nodes, 0 for
+    a point whose grid or calibration fails.  With ``workers > 1`` the
+    jobs run on the sweep process and on ``workers - 1`` child processes,
+    at most one process per job of nonzero size and per usable CPU; every
+    process takes the next job, largest first, so that no long job starts
+    last.  Results come back spec by spec, each ordered by swept value,
     regardless of scheduling, and the numbers are identical for any worker
     count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    jobs = []
-    for s in specs:
-        points = [(_point_config(s, v), s.outputs, s.name, v) for v in s.values]
-        if s.name in _STACKED:
-            jobs.append(points)
-        else:
-            jobs.extend([point] for point in points)
-    nodes = functools.cache(_lattice_nodes)
-    size = lambda job: sum(nodes(point[0]) for point in job)
+    points = [(_point_config(s, v), s.outputs, s.name, v) for s in specs for v in s.values]
+    built = _build([point[0] for point in points])
+    groups = {}  # the indices of the points of each job
+    for i, ((cfg, *_), (grid, _)) in enumerate(zip(points, built)):
+        option = cfg.option
+        step = None if isinstance(grid, ValueError) else grid.dt
+        groups.setdefault((step, option.cost, option.cost_growth, cfg.market.r), []).append(i)
+    indices = list(groups.values())
+    nodes = [
+        grid.n_rows * (grid.n_steps + 1) if isinstance(cal, LatticeCalibration) else 0
+        for grid, cal in built
+    ]
+    size = lambda job: sum(nodes[i] for i in job)
     processes = min(workers, _usable_cpus())
-    while len(jobs) < processes and max(map(len, jobs), default=0) > 1:
-        j = max(range(len(jobs)), key=lambda j: (len(jobs[j]) > 1, size(jobs[j])))
-        half = len(jobs[j]) // 2
-        jobs[j : j + 1] = [jobs[j][:half], jobs[j][half:]]
+    while len(indices) < processes and max(map(len, indices), default=0) > 1:
+        j = max(range(len(indices)), key=lambda j: (len(indices[j]) > 1, size(indices[j])))
+        half = len(indices[j]) // 2
+        indices[j : j + 1] = [indices[j][:half], indices[j][half:]]
+    jobs = [[(*points[i], built[i]) for i in job] for job in indices]
     if processes > 1:  # a job of error rows alone starts no child
-        processes = min(processes, sum(size(job) > 0 for job in jobs))
+        processes = min(processes, sum(size(job) > 0 for job in indices))
     if processes <= 1:
         done = [_sweep_job(job) for job in jobs]
     else:
-        order = sorted(range(len(jobs)), key=lambda j: -size(jobs[j]))
+        order = sorted(range(len(jobs)), key=lambda j: -size(indices[j]))
         by_job = dict(_run_with_children(jobs, order, processes - 1))
         done = [by_job[j] for j in range(len(jobs))]
-    return [result for job_results in done for result in job_results]
+    results = [None] * len(points)
+    for job, rows in zip(indices, done):
+        for i, row in zip(job, rows):
+            results[i] = row
+    return results
 
 
 # ---------------------------------------------------------------------------

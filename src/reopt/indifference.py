@@ -23,7 +23,7 @@ needs the one exponential exp(-gamma (x_h - x_l)) <= 1 and two
 logarithms.  Array inputs take that path; a column with any node
 x_h < x_l, a zero or signed weight, or scalar inputs take the general
 path.  Testing x_h >= x_l costs one reduction per call, so the lattice,
-which calls g once per column, tests it once per block of small columns
+which calls g once per column, tests it once per block of columns
 instead: it passes ``monotone=True``, which skips the test, compares the
 block's columns in one call afterwards, and values a block again with
 the per-call test where some column fails (see
@@ -41,14 +41,15 @@ What is fixed per calibration is computed once, by the
 log(p3 + p4), 1 - q and whether all four weights are positive.  Under
 positive weights both paths read p1 .. p4, the two log masses, q and
 1 - q from ``cal.g_operands``, as 0-d float64 arrays built on first use.
-:func:`stack_operands` gives K calibrations' operands in the same form,
-so that one call values K lattices' rows, each under its own weights.
+The lattice may pass, in place of a calibration, any object with the
+same ``g_operands`` and ``positive_weights``, whose operands hold one
+number per node: one call then values several lattices' rows, each
+under its own weights.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,7 +65,6 @@ __all__ = [
     "g_values",
     "linear_limit_values",
     "numeric_indifference_price",
-    "stack_operands",
 ]
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -168,37 +168,14 @@ def _g_monotone(x_up: np.ndarray, x_dn: np.ndarray, cal: LatticeCalibration, gam
     return b
 
 
-class StackedOperands(NamedTuple):
-    """What g reads of K calibrations with positive weights, made by
-    :func:`stack_operands`."""
-
-    g_operands: tuple[np.ndarray, ...]
-    positive_weights: bool = True
-
-
-def stack_operands(cals: Sequence[LatticeCalibration]) -> StackedOperands:
-    """The operands of K calibrations with positive weights, for g on
-    (K, n) payoffs whose row k is lattice k's: each of ``g_operands`` is
-    the 0-d array of the first calibration where all K hold the same
-    number, and a (K, 1) column of their numbers where they differ.  So a
-    constant every lattice shares costs what it costs one lattice.  A
-    zero or signed weight raises ValueError."""
-    if not all(cal.positive_weights for cal in cals):
-        raise ValueError("stacked calibrations need positive weights")
-    columns = zip(*(cal.g_operands for cal in cals))
-    return StackedOperands(tuple(
-        k[0] if all(x == k[0] for x in k) else np.array(k).reshape(-1, 1) for k in columns
-    ))
-
-
-def g_values(x_up, x_dn, cal: LatticeCalibration | StackedOperands, gamma, *, monotone=None):
+def g_values(x_up, x_dn, cal: LatticeCalibration, gamma, *, monotone=None):
     """Vectorized certainty-equivalent operator.
 
     ``x_up`` and ``x_dn`` are the payoffs in the project-up and
     project-down states (arrays of equal shape, or scalars).  ``gamma`` is
-    a scalar, or an array that broadcasts against them: a (K, 1) column
-    values K lattices' rows, one risk aversion each, in one call; ``cal``
-    may likewise hold K lattices' weights, from :func:`stack_operands`.
+    a scalar, or an array that broadcasts against them, e.g. one risk
+    aversion per node where one call values several lattices' rows; the
+    operands in ``cal.g_operands`` may likewise hold one number per node.
     This is the hot path of the lattice recursion: equal-shape arrays that
     never decrease from the down to the up state, under positive weights,
     take the single-exponential :func:`_g_monotone`; anything else takes

@@ -35,13 +35,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import indifference
 from .calibration import LatticeCalibration, MarketParams, calibrate
-from .indifference import g_values, linear_limit_values, stack_operands
+from .indifference import g_values, linear_limit_values
 from .reference import perpetual_threshold
 
 __all__ = [
@@ -62,12 +64,6 @@ __all__ = [
 _MAX_AXIS = 10**9  # most time steps, or rows above V0: a 10**9-row column takes 8 GB
 _MIN_GAMMA_COST = 1e-7  # least gamma * cost g values: there its rounding is ~1e-5 of a base value
 _BLOCK = 32  # columns per block of backward_induce, whose ring holds B + 1 columns
-# Most nodes per column (K lattices x rows) whose monotone test runs once
-# per block: above it the block's comparison, which reads the whole ring
-# again, cost more than g's own reduction per column (2-core Xeon: a base
-# lattice, 851 nodes, 0.88x; fig1-right's gamma stack, 1561, 0.99x;
-# fig2-left's sigma2 stack at dt 1/900, 4705, 1.06x).
-_BLOCK_TESTED = 2048
 
 
 @dataclass(frozen=True)
@@ -177,10 +173,10 @@ def build_grid(
 @dataclass(frozen=True)
 class GridStack:
     """The grids of K lattices that :func:`backward_induce` runs as one.
-    They share N, the step and V0 (ValueError otherwise), so every strike
-    is the same number in every lattice; their row spacings may differ.
-    Laid over one another with their bottom rows aligned, they span
-    ``n_rows`` rows, those of the tallest ladder."""
+    They share the step (ValueError otherwise), so column n is the time
+    n dt in every lattice; N, M, V0 and the row spacing may differ.  The
+    stacked induction walks ``n_steps`` columns, the longest lattice's N,
+    over its lattices' ``n_rows`` rows, their ladders put end to end."""
 
     grids: tuple[GridSpec, ...]
 
@@ -188,14 +184,13 @@ class GridStack:
         grids = tuple(self.grids)
         if not grids:
             raise ValueError("a stack needs at least one grid")
-        shared = {(g.n_steps, g.dt, float(g.row_values[g.half_height])) for g in grids}
-        if len(shared) > 1:
-            raise ValueError("stacked grids must share N, the step and V0")
+        if len({g.dt for g in grids}) > 1:
+            raise ValueError("stacked grids must share the step")
         object.__setattr__(self, "grids", grids)
 
     @property
     def n_steps(self) -> int:
-        return self.grids[0].n_steps
+        return max(grid.n_steps for grid in self.grids)
 
     @property
     def dt(self) -> float:
@@ -203,7 +198,7 @@ class GridStack:
 
     @property
     def n_rows(self) -> int:
-        return max(grid.n_rows for grid in self.grids)
+        return sum(grid.n_rows for grid in self.grids)
 
 
 @dataclass
@@ -253,6 +248,73 @@ def _window_top(v: np.ndarray, cal: LatticeCalibration, strike: np.ndarray) -> i
     return max(1, int(np.searchsorted(-v, -bound)) - 2)
 
 
+class _Lattice:
+    """One lattice of an induction: its ladder ``v``, calibration, gamma,
+    N, strikes K_0 .. K_N, the number of rows in the money in each column,
+    and ``top``, the first row its operator runs on.  ``index`` is its
+    place in the stack, and ``result`` its ValueGrid once induced."""
+
+    def __init__(self, index, grid, cal, option, strike):
+        v = grid.row_values
+        if not np.all(v[1:] < v[:-1]):
+            raise ValueError("row values must be strictly decreasing")
+        if v[0] - strike.max() < 0.0:
+            raise ValueError(
+                "top boundary value is negative: half_height too small for the "
+                "always-exercise boundary condition"
+            )
+        self.index, self.v, self.cal, self.gamma = index, v, cal, option.gamma
+        self.n, self.rows, self.strike = grid.n_steps, grid.n_rows, strike
+        # V falls down the ladder, so the rows in the money at column n,
+        # where V - K_n > 0, are exactly the first above[n] rows, those with V > K_n
+        self.above = np.searchsorted(-v, -strike)
+        self.top = _window_top(v, cal, strike) or 1
+        self.result: ValueGrid | None = None
+
+
+class _Operands(NamedTuple):
+    """What g reads of the lattices of a flat column (see :func:`g_values`)."""
+
+    g_operands: tuple[np.ndarray, ...]
+    positive_weights: bool = True
+
+
+def _node_operands(lattices: list[_Lattice], lengths: np.ndarray):
+    """g's operands and gamma for the flat column of ``lattices``, whose
+    weights are positive, with ``lengths`` rows each: one the first
+    lattice's 0-d array (gamma: its float) where every lattice holds the
+    same number, and otherwise one number per node of g's window, the
+    column's positions 1 .. size-2."""
+
+    def per_node(numbers, shared):
+        if all(x == numbers[0] for x in numbers):
+            return shared
+        return np.repeat(np.array(numbers, dtype=float), lengths)[1:-1]
+
+    columns = zip(*(lat.cal.g_operands for lat in lattices))
+    operands = tuple(per_node([float(x) for x in k], k[0]) for k in columns)
+    return operands, per_node([lat.gamma for lat in lattices], lattices[0].gamma)
+
+
+def _operators(first: _Lattice, node, width: int):
+    """(cont_of, untested_of) on a flat column whose operator runs on
+    ``width`` nodes: the operator, which tests each column itself, and g
+    without that test, where blocks test their columns (positive weights;
+    else None).  The first lattice's own operator where it is alone
+    (``node`` None), else g on ``node``'s operands cut to the window."""
+    cal, gamma = first.cal, first.gamma
+    if node is None and gamma == 0.0:
+        return (lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)), None
+    if node is not None:
+        operands, gamma = node
+        cal = _Operands(tuple(x[:width] if x.ndim else x for x in operands))
+        gamma = gamma[:width] if isinstance(gamma, np.ndarray) else gamma
+    cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, cal, gamma, monotone=False)
+    if not cal.positive_weights:
+        return cont_of, None
+    return cont_of, lambda x_up, x_dn: g_values(x_up, x_dn, cal, gamma, monotone=True)
+
+
 def backward_induce(
     grid: GridSpec | GridStack,
     cal: LatticeCalibration | Sequence[LatticeCalibration],
@@ -277,7 +339,7 @@ def backward_induce(
     raises ValueError before g runs, where g would return NaN.  Either
     operator is called once per column (twice for the columns of a block
     that g valued again, see below), through this module's global, on
-    contiguous views of the rows of the column one step later.
+    contiguous views of the column one step later.
 
     Rows high on the ladder exercise in every column, so the operator runs
     only on rows ``top`` .. 2M-1, counting from 0 at the top: its views
@@ -292,56 +354,63 @@ def backward_induce(
     i-1 and i+1 exercise one step later, g at row i is at most
     m V - K_{n+1} <= V - K_n, and row i exercises too.  So every column
     n < N must exercise down to row ``top`` itself; if one does not, the
-    induction runs again on every row.  Either way the result is that of
-    inducing every row.  Without a bound (delta <= 0, r < 0 or a signed
+    lattice is induced again on every row.  Either way the result is that
+    of inducing every row.  Without a bound (delta <= 0, r < 0 or a signed
     weight) every row is induced from the start.
 
-    Stacks.  K lattices that share N, the step, V0, the cost, its
-    growth, the maturity and r (ValueError otherwise) see the same
-    strikes, so they are induced together on (K, rows) columns, one numpy
-    call doing K lattices' work.  Each keeps its own calibration, row
-    spacing h, gamma (positive: a stack is always g) and half height M.
-    The ladders are aligned at their bottom rows, the stack's last row; a
-    shorter ladder continues upward by build_grid's own expression
-    V0 h^k, with its own h.  The stack's window starts at the highest of
-    the lattices' own ``top`` rows.  g reads a calibration constant that every lattice
-    shares as one 0-d array and the others as (K, 1) columns, and gamma
-    as a (K, 1) column where the gammas differ.  Lattices that share one
-    calibration (a gamma stack) are induced exactly as one lattice is.
-    Otherwise the induction is exact only if every lattice has positive
-    weights and a bound, its own top row (so every row added above it)
-    lies above the stack's window, and every column exercises down to
-    each lattice's own ``top``, so that no rerun is needed; it raises
-    ValueError where one of these fails.  Each returned ValueGrid is bit
-    for bit that lattice's own induction.  A stack of one runs the 1-D
-    loop of a single lattice.
+    Stacks.  K lattices that share the step, r, the cost and its growth
+    (ValueError otherwise) see the same strike K_n in column n, so those
+    whose weights are all positive are induced together, one numpy call
+    per column doing their work; a lattice with a zero or signed weight,
+    whose g needs its own weights in its shifted sums, is induced alone.
+    Each keeps its own N, ladder, calibration, gamma (positive: a stack
+    is always g) and ``top``.  Their column is flat: each lattice's own
+    rows top-1 .. 2M, back to back, longest N first, with nothing between
+    them.  A lattice joins at its own column N with its payoff, and each
+    column runs the operator once on the lattices that have joined, over
+    the whole of their rows but the column's first and last: each
+    lattice's rows are valued from its own, except the two "seam" rows
+    where two lattices meet, whose values g takes from rows of two
+    lattices: a lattice's row top-1, set per block, and its bottom row,
+    which stays 0.  The ``np.maximum`` writes them too, and one indexed
+    assignment per column puts their values back (``where=`` would leave
+    them unwritten, but took three times as long as the maximum).  g
+    reads a constant that every lattice shares as one 0-d array, and the
+    others, gamma included, as one number per node, built once per
+    stack.  A lattice whose boundary reaches its window is induced again
+    on every row, with the others that need it, in a second stack.  Each
+    lattice's rows go through exactly the operations of its own
+    induction, so each returned ValueGrid is bit for bit that lattice's
+    own; a stack of one is one lattice.
 
     Columns run in blocks of B = 32 on a ring of B + 1 column slots: the
     block of columns lo .. hi-1 fills slots B - (hi - lo) .. B-1, and
     slot B holds column hi, the one the block's last column reads: the
-    payoff at first, then a copy of each block's first column, so the
-    time-0 column ends there.  Per column only two calls run: the
-    operator, and an ``np.maximum`` of its result and the exercise value
-    straight into the column's slot.  Under positive weights, on columns
-    of at most ``_BLOCK_TESTED`` nodes (K x rows), g runs without its own
-    test that x_up >= x_dn (``monotone=True``), which would cost a
-    reduction per column; one comparison per block tests every column
-    the block read at once (NaN fails it).  A block that
-    fails is valued again with g testing each column, as are the blocks
-    after it until one passes, so a run of decreasing columns costs one
-    block twice.  Where the test passes, g's own test would have passed
-    on every column, so the bits are those of testing column by column.
-    Per block a handful more calls run: the exercise values (V - K_n)^+
-    of the block's columns, on the band of rows that are ever in the
-    money (the rows below it stay 0); V - K_n on row top-1, the one row
-    above ``top`` that the operator reads; and the block's exercise
-    masks, with one ``argmin`` for the first row that does not exercise
-    and one ``sum`` for how many rows do, so a column is anomalous where
-    more rows exercise than lie above that first one.  So a slot holds
-    rows top-1 .. 2M of its column; the rows above take V - K_0 in the
-    time-0 column alone, after the last block.  These are the same IEEE
-    operations as column by column, so the bits do not depend on the
-    block size.
+    payoffs at first, then a copy of each block's first column, so the
+    time-0 column ends there.  No block spans a lattice's N, where that
+    lattice joins.  Per column only two calls run: the operator, and an
+    ``np.maximum`` of its result and the exercise value straight into the
+    column's slot.  Under positive weights g runs without its own test
+    that x_up >= x_dn (``monotone=True``), which would cost a reduction
+    per column and fails at every seam; one comparison per block tests
+    every column the block read at once, seams left out (NaN fails it).  A
+    block that fails is valued again with g testing each column
+    (``monotone=False``; on a stack the test fails at the seams and g
+    takes its general path), as are the blocks after it until one
+    passes, so a run of decreasing columns costs one block twice.  Where
+    the test passes, g's own test would have passed on every column of
+    each lattice, and both of g's paths give the same bits, so the bits
+    are those of testing column by column.  Per block a handful more calls
+    run for each lattice: the exercise values (V - K_n)^+ of the block's
+    columns, on the band of rows that are ever in the money (the rows
+    below it stay 0); V - K_n on row top-1, the one row above ``top``
+    that the operator reads; and the block's exercise masks, with one
+    ``argmin`` for the first row that does not exercise and one ``sum``
+    for how many rows do, so a column is anomalous where more rows
+    exercise than lie above that first one.
+    The rows above row top-1 take V - K_0 in the time-0 column alone,
+    after the last block.  These are the same IEEE operations as column
+    by column, so the bits do not depend on the block size.
 
     Time columns are processed sequentially (hard data dependency); rows
     within a column are vectorized.  The whole routine is pure, so
@@ -356,177 +425,163 @@ def backward_induce(
     for g, c in zip(grids, cals):
         if abs(c.dt - g.dt) > 1e-12 * max(1.0, g.dt):
             raise ValueError("calibration and grid use different time steps")
-    cal, option = cals[0], options[0]
-    if len({c.r for c in cals}) > 1 or len(
-        {(o.cost, o.cost_growth, o.maturity) for o in options}
-    ) > 1:
-        raise ValueError("stacked lattices must share r, the cost, its growth and the maturity")
-    lattices = (len(grids),) if len(grids) > 1 else ()  # a row per lattice
-    shared = all(c == cal for c in cals)
-    gammas = np.array([o.gamma for o in options])
-    untested_of = None  # g without its monotone test, where blocks test their columns
-    if not lattices and option.gamma == 0.0:
-        cont_of = lambda x_up, x_dn: linear_limit_values(x_up, x_dn, cal)
-    else:
-        if not gammas.min() > 0.0:
-            raise ValueError("gamma must be positive and finite")
-        gamma = option.gamma if (gammas == gammas[0]).all() else gammas.reshape(-1, 1)
-        operands = cal if shared else stack_operands(cals)
-        cont_of = lambda x_up, x_dn: g_values(x_up, x_dn, operands, gamma, monotone=False)
-        if operands.positive_weights and len(grids) * grid.n_rows <= _BLOCK_TESTED:
-            untested_of = lambda x_up, x_dn: g_values(x_up, x_dn, operands, gamma, monotone=True)
-        if gammas.min() * option.cost < _MIN_GAMMA_COST:
-            raise ValueError(
-                f"gamma * cost = {gammas.min() * option.cost:.3g} is below "
-                f"{_MIN_GAMMA_COST:.0e}, where g's rounding outweighs risk aversion; "
-                "gamma 0 values the option in its linear limit"
-            )
-
-    n_steps, rows = grid.n_steps, grid.n_rows
-    t = np.arange(n_steps + 1) * grid.dt
-    strike = option.cost * np.exp((option.cost_growth - cal.r) * t)
-    for g in grids:
-        if not np.all(g.row_values[1:] < g.row_values[:-1]):
-            raise ValueError("row values must be strictly decreasing")
-        if g.row_values[0] - strike.max() < 0.0:
-            raise ValueError(
-                "top boundary value is negative: half_height too small for the "
-                "always-exercise boundary condition"
-            )
-    # One ladder that every lattice shares, or a (K, rows) ladder whose row
-    # k ends in lattice k's own rows, with rows added above them.
-    offsets = np.array([rows - g.n_rows for g in grids])
-    v = grids[0].row_values
-    if lattices and any(not np.array_equal(g.row_values, v) for g in grids):
-        v = np.empty((len(grids), rows))
-        for k, (g, c, off) in enumerate(zip(grids, cals, offsets)):
-            m = g.half_height
-            v[k, off:] = g.row_values
-            v[k, :off] = g.row_values[m] * c.h ** np.arange(m + off, m, -1, dtype=float)
-    # V falls down the ladder, so the rows in the money at column n, where
-    # V - K_n > 0, are exactly the first above[n] rows, those with V > K_n.
-    above = np.array([np.searchsorted(-ladder, -strike) for ladder in v.reshape(-1, rows)])
-    above = above.reshape(v.shape[:-1] + strike.shape)
-
-    # The rows above ``top`` exercise in every column (see the docstring):
-    # each lattice's own top, in stack rows, and the stack's, the highest.
-    own = [_window_top(g.row_values, c, strike) for g, c in zip(grids, cals)]
-    tops = np.array([1 if own_top is None else own_top for own_top in own]) + offsets
-    top = int(tops.min())
-    # Every column must exercise down to each lattice's own top row, or
-    # only the rows above it where that is row 1 (see the loop's end).
-    needs = tops - (tops - offsets == 1)
-    # Lattices that differ (the weights are positive: stack_operands
-    # checks them) are exact only without a rerun, and if no added row
-    # lies in the window.
-    exact_only = not shared or offsets.any()
-    if exact_only and (None in own or offsets.max() >= top):
+    if len({c.r for c in cals}) > 1 or len({(o.cost, o.cost_growth) for o in options}) > 1:
+        raise ValueError("stacked lattices must share r, the cost and its growth")
+    gammas = [o.gamma for o in options]
+    if stacked and not min(gammas) > 0.0:
+        raise ValueError("gamma must be positive and finite")
+    cost, least = options[0].cost, min((g for g in gammas if g > 0.0), default=None)
+    if least is not None and least * cost < _MIN_GAMMA_COST:
         raise ValueError(
-            "the lattices cannot be stacked exactly: each needs an exercise bound and "
-            "its own top row above the stack's window"
+            f"gamma * cost = {least * cost:.3g} is below {_MIN_GAMMA_COST:.0e}, where "
+            "g's rounding outweighs risk aversion; gamma 0 values the option in its linear limit"
         )
 
-    # Per column, a row per lattice: the first row that does not exercise,
-    # and how many rows do.  At maturity the in-the-money rows exercise, a
-    # run of above[N] from the top.
-    first, count = counts = np.empty((2, n_steps + 1) + lattices, dtype=int)
-    counts[:, n_steps] = above[..., n_steps]
+    t = np.arange(grid.n_steps + 1) * grid.dt
+    strike = cost * np.exp((options[0].cost_growth - cals[0].r) * t)
+    lattices = [
+        _Lattice(k, g, c, o, strike[: g.n_steps + 1])
+        for k, (g, c, o) in enumerate(zip(grids, cals, options))
+    ]
+    flat = [lat for lat in lattices if lat.cal.positive_weights]
+    solo = [[lat] for lat in lattices if not lat.cal.positive_weights]
+    for part in solo + ([flat] if flat else []):
+        # longest N first; then again on every row, those whose boundary
+        # reached their window
+        part = sorted(part, key=lambda lat: -lat.n)
+        while part:
+            part = [lat for lat, again in zip(part, _flat_pass(part)) if again]
+            for lat in part:
+                lat.top = 1
+    values = [lat.result for lat in lattices]
+    return values if stacked else values[0]
 
-    # shapes that broadcast over the lattices
-    each = (1,) * len(lattices)
-    strike_of = strike.reshape((-1,) + each + (1,))  # K_n against a block's slots
-    # before maturity no row from k_max down is in the money
-    k_max = int(above[..., :-1].max(initial=0))
-    while True:
+
+def _flat_pass(lattices: list[_Lattice]) -> list[bool]:
+    """Induce ``lattices``, longest N first, on one flat column (see
+    :func:`backward_induce`), each from its own ``top`` row; set each
+    one's ``result``, and return for each whether its boundary reached
+    its window, so that it must be induced again on every row."""
+    for lat in lattices:
         # g scales the values it is given, at most v[top-1] - min K_n, by gamma
-        largest, payoff = float(gammas.max()), float(np.max(v[..., top - 1])) - float(strike.min())
-        if not math.isfinite(largest * payoff):
-            raise ValueError(f"gamma {largest:.3g} times the payoff {payoff:.3g} overflows")
-        # Fixed per window: the buffers and their views.  The block of
-        # columns lo .. hi-1 fills slots B - (hi - lo) .. B-1 of a ring of
-        # B + 1 slots, B = _BLOCK, a row per lattice, each contiguous so
-        # that g's exp and log round as they do for one lattice alone; slot
-        # B holds the column the block's last column reads, the payoff at
-        # first.  A block writes rows top-1 .. 2M-1 of its slots; the rows
-        # above them, and the bottom row, the worthless boundary, stay 0.
-        # ``ex`` holds a block's exercise values (V - K_n)^+ on rows
-        # top .. 2M-1, which no gamma changes, one row per ladder; only
-        # rows above ``low`` are ever in the money, the rest stay 0.  The
-        # mask covers rows top-1 .. low, whose end rows are sentinels: row
-        # top-1 exercises like every row above the window, and row ``low``
-        # never does.
-        low = min(max(k_max, top), rows - 1)
-        ring = np.zeros((_BLOCK + 1,) + lattices + (rows,))
-        ring[_BLOCK] = np.maximum(v - strike[n_steps], 0.0)
-        ex = np.zeros((_BLOCK,) + (v.shape[:-1] or each) + (rows - 1 - top,))
-        ex_band = ex[..., : low - top]
-        mask = np.empty((_BLOCK,) + lattices + (low - top + 2,), dtype=bool)
-        mask[..., 0], mask[..., -1] = True, False
-        ex_rows, inner = list(ex), list(ring[..., top:-1])
-        ups, dns = list(ring[..., top - 1 : -2]), list(ring[..., top + 1 :])
+        payoff = float(lat.v[lat.top - 1]) - float(lat.strike.min())
+        if not math.isfinite(lat.gamma * payoff):
+            raise ValueError(f"gamma {lat.gamma:.3g} times the payoff {payoff:.3g} overflows")
+    strike, n_max, count_of = lattices[0].strike, lattices[0].n, len(lattices)
+    tops = np.array([lat.top for lat in lattices])
+    lengths = np.array([lat.rows for lat in lattices]) - tops + 1
+    ends = np.cumsum(lengths)
+    heads = ends - lengths  # each lattice's row top-1
+    size = int(ends[-1])
+    # the flat ladder, each lattice's own rows top-1 .. 2M
+    v = np.concatenate([lat.v[lat.top - 1 :] for lat in lattices])
+    # Each lattice's band: its rows top .. low-1, before maturity the only
+    # ones ever in the money; their exercise values are worked out per
+    # block, and the others' stay 0.  A lattice's mask covers rows top-1 ..
+    # low, whose end rows are sentinels: row top-1 exercises like every row
+    # above the window, and row ``low`` never does.
+    lows = [min(max(int(lat.above[:-1].max(initial=0)), lat.top), lat.rows - 1) for lat in lattices]
+    bands = [(int(h), int(h) + low - lat.top + 1) for h, low, lat in zip(heads, lows, lattices)]
+    node = _node_operands(lattices, lengths) if count_of > 1 else None
 
-        def fill(cont_of, start):
-            # the block's columns, the last first, each from the one after it
+    ring = np.zeros((_BLOCK + 1, size))
+    ex = np.zeros((_BLOCK, size))
+    mask = np.empty((_BLOCK, size), dtype=bool)
+    for h, low_end in bands:
+        mask[:, h], mask[:, low_end] = True, False
+    first, count = counts = np.empty((2, count_of, n_max + 1), dtype=int)
+    strike_of = strike.reshape(-1, 1)  # K_n against a block's slots
+
+    def fill(cont_of, start, quiet):
+        # the block's columns, the last first, each from the one after it;
+        # quiet where g's values may overflow or be NaN: at the seams, whose
+        # own values are put back, or on a block that is valued again
+        with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+            if not seamed:  # one lattice: the loop of a lattice alone
+                for j in range(_BLOCK - 1, start - 1, -1):
+                    np.maximum(ex_rows[j], cont_of(ups[j + 1], dns[j + 1]), out=inner[j])
+                return
             for j in range(_BLOCK - 1, start - 1, -1):
                 np.maximum(ex_rows[j], cont_of(ups[j + 1], dns[j + 1]), out=inner[j])
+                inner[j][seams] = kept[j]  # the seams take their own values back
 
-        checking = untested_of is None  # whether g tests each column itself
-        hi = n_steps
-        while hi:
-            lo = (hi - 1) // _BLOCK * _BLOCK
-            start = _BLOCK - (hi - lo)
-            block, band, marks = ring[start:_BLOCK], ex_band[start:], mask[start:]
-            # Per block: the exercise values, and V - K_n on row top-1, which g reads
-            np.subtract(v[..., top:low], strike_of[lo:hi], out=band)
-            np.maximum(band, 0.0, out=band)
-            np.subtract(v[..., top - 1 : top], strike_of[lo:hi], out=block[..., top - 1 : top])
-            if checking:
-                fill(cont_of, start)
-            else:
-                with np.errstate(over="ignore"):  # a decreasing column's values are redone
-                    fill(untested_of, start)
-            if untested_of is not None:
-                # g's monotone test for every column the block read, slots
-                # start+1 .. B, at once; NaN fails it.  A block that fails
-                # runs again with g testing each column, and so do the
-                # blocks after it until one passes.
-                read = ring[start + 1 :]
-                monotone = (read[..., top - 1 : -2] >= read[..., top + 1 :]).all()
-                if not (monotone or checking):
-                    fill(cont_of, start)
-                checking = not monotone
+    active, checking, hi = 0, False, n_max
+    while True:
+        joined = active
+        while active < count_of and lattices[active].n == hi:
+            # the lattice joins at its own maturity, with its payoff
+            rows = slice(heads[active], ends[active])
+            np.maximum(v[rows] - strike[hi], 0.0, out=ring[_BLOCK, rows])
+            counts[:, active, hi] = lattices[active].above[hi]
+            active += 1
+        if not hi:
+            break
+        size_a = int(ends[active - 1])
+        if active > joined:
+            # fixed until the next lattice joins: the views of g and of the
+            # maximum on the active lattices' rows, and the operators
+            ups, dns = list(ring[:, : size_a - 2]), list(ring[:, 2:size_a])
+            inner, ex_rows = list(ring[:_BLOCK, 1 : size_a - 1]), list(ex[:, 1 : size_a - 1])
+            # the seams, as indices of g's nodes (positions 1 .. size_a-2):
+            # each lattice's row top-1 but the first's, each bottom row but the last's
+            seams = np.concatenate((heads[1:active], ends[: active - 1] - 1)) - 1
+            seamed = active > 1
+            cont_of, untested_of = _operators(lattices[0], node if active > 1 else None, size_a - 2)
+        lo = (hi - 1) // _BLOCK * _BLOCK
+        if active < count_of:
+            lo = max(lo, lattices[active].n)
+        start = _BLOCK - (hi - lo)
+        block, strikes = ring[start:_BLOCK], strike_of[lo:hi]
+        # Per block and lattice: the exercise values on its band, and V - K_n
+        # on its row top-1, which g reads
+        for h, low_end in bands[:active]:
+            exercise = ex[start:, h + 1 : low_end]
+            np.subtract(v[h + 1 : low_end], strikes, out=exercise)
+            np.maximum(exercise, 0.0, out=exercise)
+            np.subtract(v[h : h + 1], strikes, out=block[:, h : h + 1])
+        if seamed:
+            kept = ring[:_BLOCK, seams + 1]
+        if untested_of is None or checking:
+            fill(cont_of, start, count_of > 1)
+        else:
+            fill(untested_of, start, True)
+        if untested_of is not None:
+            # g's monotone test for every column the block read, slots
+            # start+1 .. B, at once, seams left out; NaN fails it.  A block
+            # that fails runs again with g testing each column, and so do
+            # the blocks after it until one passes.
+            read = ring[start + 1 :]
+            monotone = read[:, : size_a - 2] >= read[:, 2:size_a]
+            if seamed:
+                monotone[:, seams] = True
+            monotone = monotone.all()
+            if not (monotone or checking):
+                fill(cont_of, start, count_of > 1)
+            checking = not monotone
+        for k, (h, low_end) in enumerate(bands[:active]):
             # A node exercises where the maximum is its exercise value and
             # that is positive: (ex >= cont) & (V > K_n), NaN included.
-            body = marks[..., 1:-1]
-            np.equal(block[..., top:low], band, out=body)
-            body &= band > 0.0
-            first[lo:hi], count[lo:hi] = marks.argmin(-1), marks.sum(-1)
-            ring[_BLOCK] = ring[start]  # the column the next block reads
-            hi = lo
-        # the masks start at row top-1; the rows above it all exercise
-        counts[:, :-1] += top - 1
-        if (first[:-1] > needs).all():
-            break
-        if exact_only:
-            raise ValueError(
-                "the exercise boundary reaches the window of a stack whose lattices "
-                "differ; induce them one by one"
-            )
-        top, needs = 1, 0  # the boundary reached the window: induce every row
-    # the time-0 column's rows above the window, which no block writes
-    np.subtract(v[..., :top], strike[0], out=ring[_BLOCK][..., :top])
+            exercise, marks = ex[start:, h + 1 : low_end], mask[start:, h : low_end + 1]
+            body = marks[:, 1:-1]
+            np.equal(block[:, h + 1 : low_end], exercise, out=body)
+            body &= exercise > 0.0
+            first[k, lo:hi], count[k, lo:hi] = marks.argmin(-1), marks.sum(-1)
+        ring[_BLOCK, :size_a] = ring[start, :size_a]  # the column the next block reads
+        hi = lo
 
-    # an exercised row below the first that does not: not an up-set
-    anomalous = count > first
-    values_t0 = ring[_BLOCK]
-    if not lattices:
-        vg = ValueGrid(values_t0=values_t0.copy(), exercise_depth=first, anomalous=anomalous)
-        return [vg] if stacked else vg
-    # each lattice's own rows, counted from its own top row
-    return [
-        ValueGrid(values_t0[k, off:].copy(), first[:, k] - off, anomalous[:, k].copy())
-        for k, off in enumerate(offsets)
-    ]
+    again = []
+    for k, lat in enumerate(lattices):
+        n, top = lat.n, lat.top
+        # the masks start at row top-1; the rows above it all exercise
+        lat_first, lat_count = counts[:, k, : n + 1] + (top - 1) * (np.arange(n + 1) < n)
+        # the time-0 column's rows above row top-1, which no block writes
+        values_t0 = np.concatenate((lat.v[: top - 1] - strike[0], ring[_BLOCK, heads[k] : ends[k]]))
+        # an exercised row below the first that does not: not an up-set
+        lat.result = ValueGrid(values_t0, lat_first, lat_count > lat_first)
+        # every column must exercise down to row top itself, or only the
+        # rows above it where that is row 1
+        again.append(top > 1 and not (lat_first[:-1] > top).all())
+    return again
 
 
 @dataclass(frozen=True)
@@ -630,10 +685,9 @@ def solve_stack(
     options: Sequence[OptionSpec],
 ) -> list[Solution]:
     """:func:`solve` for the K lattices of ``stack``, from their
-    calibrations, in one induction (see :func:`backward_induce`, which
-    raises ValueError where they cannot be stacked exactly).  Returns one
-    Solution per lattice, in order, each equal to what :func:`solve` gives
-    for it."""
+    calibrations, in one induction (see :func:`backward_induce`).  Returns
+    one Solution per lattice, in order, each equal to what :func:`solve`
+    gives for it."""
     values = backward_induce(stack, cals, options)
     return [
         Solution(cal, vg, extract_thresholds(vg, grid, cal, option))

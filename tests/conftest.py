@@ -56,72 +56,105 @@ class GridRecorder:
     """Full value grids of ``backward_induce``, which keeps only the time-0
     column.  The lattice calls its continuation operator once per column,
     through the module global, on two views of the column one step later,
-    both in its buffer: rows top-1 .. 2M-2 and, two rows further on, rows
-    top+1 .. 2M, which end where the column ends (a stack's views hold a
-    row per lattice, ending at the bottom rows that its ladders share).
-    ``columns`` holds a copy of the memory the two views span, rows
-    top-1 .. 2M, and ``induce`` puts V - K_n above it, from each lattice's
-    own ladder: those rows exercise in every column, and the lattice never
-    reads them.  A block of columns that g valued without its monotone
-    test (``monotone=True``) and that read a decreasing column runs again
-    with the test (``monotone=False``), so a ``True`` pass followed by a
-    ``False`` one is dropped.  An induction that reruns on every row then
-    calls the operator N more times; the last N calls left are the
-    result's columns.  ``widths`` holds the rows each call left valued,
-    per lattice, and ``redone`` the number of blocks valued again."""
+    both in its buffer and two rows apart, which span the whole flat
+    column of the lattices that have joined: each lattice's rows top-1 ..
+    2M, back to back, longest N first.  ``columns`` holds a copy of the
+    memory each call's views span.  The recorder also logs each flat pass
+    (``_flat_pass``), its lattices and their window tops, so it can cut
+    each call's copy into the lattices' segments; ``induce`` puts V - K_n
+    above each segment, from the lattice's own ladder: those rows exercise
+    in every column, and the lattice never reads them.  A block of columns
+    that g valued without its monotone test (``monotone=True``) and that
+    read a decreasing column runs again with the test
+    (``monotone=False``), so a ``True`` pass followed by a ``False`` one
+    is dropped.  A lattice induced again on every row takes its columns
+    from its last pass.  ``widths`` holds the rows each call left valued,
+    per lattice that has joined (an int for one lattice), and ``redone``
+    the number of blocks valued again."""
 
     def __init__(self, monkeypatch):
-        self.columns, self.widths, self.untested, self.redone = [], [], [], 0
+        self._reset()
         for name in ("g_values", "linear_limit_values"):
             inner = getattr(reopt.lattice, name)
             monkeypatch.setattr(reopt.lattice, name, self._recording(inner))
+        inner_pass = reopt.lattice._flat_pass
+
+        def logging_pass(lattices):
+            members = [(lat.index, lat.n, lat.rows, lat.top) for lat in lattices]
+            self.passes.append((members, len(self.columns)))
+            return inner_pass(lattices)
+
+        monkeypatch.setattr(reopt.lattice, "_flat_pass", logging_pass)
+
+    def _reset(self):
+        self.columns, self.untested, self.passes, self.widths, self.redone = [], [], [], [], 0
 
     def _recording(self, inner):
         def recording(x_up, x_dn, *args, **kwargs):
-            assert _address(x_dn) == _address(x_up) + 2 * x_up.strides[-1]
-            span = x_up.shape[:-1] + (x_up.shape[-1] + 2,)
-            self.columns.append(np.lib.stride_tricks.as_strided(x_up, span).copy())
-            self.widths.append(x_up.shape[-1])
+            assert x_up.ndim == 1 and _address(x_dn) == _address(x_up) + 2 * x_up.strides[-1]
+            span = np.lib.stride_tricks.as_strided(x_up, (x_up.shape[-1] + 2,))
+            self.columns.append(span.copy())
             self.untested.append(kwargs.get("monotone") is True)
             return inner(x_up, x_dn, *args, **kwargs)
 
         return recording
 
-    def _last_passes(self, n_steps):
-        """Keep the calls of each block's last pass, in call order."""
-        block = reopt.lattice._BLOCK
-        sizes = [n_steps - (n_steps - 1) // block * block] + [block] * ((n_steps - 1) // block)
-        kept, i, calls = [], 0, len(self.columns)
-        while i < calls:
-            for size in sizes:
-                if self.untested[i] and i + size < calls and not self.untested[i + size]:
-                    i += size
-                    self.redone += 1
-                kept += range(i, i + size)
+    def _last_calls(self, members, first, end):
+        """The calls of each block's last pass in one flat pass, in call
+        order: its blocks of columns end at multiples of ``_BLOCK`` and at
+        each lattice's N, where it joins."""
+        block, joins = reopt.lattice._BLOCK, {n for _, n, _, _ in members}
+        sizes, hi = [], members[0][1]
+        while hi:
+            lo = max([(hi - 1) // block * block] + [n for n in joins if n < hi])
+            sizes.append(hi - lo)
+            hi = lo
+        kept, i = [], first
+        for size in sizes:
+            if self.untested[i] and i + size < end and not self.untested[i + size]:
                 i += size
-        self.columns = [self.columns[i] for i in kept]
-        self.widths = [self.widths[i] for i in kept]
+                self.redone += 1
+            kept += range(i, i + size)
+            i += size
+        assert i == end
+        return kept
 
     def induce(self, grid, cal, option):
         """(ValueGrid, values): the induction and its (2M+1, N+1) grid; for
         a GridStack, a list of each, one per lattice over its own rows."""
-        self.columns, self.widths, self.untested, self.redone = [], [], [], 0
+        self._reset()
         vg = reopt.lattice.backward_induce(grid, cal, option)
         stacked = isinstance(grid, GridStack)
-        lattices = zip(grid.grids, cal, option, vg) if stacked else [(grid, cal, option, vg)]
-        n_steps = grid.n_steps
-        self._last_passes(n_steps)
-        assert len(self.columns) in (n_steps, 2 * n_steps)
-        spans = self.columns[len(self.columns) - n_steps :][::-1]
-        t = np.arange(n_steps + 1) * grid.dt
+        lattices = list(zip(grid.grids, cal, option, vg)) if stacked else [(grid, cal, option, vg)]
+        # each lattice's (top, [segment of column N, ..., segment of column 1])
+        segments = {}
+        ends = [start for _, start in self.passes[1:]] + [len(self.columns)]
+        for (members, first), end in zip(self.passes, ends):
+            n_max = members[0][1]
+            calls = self._last_calls(members, first, end)
+            assert len(calls) == n_max
+            for k, _, _, top in members:
+                segments[k] = (top, [])
+            for n, call in zip(range(n_max - 1, -1, -1), calls):
+                # the call valued column n from column n + 1
+                span, offset, widths = self.columns[call], 0, []
+                for k, n_k, rows, top in members:
+                    if n_k <= n:
+                        break
+                    segments[k][1].append(span[offset : offset + rows - top + 1])
+                    offset += rows - top + 1
+                    widths.append(rows - top - 1)
+                assert offset == span.shape[-1]
+                self.widths.append(widths[0] if len(members) == 1 else tuple(widths))
         grids = []
         for k, (own, c, o, own_vg) in enumerate(lattices):
+            t = np.arange(own.n_steps + 1) * own.dt
             strike = o.cost * np.exp((o.cost_growth - c.r) * t)
+            top, spans = segments[k]
+            assert len(spans) == own.n_steps
             columns = [own_vg.values_t0]
-            for n, span in enumerate(spans, 1):
-                span = span[k] if span.ndim > 1 else span
-                head = own.row_values[: own.n_rows - span.shape[-1]] - strike[n]
-                columns.append(np.concatenate((head, span)))
+            for n, span in enumerate(spans[::-1], 1):
+                columns.append(np.concatenate((own.row_values[: top - 1] - strike[n], span)))
             grids.append(np.stack(columns, -1))
         return (vg, grids) if stacked else (vg, grids[0])
 

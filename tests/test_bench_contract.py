@@ -110,9 +110,11 @@ def _check_one_call_per_column_on_the_window(monkeypatch, operator, gamma, gamma
     lattices = (grid, cal, option) if gammas is None else gamma_stack(grid, cal, option, gammas)
     reopt.lattice.backward_induce(*lattices)
     assert len(calls) == grid.n_steps == 20
+    # a stack's flat column holds each lattice's rows top-1 .. 2M, and g
+    # runs on all of them but its first and last
     lattices = 1 if gammas is None else len(gammas)
     for x_up in first_args:
-        assert isinstance(x_up, np.ndarray) and x_up.size == lattices * (grid.n_rows - 1 - top)
+        assert isinstance(x_up, np.ndarray) and x_up.size == lattices * (grid.n_rows - top + 1) - 2
 
 
 def test_induction_calls_g_once_per_column_on_the_interior_rows(monkeypatch):
@@ -125,27 +127,30 @@ def test_stacked_induction_calls_g_once_per_column_on_every_lattice(monkeypatch)
 
 
 def test_a_stack_of_ladders_calls_g_once_per_column_on_its_window(monkeypatch):
-    # K lattices of different M, bottom rows aligned: g runs on rows
-    # top .. rows-2 of the stack's ladder, K x (rows - 1 - top) nodes, where
-    # top is the highest of the lattices' own tops in stack rows; the
-    # tracer counts the stack's nodes from its n_rows and n_steps
-    option = OptionSpec(cost=1.0, maturity=1.0, gamma=1.0)
-    grids, cals, tops = [], [], []
-    for rho in (0.0, 0.5, 0.9):
+    # K lattices of different M and N, each lattice's rows top-1 .. 2M
+    # back to back, longest N first: g runs once per column on the rows of
+    # the lattices that have joined, all but the first and last,
+    # sum(rows - top + 1) - 2 nodes; the tracer counts the stack's nodes
+    # from its n_rows, every ladder's rows, and n_steps, the longest N
+    grids, cals, options, tops = [], [], [], []
+    for rho, maturity in ((0.0, 0.5), (0.5, 1.0), (0.9, 0.75)):
         mu2 = capm_equilibrium_rate(0.115, 0.25, 0.2, rho, 0.04) - 0.04
         market = MarketParams(mu1=0.115, sigma1=0.25, mu2=mu2, sigma2=0.2, rho=rho, r=0.04)
-        grids.append(build_grid(market, option, 0.05, 30 + 5 * len(grids)))
+        options.append(OptionSpec(cost=1.0, maturity=maturity, gamma=1.0))
+        grids.append(build_grid(market, options[-1], 0.05, 30 + 5 * len(grids)))
         cals.append(calibrate(market, grids[-1].dt))
-        tops.append(exercise_window_top(grids[-1], cals[-1], option))
+        tops.append(exercise_window_top(grids[-1], cals[-1], options[-1]))
     stack = GridStack(grids)
-    rows = stack.n_rows
-    assert rows == grids[-1].n_rows and stack.n_steps == 20
-    top = min(own + rows - g.n_rows for own, g in zip(tops, grids))
+    assert stack.n_rows == sum(g.n_rows for g in grids) and stack.n_steps == 20
+    assert [g.n_steps for g in grids] == [10, 20, 15]
     calls, first_args = [], []
     _record(monkeypatch, calls, reopt.lattice, "g_values", first_args)
-    reopt.lattice.backward_induce(stack, cals, [option] * 3)
+    reopt.lattice.backward_induce(stack, cals, options)
     assert len(calls) == 20
-    assert all(x_up.shape == (3, rows - 1 - top) for x_up in first_args)
+    rows = {k: g.n_rows - top + 1 for k, (g, top) in enumerate(zip(grids, tops))}
+    joined = [[1], [1, 2], [1, 2, 0]]  # lattices by N, from column 19, 14 and 9 down
+    sizes = [sum(rows[k] for k in joined[(n < 15) + (n < 10)]) - 2 for n in range(19, -1, -1)]
+    assert [x_up.shape for x_up in first_args] == [(size,) for size in sizes]
 
 
 def test_linear_induction_calls_linear_limit_values_once_per_column(monkeypatch):
@@ -228,10 +233,10 @@ def test_pool_sweep_reaches_a_patched_run_single(monkeypatch, tmp_path):
 
 
 def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch, tmp_path):
-    # two gamma sweeps, two stacked jobs on two processes: every point
-    # passes through run_single in the process that runs it, and the one
-    # induction of each stack calls g once per column on all K lattices'
-    # interior rows
+    # two gamma sweeps, one job split into two stacked halves on two
+    # processes: every point passes through run_single in the process that
+    # runs it, and the one induction of each stack calls g once per column
+    # on the flat column of all K lattices' rows top-1 .. 2M but its ends
     sizes = []
     inner_g = reopt.lattice.g_values
 
@@ -263,12 +268,12 @@ def test_pool_gamma_stacks_reach_a_patched_run_single(monkeypatch, tmp_path):
         grid = build_grid(cfg.market, cfg.option, cfg.dt)
         top = exercise_window_top(grid, calibrate(cfg.market, grid.dt), cfg.option)
         assert top > 1
-        windows.append(grid.n_rows - 1 - top)
+        windows.append(grid.n_rows - top + 1)
     results = reopt.experiments.run_sweep(*specs, workers=2)
     assert [r.swept_value for r in results] == [1.0, 2.0, 5.0] * 2
     assert [getattr(r, "tag", None) for r in results] == ["traced"] * 6
     assert any(r.pid != os.getpid() for r in results)
     for (first, *rest), window in zip((results[:3], results[3:]), windows):
         # the first point of a stack runs the shared induction
-        assert first.n == 20 and first.g_sizes == [3 * window] * 20
+        assert first.n == 20 and first.g_sizes == [3 * window - 2] * 20
         assert all(r.g_sizes == [] for r in rest)

@@ -249,8 +249,12 @@ def children(monkeypatch):
 
 
 def _maturity_sweep(*values: float) -> SweepSpec:
-    # each point has its own lattice, so its own job
-    _, sweep = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "maturity", "values": list(values)}))
+    # at dt = 0.03 each of these maturities T has its own step T / round(T / dt),
+    # so each point is its own job
+    _, sweep = parse_config(cfg_text(grid={"dt": 0.03}, sweep={"name": "maturity", "values": list(values)}))
+    steps = {build_grid(cfg.market, cfg.option, cfg.dt).dt
+             for cfg in (experiments._point_config(sweep, v) for v in sweep.values)}
+    assert len(steps) == len(values)
     return sweep
 
 
@@ -291,12 +295,13 @@ def test_a_job_of_error_rows_starts_no_child(children):
     results = run_preset("fig4", workers=2, dt=0.02)
     assert [bool(r.error) for r in results] == [False, True]
     assert children == []
-    assert [experiments._lattice_nodes(r.config) > 0 for r in results] == [True, False]
+    built = experiments._build([r.config for r in results])
+    assert [isinstance(cal, calibration.LatticeCalibration) for _, cal in built] == [True, False]
 
 
-def test_a_stack_builds_and_calibrates_each_point_once(monkeypatch):
-    # a gamma sweep's points share one market, so one calibration; a rho
-    # sweep's points build one grid and one calibration each
+@pytest.fixture
+def builds(monkeypatch):
+    """Count the sweep's build_grid and calibrate calls."""
     counts = {"build_grid": 0, "calibrate": 0}
 
     def counting(name):
@@ -310,13 +315,31 @@ def test_a_stack_builds_and_calibrates_each_point_once(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(experiments, name, counting(name))
+    return counts
+
+
+def test_a_stack_builds_and_calibrates_each_point_once(builds):
+    # a gamma sweep's points share one market, so one calibration; a rho
+    # sweep's points build one grid and one calibration each
     _, gammas = parse_config(cfg_text(grid={"dt": 0.05}, sweep={"name": "gamma", "values": [1.0, 2.0, 5.0]}))
     run_sweep(gammas)
-    assert counts == {"build_grid": 3, "calibrate": 1}
-    counts.update(build_grid=0, calibrate=0)
+    assert builds == {"build_grid": 3, "calibrate": 1}
+    builds.update(build_grid=0, calibrate=0)
     results = run_preset("fig1-left", dt=0.02)
     assert sum(bool(r.error) for r in results) == 2
-    assert counts == {"build_grid": 21, "calibrate": 21}
+    assert builds == {"build_grid": 21, "calibrate": 21}
+
+
+def test_a_sweep_on_two_workers_builds_and_calibrates_each_point_once(children, builds):
+    # the sweep process builds and calibrates every point to group them by
+    # step, and hands the grids and calibrations to the jobs, stacked or not
+    results = run_preset("fig1-left", workers=2, dt=0.05)
+    assert len(children) == 1 and sum(bool(r.error) for r in results) == 2
+    assert builds == {"build_grid": 21, "calibrate": 21}
+    builds.update(build_grid=0, calibrate=0)
+    run_sweep(_maturity_sweep(0.5, 1.0, 2.0, 3.0), workers=2)
+    assert len(children) == 2
+    assert builds == {"build_grid": 4, "calibrate": 4}
 
 
 def test_preset_runs_on_one_pool(children):
@@ -414,14 +437,17 @@ def test_gamma_points_share_one_induction(inductions):
 
 
 def test_one_induction_per_base_config(inductions):
+    # every point of a preset shares the step, so each preset is one
+    # induction, its specs' points in order
     expected = {
         # the 3 infeasible points (rho -0.99, 0.99) never reach the induction
         "fig1-left": [(1.0,) * 18],
         # 7 gammas at each of 3 correlations
-        "fig1-right": [(0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)] * 3,
+        "fig1-right": [(0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0) * 3],
         "fig2-left": [(1.0,) * 5],  # each sigma2 on its own row spacing
         "fig2-right": [(1.0,) * 4],
-        "fig3": [None] * 18,  # maturity sets N, and specs never share
+        # each maturity on its own N and M, at each of 3 (rho, gamma)
+        "fig3": [(0.01,) * 6 + (1.0,) * 6 + (10.0,) * 6],
         "fig4": [(10.0,)],  # rho 0.99 is infeasible
     }
     assert tuple(expected) == preset_names()
@@ -557,28 +583,51 @@ def _signed_weight():
 
 
 def _forced_rerun(monkeypatch):
-    # a bound far below the boundary: each point alone induces every row
-    # again, and the stack may not
+    # a bound far below the boundary: every point induces every row again
     monkeypatch.setattr(lattice, "perpetual_threshold", lambda *args: 1e-300)
     return _rho_sweep([0.0, 0.5])
 
 
-def _padded_overflow():
-    # gamma 1e308 times the payoffs in each lattice's own window stays
-    # finite, but not times those the stack's window adds to rho 0.9's
+def _huge_gamma():
+    # gamma 1e308 times the payoffs in each lattice's own window stays finite
     return _rho_sweep([-0.5, 0.9], gamma=1e308)
 
 
 @pytest.mark.parametrize(
-    "case", [lambda mp: _signed_weight(), _forced_rerun, lambda mp: _padded_overflow()],
-    ids=["signed-weight", "forced-rerun", "padded-overflow"],
+    "case", [lambda mp: _signed_weight(), _forced_rerun, lambda mp: _huge_gamma()],
+    ids=["signed-weight", "forced-rerun", "huge-gamma"],
 )
-def test_a_stack_that_cannot_be_exact_falls_back_to_each_point(case, inductions, monkeypatch):
+def test_hard_cases_of_a_sweep_are_one_induction(case, inductions, monkeypatch):
+    # a signed weight, a rerun on every row or a gamma at the edge of
+    # overflow: one induction, each point's rows those of the point alone
     sweep = case(monkeypatch)
     results = run_sweep(sweep)
-    # the stacked induction raised, and each point was induced on its own
     gamma = sweep.base.option.gamma
-    assert inductions == [(gamma, gamma), None, None]
+    assert inductions == [(gamma, gamma)]
+    alone = _separate_runs(sweep)
+    assert not any(r.error for r in alone)
+    assert all(_same_result(a, b) for a, b in zip(results, alone))
+
+
+def test_a_signed_weight_point_is_induced_alone_inside_the_stack(monkeypatch):
+    # rho 0.99's calibration has a weight below 0 (within p_tol): it is
+    # induced on its own, and one flat induction serves the other points
+    _, sweep = parse_config(json.dumps({
+        "project": {"rho": 0.5},
+        "option": {"gamma": 1.0, "maturity": 2.0, "cost_growth": 0.1},
+        "grid": {"dt": 1.0 / 300.0, "p_tol": 1e-4},
+        "sweep": {"name": "rho", "values": [0.0, 0.3, 0.6, 0.99]},
+    }))
+    passes = []
+    inner = lattice._flat_pass
+
+    def counting(lattices):
+        passes.append([lat.index for lat in lattices])
+        return inner(lattices)
+
+    monkeypatch.setattr(lattice, "_flat_pass", counting)
+    results = run_sweep(sweep)
+    assert passes == [[3], [0, 1, 2]]
     alone = _separate_runs(sweep)
     assert not any(r.error for r in alone)
     assert all(_same_result(a, b) for a, b in zip(results, alone))
@@ -601,9 +650,9 @@ def test_a_stack_splits_while_there_are_fewer_jobs_than_processes(monkeypatch):
     (first, *rest), children = seen.pop()
     assert first == [0.0, 0.2] and sorted(map(len, rest)) == [1, 2] and children == 2
     assert [v for job in (first, *rest) for v in job] == list(sweep.values)
-    # fig1-right's three stacks already fill two processes
+    # fig1-right's three gamma sweeps are one job, split in halves
     run_preset("fig1-right", workers=2, dt=0.1)
-    assert [len(job) for job in seen.pop()[0]] == [7, 7, 7]
+    assert [len(job) for job in seen.pop()[0]] == [10, 11]
     run_sweep(sweep, workers=1)
     assert seen == []
     # no spec, no job to split
@@ -625,12 +674,12 @@ def test_stacked_rows_are_the_same_on_one_two_and_three_workers(monkeypatch):
     multiprocessing.get_start_method() != "fork",
     reason="children inherit the counting induction only when forked",
 )
-def test_fig1_right_stays_three_stacked_inductions_on_a_pool(tmp_path, monkeypatch):
+def test_fig1_right_is_two_stacked_inductions_on_a_pool(tmp_path, monkeypatch):
     # a stacked solve that raises falls back to one induction per gamma
-    # with the same numbers, so only the count of inductions shows it: 3
-    # stacks of 7 gammas, not 21 (or 24) inductions.  The sweep process
-    # and its child log them to a file; test_one_induction_per_base_config
-    # counts them on one worker.
+    # with the same numbers, so only the count of inductions shows it: the
+    # two halves of fig1-right's one job of 21 gammas, not 21 (or 23)
+    # inductions.  The sweep process and its child log them to a file;
+    # test_one_induction_per_base_config counts them on one worker.
     log = tmp_path / "inductions"
     inner = lattice.backward_induce
 
@@ -642,7 +691,7 @@ def test_fig1_right_stays_three_stacked_inductions_on_a_pool(tmp_path, monkeypat
     monkeypatch.setattr(lattice, "backward_induce", counting)
     results = run_preset("fig1-right", workers=2, dt=0.05)
     assert not any(r.error for r in results)
-    assert log.read_text().split() == ["7"] * 3
+    assert sorted(log.read_text().split()) == ["10", "11"]
 
 
 _START_METHODS = [

@@ -302,8 +302,11 @@ def _one_step_forcing(monkeypatch, masks):
     option = OptionSpec(cost=0.1, maturity=0.1, gamma=1.0)
     grid = build_grid(market, option, 0.1, 2)
     assert grid.n_steps == 1 and (grid.row_values > option.cost).all()
-    interior = np.array(masks)[..., 1:-1]
-    forced = lambda *args, **kwargs: np.where(interior, 0.0, 1e9)
+    # g's window on the flat column of one five-row segment per lattice:
+    # all of it but its first and last rows, a lattice's rows 1 .. 3
+    # between the seams
+    flat = np.where(np.array(masks, ndmin=2), 0.0, 1e9).ravel()[1:-1]
+    forced = lambda *args, **kwargs: flat
     monkeypatch.setattr(reopt.lattice, "g_values", forced)
     monkeypatch.setattr(reopt.lattice, "perpetual_threshold", _no_bound)
     return grid, calibrate(market, grid.dt), option
@@ -321,7 +324,7 @@ def test_mask_summary(monkeypatch, case):
 
 
 def test_mask_summary_of_stacked_lattices(monkeypatch):
-    # the same masks as one (K, rows) mask of K lattices
+    # the same masks on the flat column of K lattices
     masks, depths, anomalous = zip(*INTERIOR_MASKS.values())
     grid, cal, option = _one_step_forcing(monkeypatch, masks)
     vgs = backward_induce(*gamma_stack(grid, cal, option, (1.0,) * len(masks)))
@@ -561,7 +564,8 @@ def test_a_window_the_boundary_reaches_is_induced_again_on_every_row(
     option = dataclasses.replace(option, gamma=gamma)
     monkeypatch.setattr(reopt.lattice, "perpetual_threshold", lambda *args: 1e-300)
     _assert_induces_the_reference(grid_recorder, grid, cal, option, gammas)
-    assert grid_recorder.widths == [1] * grid.n_steps + [grid.n_rows - 2] * grid.n_steps
+    widths = [1, grid.n_rows - 2] if gammas is None else [(1,) * 3, (grid.n_rows - 2,) * 3]
+    assert grid_recorder.widths == [widths[0]] * grid.n_steps + [widths[1]] * grid.n_steps
 
 
 def _assert_induces_the_reference(grid_recorder, grid, cal, option, gammas=None):
@@ -795,9 +799,9 @@ def test_stacked_gammas_are_checked():
     stack, cals, options = gamma_stack(grid, cal, option, (1.0, 2.0))
     with pytest.raises(ValueError, match="at least one grid"):
         GridStack(())
-    longer = build_grid(market, dataclasses.replace(option, maturity=2.0), 0.1, 5)
-    with pytest.raises(ValueError, match="must share N, the step and V0"):
-        GridStack((grid, longer))
+    finer = build_grid(market, option, 0.05, 5)
+    with pytest.raises(ValueError, match="must share the step"):
+        GridStack((grid, finer))
     for args, match in (
         ((stack, cals[:1], options), "one calibration and one option per grid"),
         ((stack, cals, options[:1]), "one calibration and one option per grid"),
@@ -871,9 +875,6 @@ def test_a_stack_of_ladders_and_gammas_matches_the_reference(grid_recorder):
     markets, grids, cals, options = _mixed_stack()
     assert len({g.n_rows for g in grids}) == 4
     stack = GridStack(grids)
-    tops = [exercise_window_top(g, c, o) + stack.n_rows - g.n_rows
-            for g, c, o in zip(grids, cals, options)]
-    assert min(tops) < max(tops)  # the window reaches above some lattices' own tops
     stacked, values = grid_recorder.induce(stack, cals, options)
     for vg, recorded, grid, cal, option in zip(stacked, values, grids, cals, options):
         ref_values, depth, anomalous = reference_column_loop(grid, cal, option)
@@ -887,10 +888,21 @@ def test_a_stack_of_ladders_and_gammas_matches_the_reference(grid_recorder):
         _assert_same_solution(sol, solve(market, option, grid))
 
 
-def test_a_stack_that_would_not_be_exact_raises(monkeypatch):
+def _assert_each_lattice_alone(grid_recorder, grids, cals, options):
+    """The stack of the lattices gives each one's own induction, grid
+    included, bit for bit."""
+    stacked, values = grid_recorder.induce(GridStack(grids), cals, options)
+    for vg, recorded, grid, cal, option in zip(stacked, values, grids, cals, options):
+        alone, alone_values = grid_recorder.induce(grid, cal, option)
+        assert np.array_equal(recorded, alone_values)
+        assert np.array_equal(vg.values_t0, alone.values_t0)
+        assert np.array_equal(vg.exercise_depth, alone.exercise_depth)
+        assert np.array_equal(vg.anomalous, alone.anomalous)
+
+
+def test_a_stack_of_hard_cases_matches_each_lattice_alone(grid_recorder, monkeypatch):
     markets, grids, cals, options = _mixed_stack()
-    stack = GridStack(grids)
-    # every lattice must have positive weights: a signed p_tol weight
+    # a signed p_tol weight: that lattice is induced alone, inside the stack
     market = base_market(rho=0.99)
     option = OptionSpec(cost=1.0, maturity=2.0, gamma=1.0, cost_growth=0.1)
     signed = build_grid(market, option, 1.0 / 300.0)
@@ -898,24 +910,84 @@ def test_a_stack_that_would_not_be_exact_raises(monkeypatch):
     assert not signed_cal.positive_weights
     other = base_market(rho=0.5)
     other_grid = build_grid(other, option, 1.0 / 300.0)
-    with pytest.raises(ValueError, match="positive weights"):
-        backward_induce(GridStack((other_grid, signed)),
-                        (calibrate(other, other_grid.dt), signed_cal), (option, option))
-    # a gamma whose product with the payoff overflows on the rows the stack
-    # adds to a lattice's window, while each lattice alone is valued
+    other_cal = calibrate(other, other_grid.dt)
+    _assert_each_lattice_alone(grid_recorder, (other_grid, signed, other_grid),
+                               (other_cal, signed_cal, other_cal), (option,) * 3)
+    # a gamma at the edge of overflow, checked on each lattice's own rows
     huge = [dataclasses.replace(o, gamma=1e308) for o in options]
-    with pytest.raises(ValueError, match="gamma 1e\\+308 times the payoff .* overflows"):
-        backward_induce(stack, cals, huge)
-    for grid, cal, option in zip(grids, cals, huge):
-        assert np.isfinite(backward_induce(grid, cal, option).values_t0).all()
-    # no rerun: a bound far below the boundary puts every window top under it
+    _assert_each_lattice_alone(grid_recorder, grids, cals, huge)
+    # a bound far below the boundary puts every window top under it: each
+    # lattice is induced again on every row
     monkeypatch.setattr(reopt.lattice, "perpetual_threshold", lambda *args: 1e-300)
-    with pytest.raises(ValueError, match="boundary reaches the window of a stack"):
-        backward_induce(stack, cals, options)
-    # nor a lattice without a bound
+    _assert_each_lattice_alone(grid_recorder, grids, cals, options)
+    # a lattice without a bound
     monkeypatch.setattr(reopt.lattice, "perpetual_threshold", _no_bound)
-    with pytest.raises(ValueError, match="cannot be stacked exactly"):
-        backward_induce(stack, cals, options)
+    _assert_each_lattice_alone(grid_recorder, grids, cals, options)
+
+
+def _random_mix(seed, dt=1.0 / 64.0):
+    """Six lattices at one step, dt a power of 2 so that every maturity
+    N dt keeps it exactly, whose N, sigma2 (so M and h), rho, gamma and
+    delta are drawn at random; one has delta <= 0, so no bound."""
+    rng = np.random.default_rng(seed)
+    grids, cals, options = [], [], []
+    while len(grids) < 6:
+        delta = -0.02 if not grids else float(rng.choice([0.0, 0.02, 0.04, 0.08]))
+        market = base_market(float(rng.uniform(-0.9, 0.9)), delta, float(rng.uniform(0.1, 0.35)))
+        option = OptionSpec(cost=1.0, maturity=int(rng.integers(3, 120)) * dt,
+                            gamma=float(10.0 ** rng.uniform(-1.0, 1.0)))
+        grid = build_grid(market, option, dt)
+        try:
+            cal = calibrate(market, grid.dt)
+        except CalibrationInfeasible:
+            continue
+        grids.append(grid), cals.append(cal), options.append(option)
+    assert len({g.dt for g in grids}) == 1 and len({g.n_steps for g in grids}) > 3
+    assert exercise_window_top(grids[0], cals[0], options[0]) == 1
+    return grids, cals, options
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+@pytest.mark.parametrize("forced", [False, True], ids=["window", "forced-rerun"])
+def test_a_random_mix_of_lattices_matches_the_reference(seed, forced, grid_recorder, monkeypatch):
+    # lattices that differ in N, M, sigma2, rho, gamma and delta, on one
+    # flat column: each one's grid, depths and flags are the reference
+    # column loop's, bit for bit.  Forced: a bound far below the boundary
+    # for the lattices of sigma2 above 0.2, so that those whose boundary
+    # then reaches the window (and no others) are induced again on every row
+    grids, cals, options = _random_mix(seed)
+    if forced:
+        real = reopt.lattice.perpetual_threshold
+        monkeypatch.setattr(
+            reopt.lattice, "perpetual_threshold",
+            lambda sigma2, *args: 1e-300 if sigma2 > 0.2 else real(sigma2, *args),
+        )
+    stacked, values = grid_recorder.induce(GridStack(grids), cals, options)
+    passes = [[k for k, *_ in members] for members, _ in grid_recorder.passes]
+    assert sorted(passes[0]) == list(range(6))
+    if forced:
+        bounded = {k for k, c in enumerate(cals) if math.log(c.h) / math.sqrt(c.dt) > 0.2}
+        assert len(passes) == 2 and passes[1] and set(passes[1]) <= bounded
+    else:
+        assert len(passes) == 1
+    for vg, recorded, grid, cal, option in zip(stacked, values, grids, cals, options):
+        ref_values, depth, anomalous = reference_column_loop(grid, cal, option)
+        assert np.array_equal(recorded, ref_values)
+        assert np.array_equal(vg.values_t0, ref_values[:, 0])
+        assert np.array_equal(vg.exercise_depth, depth)
+        assert np.array_equal(vg.anomalous, anomalous)
+
+
+def test_a_stack_with_decreasing_columns_matches_each_lattice_alone(grid_recorder):
+    # fig4's rho 0 at dt = 0.003 has runs of decreasing columns, so its
+    # stack with rho 0.99 values blocks again, with g testing each column
+    # (on a flat column that test fails at the seams: g's general path)
+    (spec,) = reopt.experiments.build_preset("fig4", dt=0.003)
+    markets, grids, cals, options = _sweep_lattices(spec)
+    assert len(grids) == 2 and grids[0].n_steps == 3333
+    _assert_each_lattice_alone(grid_recorder, grids, cals, options)
+    grid_recorder.induce(GridStack(grids), cals, options)
+    assert grid_recorder.redone > 0
 
 
 def test_a_stack_of_one_runs_the_one_lattice_loop(grid_recorder):

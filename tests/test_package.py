@@ -65,7 +65,6 @@ PUBLIC_NAMES = [
     "run_sweep",
     "solve",
     "solve_stack",
-    "stack_operands",
     "value_curve",
     "verify_moments",
     "write_sweep_csv",

@@ -193,10 +193,11 @@ def presets(parent: Path, change: Path, rounds: int, timed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _bench_run(side: Path, workload: str, seconds: float) -> dict:
+def _bench_run(side: Path, workload: str, seconds: float, seed: int | None = None) -> dict:
+    seeded = [] if seed is None else ["--seed", str(seed)]
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds),
-         "--trace", "0"],
+         "--trace", "0", *seeded],
         cwd=side, capture_output=True, text=True, check=True,
     ).stdout
     result = json.loads(out.strip().splitlines()[-1])
@@ -204,15 +205,18 @@ def _bench_run(side: Path, workload: str, seconds: float) -> dict:
     return {"correct": result["correct"], "failed": result["failed"], **metrics}
 
 
-def bench_pairs(parent: Path, change: Path, pairs: int, seconds: float) -> dict:
+def bench_pairs(parent: Path, change: Path, pairs: int, seconds: float, seeds=(None,)) -> dict:
+    """``pairs`` alternating pairs per workload, pairs 2j and 2j + 1 (one
+    with each side first) on ``seeds[j % len(seeds)]``."""
     report = {}
     for workload in WORKLOADS:
         runs = []
         for k in range(pairs):
             sides = [("parent", parent), ("change", change)]
-            pair = {"first": sides[k % 2][0]}
+            seed = seeds[k // 2 % len(seeds)]
+            pair = {"first": sides[k % 2][0], "seed": seed}
             for name, side in (sides if k % 2 == 0 else sides[::-1]):
-                pair[name] = _bench_run(side, workload, seconds)
+                pair[name] = _bench_run(side, workload, seconds, seed)
             runs.append(pair)
         summary = {}
         for metric in ("wall_s", "setup_s", "peak_rss_mb", "max_abs_dev"):
